@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
     StiffnessError,
 )
-from .sphere import SphereGrid, average, build_grid, gradient_norm, lowpass
+from .sphere import SphereGrid, average, build_grid, gradient_norm
 from .body import (
     ConvexBody,
     GeometrySummary,
@@ -109,7 +109,6 @@ __all__ = [
     "inradius",
     "j1_first_variation",
     "j1_value",
-    "lowpass",
     "make_shape",
     "mc_log_integral",
     "mc_polar_mass_center",

@@ -54,9 +54,6 @@ class CurvatureData:
     are the principal radii of curvature, det A the curvature radius product
     and ``gauss = 1/det A`` the Gauss curvature as a function of the normal.
     ``mean_curvature`` is trace(A^-1), the sum of the principal curvatures.
-    ``sigma_w[k-1]`` holds the k-th elementary symmetric function of the
-    principal curvatures (eigenvalues of A^-1) and ``sigma_a[k-1]`` the same
-    for the curvature radii (eigenvalues of A), k = 1..dim.
     ``position`` is the boundary embedding X = u x + grad u (the point of the
     body whose outer normal is the node direction).
     """
@@ -67,8 +64,6 @@ class CurvatureData:
     trace_a: np.ndarray
     mean_curvature: np.ndarray
     min_eig_a: np.ndarray
-    sigma_w: tuple
-    sigma_a: tuple
     grad: np.ndarray
     grad_norm: np.ndarray
     position: np.ndarray
@@ -118,8 +113,6 @@ class ConvexBody:
             trace = det
             min_eig = det
             mean_curv = 1.0 / det
-            sigma_w = (1.0 / det,)
-            sigma_a = (det,)
         else:
             a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
             det = a11 * a22 - a12 * a12
@@ -127,8 +120,6 @@ class ConvexBody:
             disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
             min_eig = 0.5 * trace - disc
             mean_curv = trace / det
-            sigma_w = (mean_curv, 1.0 / det)
-            sigma_a = (trace, det)
         grad_norm = np.sqrt(np.sum(jet.grad**2, axis=1))
         position = u[:, None] * grid.nodes + np.einsum(
             "na,naj->nj", jet.grad, grid.frames
@@ -140,8 +131,6 @@ class ConvexBody:
             trace_a=trace,
             mean_curvature=mean_curv,
             min_eig_a=min_eig,
-            sigma_w=sigma_w,
-            sigma_a=sigma_a,
             grad=jet.grad,
             grad_norm=grad_norm,
             position=position,
@@ -213,63 +202,16 @@ def normalize_volume(body: ConvexBody) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 
-def inradius(body: ConvexBody, max_iter: int = 500, tol: float = 1e-8):
-    """Inradius and incenter via subgradient ascent.
+def _level_minimize(f_and_g, z: np.ndarray, max_iter: int, tol: float):
+    """Minimize a convex max-type function by Polyak-level subgradient steps.
 
-    Maximizes the concave piecewise-linear function
-    f(z) = min over nodes of (u - <z, x>), starting from the origin, with
-    Polyak-style steps against an adaptive target level.  Returns
-    (radius, center) for the best iterate seen.
+    ``f_and_g(z)`` returns the value and a unit-norm subgradient.  Each step
+    aims at the level f_best - delta; delta is halved after 20 iterations
+    without improvement, and the loop stops once it falls below ``tol``.
+    Returns (f_best, z_best) for the best iterate seen.
     """
-    grid, u = body.grid, body.support
-    nodes = grid.nodes
-    z = np.zeros(body.dim + 1)
-
-    def f_and_g(z):
-        vals = u - nodes @ z
-        i = int(np.argmin(vals))
-        return float(vals[i]), -nodes[i]
-
     f_best, z_best = f_and_g(z)[0], z.copy()
     delta = max(0.1 * abs(f_best), 1e-3)
-    since_improve = 0
-    for _ in range(max_iter):
-        f_z, g = f_and_g(z)
-        if f_z > f_best + 1e-15:
-            f_best, z_best = f_z, z.copy()
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= 20:
-                delta *= 0.5
-                since_improve = 0
-        if delta < tol:
-            break
-        step = f_best + delta - f_z  # Polyak step; |g| = 1 so no normalization
-        z = z + max(step, 0.0) * g
-    return f_best, z_best
-
-
-def circumradius(body: ConvexBody, max_iter: int = 800, tol: float = 1e-9):
-    """Circumradius and circumcenter (smallest ball enclosing the boundary).
-
-    Minimizes the convex function f(z) = max over nodes of |X - z| over the
-    sampled boundary points X, by the same Polyak-level subgradient scheme
-    as :func:`inradius`, initialized at the centroid of the samples.
-    Returns (radius, center) for the best iterate seen.
-    """
-    pts = body.curvature.position
-    z = pts.mean(axis=0)
-
-    def f_and_g(z):
-        d = pts - z[None, :]
-        r2 = np.sum(d * d, axis=1)
-        i = int(np.argmax(r2))
-        r = float(np.sqrt(r2[i]))
-        return r, -d[i] / r
-
-    f_best, z_best = f_and_g(z)[0], z.copy()
-    delta = max(0.1 * f_best, 1e-3)
     since_improve = 0
     for _ in range(max_iter):
         f_z, g = f_and_g(z)
@@ -283,9 +225,50 @@ def circumradius(body: ConvexBody, max_iter: int = 800, tol: float = 1e-9):
                 since_improve = 0
         if delta < tol:
             break
-        step = f_z - f_best + delta  # level step, always > 0
+        step = f_z - f_best + delta  # level step, always > 0; |g| = 1
         z = z - step * g
     return f_best, z_best
+
+
+def inradius(body: ConvexBody, max_iter: int = 500, tol: float = 1e-8):
+    """Inradius and incenter (largest ball inside the body).
+
+    Maximizes the concave piecewise-linear function
+    f(z) = min over nodes of (u - <z, x>), that is, minimizes
+    max over nodes of (<z, x> - u) with the level-method subgradient solver
+    :func:`_level_minimize`, starting from the origin.  Returns
+    (radius, center) for the best iterate seen.
+    """
+    u, nodes = body.support, body.grid.nodes
+
+    def f_and_g(z):
+        vals = nodes @ z - u
+        i = int(np.argmax(vals))
+        return float(vals[i]), nodes[i]
+
+    f_best, z_best = _level_minimize(f_and_g, np.zeros(body.dim + 1), max_iter, tol)
+    return -f_best, z_best
+
+
+def circumradius(body: ConvexBody, max_iter: int = 800, tol: float = 1e-9):
+    """Circumradius and circumcenter (smallest ball enclosing the boundary).
+
+    Minimizes the convex function f(z) = max over nodes of |X - z| over the
+    sampled boundary points X with the level-method subgradient solver
+    :func:`_level_minimize` shared with :func:`inradius`, starting from the
+    centroid of the samples.  Returns (radius, center) for the best iterate
+    seen.
+    """
+    pts = body.curvature.position
+
+    def f_and_g(z):
+        d = pts - z[None, :]
+        r2 = np.sum(d * d, axis=1)
+        i = int(np.argmax(r2))
+        r = float(np.sqrt(r2[i]))
+        return r, -d[i] / r
+
+    return _level_minimize(f_and_g, pts.mean(axis=0), max_iter, tol)
 
 
 def _antipodal(grid: SphereGrid, u: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ The central object is
 the spherical mean of the log support function about a reference point z.
 Its supremum over interior z is the body's entropy E; the maximizer is the
 entropy point z_e.  F is strictly concave in z, so a damped Newton iteration
-converges globally.  The Santalo point minimizes the polar volume and is
-found the same way on a strictly convex objective.
+on -F converges globally.  The Santalo point minimizes the polar volume, a
+strictly convex objective, with the same Newton minimizer.
 
 ``entropy_report`` bundles the functional values with the inequality suite
 they satisfy.  The scale constants in the radius/width bounds are derived by
@@ -43,7 +43,7 @@ from .constants import (
     sphere_area,
 )
 from .errors import ConcavityError, ParameterError, SolverError
-from .sphere import average, eval_direction
+from .sphere import average
 
 __all__ = [
     "EntropyReport",
@@ -81,103 +81,33 @@ def chow_entropy(body: ConvexBody) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interior_floor(u: np.ndarray) -> float:
-    # Iterates stay this far inside; the optimum is strictly interior so the
-    # constraint is inactive at convergence.
-    return 1e-6 * float(np.max(u))
+def _newton_minimize(body: ConvexBody, z0, value, gradient, hessian, name: str):
+    """Damped Newton for a strictly convex objective of the reference point z.
 
-
-def entropy_point(body: ConvexBody, z0=None):
-    """Maximize F(z) = avg log(u - <z,x>); return (z_e, E, residual).
-
-    ``residual`` is max_j |avg x_j/u_e|, the first-order condition.  Damped
-    Newton with backtracking: steps keep u_z above a small interior floor and
-    must not decrease F.  The Hessian -avg x x^T / u_z^2 is checked to be
-    negative definite at every iterate.
-
-    Raises
-    ------
-    SolverError
-        No convergence within 100 steps (carries the last iterate).
-    ConcavityError
-        The Newton model lost definiteness.
+    The objective is given through u_z = u - <z, x>: ``value(u_z)``,
+    ``gradient(u_z)`` -> (gradient, dilation-aware tolerance) and
+    ``hessian(u_z)``, checked positive definite at every iterate.  Backtracking
+    keeps u_z above an interior floor (inactive at the strictly interior
+    optimum) and never increases the value.  Returns (z, value, gradient);
+    SolverError and ConcavityError messages start with ``name``.
     """
-    grid = body.grid
-    u, x, w = body.support, grid.nodes, grid.weights
-    floor = _interior_floor(u)
+    u, x = body.support, body.grid.nodes
+    floor = 1e-6 * float(np.max(u))
     z = np.zeros(body.dim + 1) if z0 is None else np.asarray(z0, dtype=float)
     if z.shape != (body.dim + 1,):
         raise ParameterError(f"z0 must have shape ({body.dim + 1},)")
     u_z = u - x @ z
     if np.min(u_z) <= floor:
         raise ParameterError("z0 is not sufficiently interior")
-    f_val = average(grid, np.log(u_z))
-
-    for _ in range(MAX_NEWTON_STEPS):
-        inv = 1.0 / u_z
-        grad = -(w * inv) @ x / grid.area
-        # the gradient scales like 1/u under dilation, so the tolerance must
-        # follow suit for small bodies or Newton stalls at the round-off floor
-        if np.linalg.norm(grad) <= GRAD_TOL * max(1.0, float(np.max(inv))):
-            return z, f_val, float(np.max(np.abs(grad)))
-        hess = -(x.T * (w * inv * inv)) @ x / grid.area
-        if np.linalg.eigvalsh(hess)[-1] >= 0.0:
-            raise ConcavityError(f"entropy Hessian not negative definite at z={z}")
-        step = np.linalg.solve(hess, -grad)
-        t = 1.0
-        for _ in range(60):
-            z_try = z + t * step
-            u_try = u - x @ z_try
-            if np.min(u_try) > floor:
-                f_try = average(grid, np.log(u_try))
-                if f_try >= f_val - 1e-14:
-                    break
-            t *= 0.5
-        else:
-            raise SolverError(f"entropy point: line search failed at z={z}")
-        z, u_z, f_val = z_try, u_try, f_try
-
-    raise SolverError(
-        f"entropy point: no convergence in {MAX_NEWTON_STEPS} steps "
-        f"(last z={z}, |grad|={np.linalg.norm(grad):.3e})"
-    )
-
-
-def entropy(body: ConvexBody) -> float:
-    """The entropy E = sup_z avg log(u - <z,x>)."""
-    return entropy_point(body)[1]
-
-
-def santalo_point(body: ConvexBody, z0=None):
-    """Minimize the polar volume over the reference point; return (z_s, Vstar).
-
-    The objective V*(z) = (1/(dim+1)) int u_z^-(dim+1) is strictly convex;
-    damped Newton with the same interior floor as :func:`entropy_point`.
-    """
-    grid = body.grid
-    n = body.dim
-    u, x, w = body.support, grid.nodes, grid.weights
-    floor = _interior_floor(u)
-    z = np.zeros(n + 1) if z0 is None else np.asarray(z0, dtype=float)
-    if z.shape != (n + 1,):
-        raise ParameterError(f"z0 must have shape ({n + 1},)")
-    u_z = u - x @ z
-    if np.min(u_z) <= floor:
-        raise ParameterError("z0 is not sufficiently interior")
-
-    def value(u_z):
-        return float(np.sum(w * u_z ** -(n + 1))) / (n + 1)
-
     f_val = value(u_z)
+
     for _ in range(MAX_NEWTON_STEPS):
-        grad = (w * u_z ** -(n + 2)) @ x
-        # same dilation-aware tolerance as the entropy point; here the
-        # gradient scales like u^-(dim+2)
-        if np.linalg.norm(grad) <= GRAD_TOL * max(1.0, float(np.min(u_z)) ** -(n + 2)):
-            return z, f_val
-        hess = (n + 2) * (x.T * (w * u_z ** -(n + 3))) @ x
+        grad, tol = gradient(u_z)
+        if np.linalg.norm(grad) <= tol:
+            return z, f_val, grad
+        hess = hessian(u_z)
         if np.linalg.eigvalsh(hess)[0] <= 0.0:
-            raise ConcavityError(f"polar-volume Hessian not positive definite at z={z}")
+            raise ConcavityError(f"{name}: Hessian lost definiteness at z={z}")
         step = np.linalg.solve(hess, -grad)
         t = 1.0
         for _ in range(60):
@@ -189,13 +119,76 @@ def santalo_point(body: ConvexBody, z0=None):
                     break
             t *= 0.5
         else:
-            raise SolverError(f"Santalo point: line search failed at z={z}")
+            raise SolverError(f"{name}: line search failed at z={z}")
         z, u_z, f_val = z_try, u_try, f_try
 
     raise SolverError(
-        f"Santalo point: no convergence in {MAX_NEWTON_STEPS} steps "
+        f"{name}: no convergence in {MAX_NEWTON_STEPS} steps "
         f"(last z={z}, |grad|={np.linalg.norm(grad):.3e})"
     )
+
+
+def entropy_point(body: ConvexBody, z0=None):
+    """Maximize F(z) = avg log(u - <z,x>); return (z_e, E, residual).
+
+    ``residual`` is max_j |avg x_j/u_e|, the first-order condition.  The
+    damped Newton of :func:`_newton_minimize` runs on -F, whose Hessian
+    avg x x^T / u_z^2 is checked to be positive definite at every iterate.
+
+    Raises
+    ------
+    SolverError
+        No convergence within 100 steps (carries the last iterate).
+    ConcavityError
+        The Newton model lost definiteness.
+    """
+    grid = body.grid
+    x, w = grid.nodes, grid.weights
+
+    def value(u_z):
+        return -average(grid, np.log(u_z))
+
+    def gradient(u_z):
+        inv = 1.0 / u_z
+        # the gradient scales like 1/u under dilation, so the tolerance must
+        # follow suit for small bodies or Newton stalls at the round-off floor
+        return (w * inv) @ x / grid.area, GRAD_TOL * max(1.0, float(np.max(inv)))
+
+    def hessian(u_z):
+        inv = 1.0 / u_z
+        return (x.T * (w * inv * inv)) @ x / grid.area
+
+    z, f_val, grad = _newton_minimize(body, z0, value, gradient, hessian, "entropy point")
+    return z, -f_val, float(np.max(np.abs(grad)))
+
+
+def entropy(body: ConvexBody) -> float:
+    """The entropy E = sup_z avg log(u - <z,x>)."""
+    return entropy_point(body)[1]
+
+
+def santalo_point(body: ConvexBody, z0=None):
+    """Minimize the polar volume over the reference point; return (z_s, Vstar).
+
+    The objective V*(z) = (1/(dim+1)) int u_z^-(dim+1) is strictly convex;
+    same damped Newton and interior floor as :func:`entropy_point`.
+    """
+    n = body.dim
+    x, w = body.grid.nodes, body.grid.weights
+
+    def value(u_z):
+        return float(np.sum(w * u_z ** -(n + 1))) / (n + 1)
+
+    def gradient(u_z):
+        # the gradient scales like u^-(dim+2)
+        tol = GRAD_TOL * max(1.0, float(np.min(u_z)) ** -(n + 2))
+        return (w * u_z ** -(n + 2)) @ x, tol
+
+    def hessian(u_z):
+        return (n + 2) * (x.T * (w * u_z ** -(n + 3))) @ x
+
+    z, v_star, _ = _newton_minimize(body, z0, value, gradient, hessian, "Santalo point")
+    return z, v_star
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +344,7 @@ def mc_log_integral(body: ConvexBody, z=None, samples: int = 100_000, seed: int 
     for rng, count in _sample_chunks(seed, samples):
         dirs = _uniform_directions(rng, count, n + 1)
         r = (p_lo + rng.random(count) * (p_hi - p_lo)) ** (1.0 / (n + 1))
-        s = eval_direction(grid, body.support, dirs) - dirs @ z
+        s = grid.eval(body.support, dirs) - dirs @ z
         in_polar = r * s <= 1.0
         in_ball = r <= 1.0
         sign = np.where(in_ball & ~in_polar, 1.0, 0.0) - np.where(
@@ -395,7 +388,7 @@ def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed:
     for rng, count in _sample_chunks(seed, samples):
         dirs = _uniform_directions(rng, count, n + 1)
         r = r_max * rng.random(count)
-        s = eval_direction(grid, body.support, dirs) - dirs @ z
+        s = grid.eval(body.support, dirs) - dirs @ z
         inside = (r * s <= 1.0).astype(float)
         v = scale * dirs * inside[:, None]
         total += np.sum(v, axis=0)

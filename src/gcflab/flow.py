@@ -54,7 +54,7 @@ from .errors import (
     StepRejected,
     StiffnessError,
 )
-from .sphere import average, lowpass
+from .sphere import average
 
 __all__ = [
     "FlowConfig",
@@ -96,10 +96,10 @@ class FlowConfig:
     """Run parameters.
 
     ``project_volume=None`` resolves to True in normalized mode and False
-    otherwise.  ``fixed_dt`` bypasses the adaptive step size for convergence
-    studies; the caller must keep it inside the stability limit (a rejected
-    fixed step raises StiffnessError instead of silently shrinking, which
-    would corrupt the deterministic step sequence).  ``recenter``
+    otherwise.  ``fixed_dt`` (positive) bypasses the adaptive step size for
+    convergence studies; the caller must keep it inside the stability limit
+    (a rejected fixed step raises StiffnessError instead of silently
+    shrinking, which would corrupt the deterministic step sequence).  ``recenter``
     re-expresses the body about its entropy point after every accepted step;
     ``record_bodies`` keeps the recorded states (needed by the per-node
     Harnack monitor).  ``dealias`` filters the stage velocities (see the
@@ -127,6 +127,10 @@ class FlowConfig:
             raise ParameterError("t_end must be positive")
         if self.output_stride < 1:
             raise ParameterError("output_stride must be >= 1")
+        if self.fixed_dt is not None and not self.fixed_dt > 0.0:
+            raise ParameterError("fixed_dt must be positive")
+        if self.max_steps < 1:
+            raise ParameterError("max_steps must be >= 1")
         if self.project_volume and self.mode == "unnormalized":
             raise ParameterError("volume projection only applies to the normalized flow")
         if self.project_volume is None:
@@ -177,7 +181,7 @@ class FlowTrace:
 def _rhs(body: ConvexBody, normalized: bool, dealias: bool) -> np.ndarray:
     gauss = body.curvature.gauss
     vel = body.support - gauss if normalized else -gauss
-    return lowpass(body.grid, vel, DEALIAS_FRAC) if dealias else vel
+    return body.grid.lowpass(vel, DEALIAS_FRAC) if dealias else vel
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",

@@ -10,15 +10,19 @@ off-grid with spectral accuracy:
   functions.  The node set avoids the poles, so covariant components in the
   orthonormal frame (e_theta, e_phi/sin theta) are well defined everywhere.
 
-The public entry points are :func:`build_grid` and the field operations
-(:func:`integrate`, :func:`covariant_hessian`, :func:`eval_direction`, ...).
-Everything downstream treats the grid as an opaque handle, which keeps the
-geometry code dimension-agnostic.
+The public entry points are :func:`build_grid`, the grid's spectral methods
+(:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
+:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.eval`,
+:meth:`~SphereGrid.lowpass`) and the quadrature helpers :func:`integrate`,
+:func:`average` and :func:`gradient_norm`.  Everything downstream treats the
+grid as an opaque handle, which keeps the geometry code dimension-agnostic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -30,12 +34,7 @@ __all__ = [
     "build_grid",
     "integrate",
     "average",
-    "gradient",
     "gradient_norm",
-    "covariant_hessian",
-    "derivative_bundle",
-    "eval_direction",
-    "lowpass",
 ]
 
 _EVAL_CHUNK = 8192  # off-grid evaluation block size (keeps temporaries small)
@@ -113,11 +112,14 @@ class SphereGrid:
         values = self.check_field(values)
         if self.dim == 1:
             return np.fft.rfft(values) / self.shape[0]
+        return self._analyze_sh(values)
+
+    def _analyze_sh(self, values: np.ndarray) -> np.ndarray:
+        """dim-2 forward transform of a checked field (see :meth:`analyze`)."""
         n_theta, n_phi = self.shape
         g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
-        L = self.bandlimit
         # c[m, l] = sum_i w_i g_m(theta_i) P_lm(x_i)
-        return np.einsum("mli,im->ml", self._tab["PW"], g[:, : L + 1])
+        return np.einsum("mli,im->ml", self._tab["PW"], g[:, : self.bandlimit + 1])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`analyze` (exact for band-limited data)."""
@@ -152,11 +154,8 @@ class SphereGrid:
             d2u = np.fft.irfft(-(k**2) * c, n=n)
             return SupportJet(values, du[:, None], d2u[:, None, None])
 
-        n_theta, n_phi = self.shape
-        L = self.bandlimit
-        g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
-        c = np.einsum("mli,im->ml", self._tab["PW"], g[:, : L + 1])
-        m = np.arange(L + 1)
+        c = self._analyze_sh(values)
+        m = np.arange(self.bandlimit + 1)
         prof0 = np.einsum("mli,ml->im", self._tab["P"], c)
         prof1 = np.einsum("mli,ml->im", self._tab["dP"], c)
         prof2 = np.einsum("mli,ml->im", self._tab["d2P"], c)
@@ -216,25 +215,11 @@ class SphereGrid:
 
     def _eval_block(self, coeffs, x, phi):
         """Harmonic synthesis at arbitrary points via the ALF recurrence."""
-        L = self.bandlimit
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
         acc = np.zeros(x.shape)
-        pmm = np.full(x.shape, 1.0 / np.sqrt(2.0))  # normalized P_00
-        for m in range(L + 1):
-            if m > 0:
-                pmm = np.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * pmm
-            gm = coeffs[m, m] * pmm
-            p_prev, p_curr = np.zeros_like(pmm), pmm
-            for l in range(m + 1, L + 1):
-                a_l = np.sqrt((l**2 - m**2) / (4.0 * l**2 - 1.0))
-                a_lm1 = (
-                    np.sqrt(((l - 1) ** 2 - m**2) / (4.0 * (l - 1) ** 2 - 1.0))
-                    if l - 1 > m
-                    else 0.0
-                )
-                p_next = (x * p_curr - a_lm1 * p_prev) / a_l
-                p_prev, p_curr = p_curr, p_next
-                gm = gm + coeffs[m, l] * p_curr
+        for m, column in _legendre_columns(x, sin_t, self._tab["recurrence"]):
+            terms = (coeffs[m, l] * p for l, p in enumerate(column, start=m))
+            gm = reduce(operator.add, terms)
             fac = 1.0 if m == 0 else 2.0
             acc += fac * (gm * np.exp(1j * m * phi)).real
         return acc
@@ -257,39 +242,64 @@ class SphereGrid:
 # ---------------------------------------------------------------------------
 
 
-def _legendre_tables(x: np.ndarray, L: int):
+def _recurrence_coefficients(L: int):
+    """Coefficients of the orthonormal associated-Legendre recurrence.
+
+    ``diag[m]`` steps the diagonal, P_mm = diag[m] sin(theta) P_(m-1)(m-1);
+    ``a[m, l]`` (zero for l <= m) steps the degree,
+    a[m, l] P_lm = x P_(l-1)m - a[m, l-1] P_(l-2)m.
+    """
+    m = np.arange(L + 1)
+    diag = np.sqrt((2 * m + 1) / np.maximum(2.0 * m, 1.0))
+    l, mm = m[None, :], m[:, None]
+    ratio = (l**2 - mm**2) / (4.0 * l**2 - 1.0)
+    a = np.where(l > mm, np.sqrt(np.maximum(ratio, 0.0)), 0.0)
+    return diag, a
+
+
+def _legendre_columns(x: np.ndarray, sin_t: np.ndarray, coefficients):
+    """Run the recurrence at the points x = cos(theta).
+
+    Yields (m, column) for each order m, where ``column`` lazily yields the
+    normalized P_lm(x) for l = m..L, so callers can stream over large point
+    sets without holding a table.
+    """
+    diag, a = coefficients
+    L = a.shape[0] - 1
+
+    def column(m, pmm):
+        p_prev, p_curr = 0.0, pmm
+        yield p_curr
+        for l in range(m + 1, L + 1):
+            p_prev, p_curr = p_curr, (x * p_curr - a[m, l - 1] * p_prev) / a[m, l]
+            yield p_curr
+
+    pmm = np.full(x.shape, 1.0 / np.sqrt(2.0))  # normalized P_00
+    for m in range(L + 1):
+        if m > 0:
+            pmm = diag[m] * sin_t * pmm
+        yield m, column(m, pmm)
+
+
+def _legendre_tables(x: np.ndarray, coefficients):
     """Tabulate orthonormal associated Legendre functions and their first two
     theta-derivatives at the points x = cos(theta).
 
     Normalization: integral of P_lm^2 over [-1, 1] equals 1.  Returned arrays
     have shape (L+1, L+1, len(x)) indexed [m, l, i], zero for l < m.
     """
-    nx = x.size
+    L = coefficients[1].shape[0] - 1
     sin_t = np.sqrt(1.0 - x * x)
-    P = np.zeros((L + 1, L + 1, nx))
+    P = np.zeros((L + 1, L + 1, x.size))
     dP = np.zeros_like(P)
-
-    pmm = np.full(nx, 1.0 / np.sqrt(2.0))
-    for m in range(L + 1):
-        if m > 0:
-            pmm = np.sqrt((2 * m + 1) / (2.0 * m)) * sin_t * pmm
-        P[m, m] = pmm
-        for l in range(m + 1, L + 1):
-            a_l = np.sqrt((l**2 - m**2) / (4.0 * l**2 - 1.0))
-            a_lm1 = (
-                np.sqrt(((l - 1) ** 2 - m**2) / (4.0 * (l - 1) ** 2 - 1.0))
-                if l - 1 > m
-                else 0.0
-            )
-            P[m, l] = (x * P[m, l - 1] - a_lm1 * P[m, l - 2]) / a_l
-
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            if l == 0:
-                continue  # dP_00 = 0
-            beta = np.sqrt((l**2 - m**2) * (2 * l + 1) / (2.0 * l - 1))
-            prev = P[m, l - 1] if l - 1 >= m else 0.0
-            dP[m, l] = (l * x * P[m, l] - beta * prev) / sin_t
+    for m, column in _legendre_columns(x, sin_t, coefficients):
+        prev = 0.0
+        for l, p in enumerate(column, start=m):
+            P[m, l] = p
+            if l > 0:  # dP_00 = 0
+                beta = np.sqrt((l**2 - m**2) * (2 * l + 1) / (2.0 * l - 1))
+                dP[m, l] = (l * x * p - beta * prev) / sin_t
+            prev = p
 
     l_arr = np.arange(L + 1)[None, :, None]
     m_arr = np.arange(L + 1)[:, None, None]
@@ -359,8 +369,10 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     frames[:, 1, 1] = cp
     frames[:, 1, 2] = 0.0
 
-    P, dP, d2P = _legendre_tables(x, L)
+    recurrence = _recurrence_coefficients(L)
+    P, dP, d2P = _legendre_tables(x, recurrence)
     tab = {
+        "recurrence": recurrence,
         "P": P,
         "dP": dP,
         "d2P": d2P,
@@ -390,7 +402,7 @@ def _ro(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field operations (free-function API used throughout the package)
+# quadrature helpers
 # ---------------------------------------------------------------------------
 
 
@@ -405,34 +417,7 @@ def average(grid: SphereGrid, values) -> float:
     return integrate(grid, values) / grid.area
 
 
-def derivative_bundle(grid: SphereGrid, values) -> SupportJet:
-    return grid.derivative_bundle(values)
-
-
-def gradient(grid: SphereGrid, values) -> np.ndarray:
-    """Orthonormal-frame components of the tangential gradient."""
-    return grid.derivative_bundle(values).grad
-
-
 def gradient_norm(grid: SphereGrid, values) -> np.ndarray:
     """Pointwise norm of the tangential gradient."""
-    g = gradient(grid, values)
+    g = grid.derivative_bundle(values).grad
     return np.sqrt(np.sum(g * g, axis=1))
-
-
-def covariant_hessian(grid: SphereGrid, values) -> np.ndarray:
-    """Covariant Hessian in the orthonormal frame, shape (n_nodes, dim, dim)."""
-    return grid.derivative_bundle(values).hess
-
-
-def eval_direction(grid: SphereGrid, values, directions) -> np.ndarray:
-    """Spectral interpolation of a nodal field at arbitrary unit directions.
-
-    Exact at the nodes for grid-resolved (band-limited) fields; spectrally
-    accurate elsewhere.
-    """
-    return grid.eval(values, directions)
-
-
-def lowpass(grid: SphereGrid, values, frac: float = 2.0 / 3.0) -> np.ndarray:
-    return grid.lowpass(values, frac)

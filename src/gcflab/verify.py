@@ -50,7 +50,7 @@ from .soliton import (
     solve_soliton,
     stability_form,
 )
-from .sphere import average, build_grid, gradient_norm, lowpass
+from .sphere import average, build_grid, gradient_norm
 
 DESK_SCALE = {1: dict(n=256), 2: dict(n_theta=32, n_phi=64)}
 
@@ -131,6 +131,29 @@ def _flow_runs():
     return tuple(runs)
 
 
+@lru_cache(maxsize=None)
+def fixed_point_run(dim: int):
+    """The unit ball flowed in normalized mode to t = 5 with no early stop;
+    returns (trace, final body).  Shared by the fixed-point check and the
+    flow tests."""
+    cfg = FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0, output_stride=500)
+    return run(make_shape(desk_grid(dim), "ball"), cfg)
+
+
+@lru_cache(maxsize=1)
+def soliton_solves():
+    """The soliton-report solves: an even random dim-1 body and an asymmetric
+    dim-2 harmonic body, both flowed to tol 1e-5 within t = 15.  Returns a
+    (final body, SolitonReport) pair per body; shared with the soliton tests.
+    """
+    g1, g2 = desk_grid(1), desk_grid(2)
+    cases = (
+        make_shape(g1, "random_valid", seed=5, amplitude=0.15, parity="even", normalize=True),
+        make_shape(g2, "harmonic", modes=((3, 1, 0.05), (3, -2, 0.03)), normalize=True),
+    )
+    return tuple(solve_soliton(body, tol=1e-5, t_end=15.0) for body in cases)
+
+
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -139,9 +162,7 @@ def _flow_runs():
 def _check_fixed_point(seed, k_scale):
     worst = 0.0
     for dim in (1, 2):
-        body = make_shape(desk_grid(dim), "ball")
-        cfg = FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0, output_stride=500)
-        trace, final = run(body, cfg)
+        trace, final = fixed_point_run(dim)
         drift = max(
             float(np.max(np.abs(trace.column("u_min") - 1.0))),
             float(np.max(np.abs(trace.column("u_max") - 1.0))),
@@ -195,12 +216,9 @@ def _check_entropy_monotone(seed, k_scale):
     worst_rise = -np.inf
     worst_gap = -np.inf
     for label, trace in _flow_runs():
-        t = trace.t
-        e = trace.column("entropy")
-        e_c = trace.column("chow")
-        worst_rise = max(worst_rise, float(np.max(np.diff(e))))
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * ((e - e_c)[1:] + (e - e_c)[:-1]) * np.diff(t))])
-        worst_gap = max(worst_gap, float(np.max(np.diff(e - cum))))
+        values = {c.name: c.value for c in monitor_bounds(trace).checks}
+        worst_rise = max(worst_rise, values["entropy-monotone"])
+        worst_gap = max(worst_gap, values["dissipation-integral-dominates"])
     ok = worst_rise <= 1e-9 and worst_gap <= 1e-6
     return ok, worst_rise, (
         f"max recorded entropy increase over 5 runs; integrated-inequality rise {worst_gap:.2e}"
@@ -296,24 +314,15 @@ def _check_mc_oracle(seed, k_scale):
 
 
 def _check_soliton_report(seed, k_scale):
-    g1, g2 = desk_grid(1), desk_grid(2)
-    asym = make_shape(
-        g2, "harmonic", modes=((3, 1, 0.05), (3, -2, 0.03)), normalize=True
-    )
-    cases = (
-        make_shape(g1, "random_valid", seed=5, amplitude=0.15, parity="even", normalize=True),
-        asym,
-    )
     worst_origin = 0.0
     worst_dual = np.inf
     all_converged = True
-    for body in cases:
-        final, report = solve_soliton(body, tol=1e-5, t_end=15.0)
+    for final, report in soliton_solves():
         all_converged = all_converged and report.converged
-        worst_dual = min(worst_dual, report.dual_volume_at_origin - ball_volume(body.dim))
+        worst_dual = min(worst_dual, report.dual_volume_at_origin - ball_volume(final.dim))
         g = final.grid
         origin_cond = max(
-            abs(float(average(g, g.nodes[:, j] / final.support))) for j in range(body.dim + 1)
+            abs(float(average(g, g.nodes[:, j] / final.support))) for j in range(final.dim + 1)
         )
         worst_origin = max(worst_origin, origin_cond)
     ok = all_converged and worst_dual >= -1e-6 and worst_origin <= 1e-6
@@ -330,7 +339,7 @@ def _check_stability_form(seed, k_scale):
         g = desk_grid(dim)
         bound = 2 * (dim + 1) - (dim + 1) - 1e-6  # second nonzero Laplace eigenvalue is 2(n+1)
         for _ in range(25):
-            eta = remove_first_harmonics(g, lowpass(g, rng.normal(size=g.n_nodes), 0.5))
+            eta = remove_first_harmonics(g, g.lowpass(rng.normal(size=g.n_nodes), 0.5))
             margin = min(margin, stability_form(g, eta) - bound * float(average(g, eta * eta)))
         ok = ok and stability_form(g, g.nodes[:, 0].copy()) < 0.0
         const = 0.7 * np.ones(g.n_nodes)
@@ -353,7 +362,7 @@ def _check_first_variation(seed, k_scale):
             body = make_shape(
                 g, "random_valid", seed=1000 + 31 * dim + i, amplitude=0.2, normalize=True
             )
-            rho = lowpass(g, rng.normal(size=g.n_nodes), 0.5)
+            rho = g.lowpass(rng.normal(size=g.n_nodes), 0.5)
             rho /= float(np.max(np.abs(rho)))
             fd = (
                 j1_value(ConvexBody(g, body.support + eps * rho))

@@ -117,10 +117,13 @@ def test_curvature_invariants_hold(g1, g2):
         assert np.all(c.mean_curvature >= n * c.gauss ** (1.0 / n) * (1 - 1e-10))
         assert np.all(c.min_eig_a > 0)
         if n == 2:
-            assert np.allclose(c.sigma_w[0], c.mean_curvature, rtol=1e-12)
-            assert np.allclose(c.sigma_w[1], c.gauss, rtol=1e-12)
-            assert np.allclose(c.sigma_a[0], c.trace_a, rtol=1e-12)
-            assert np.allclose(c.sigma_a[1], c.det_a, rtol=1e-12)
+            # elementary symmetric functions of the principal radii (eigenvalues
+            # of A) and of the principal curvatures (their reciprocals)
+            radii = np.linalg.eigvalsh(c.a)
+            assert np.allclose(np.sum(1.0 / radii, axis=1), c.mean_curvature, rtol=1e-12)
+            assert np.allclose(np.prod(1.0 / radii, axis=1), c.gauss, rtol=1e-12)
+            assert np.allclose(np.sum(radii, axis=1), c.trace_a, rtol=1e-12)
+            assert np.allclose(np.prod(radii, axis=1), c.det_a, rtol=1e-12)
 
 
 def test_translated_ball_embedding(g2):
@@ -241,14 +244,14 @@ def test_curvature_means_dominate_ball(g1, g2):
         c = nb.curvature
         n = nb.dim
         for k in range(1, n + 1):
-            s = c.sigma_w[k - 1] / comb(n, k)
+            s = (c.mean_curvature, c.gauss)[k - 1] / comb(n, k)
             assert average(nb.grid, s) >= 1.0 - 1e-8
             assert average(nb.grid, c.gauss * s) >= 1.0 - 1e-8
     # equality for the unit ball
     ball = make_shape(g2, "ball")
     c = ball.curvature
     for k in (1, 2):
-        s = c.sigma_w[k - 1] / comb(2, k)
+        s = (c.mean_curvature, c.gauss)[k - 1] / comb(2, k)
         assert abs(average(g2, s) - 1.0) < 1e-10
         assert abs(average(g2, c.gauss * s) - 1.0) < 1e-10
 

@@ -25,6 +25,7 @@ from gcflab.flow import (
     step,
 )
 from gcflab.sphere import build_grid
+from gcflab.verify import fixed_point_run
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,9 @@ def bumpy(g1):
         dict(dt_safety=1.5),
         dict(output_stride=0),
         dict(mode="unnormalized", project_volume=True),
+        dict(fixed_dt=0.0),
+        dict(fixed_dt=-1e-3),
+        dict(max_steps=0),
     ],
 )
 def test_config_rejects_bad_parameters(kw):
@@ -80,11 +84,10 @@ def test_step_rejects_nonpositive_dt(g1):
 # ---------------------------------------------------------------------------
 
 
-def test_unit_ball_is_a_fixed_point(g1):
-    trace, final = run(
-        make_shape(g1, "ball"),
-        FlowConfig(mode="normalized", t_end=5.0, output_stride=500, soliton_tol=0.0),
-    )
+def test_unit_ball_is_a_fixed_point():
+    # the fixed-point gate check's dim-1 run (same grid and config), held
+    # here to the tighter bound
+    trace, final = fixed_point_run(1)
     assert np.abs(final.support - 1.0).max() <= 1e-12
     assert np.abs(trace.column("u_min") - 1.0).max() <= 1e-12
     assert np.abs(trace.column("u_max") - 1.0).max() <= 1e-12

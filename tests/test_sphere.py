@@ -6,16 +6,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from gcflab.errors import FieldShapeError, ParameterError
-from gcflab.sphere import (
-    average,
-    build_grid,
-    covariant_hessian,
-    eval_direction,
-    gradient,
-    gradient_norm,
-    integrate,
-    lowpass,
-)
+from gcflab.sphere import average, build_grid, gradient_norm, integrate
 
 
 def real_harmonic(l, m, theta, phi):
@@ -158,13 +149,13 @@ def test_lowpass_removes_high_modes_only():
     grid = build_grid(1, n=64)
     th = grid.thetas
     u = 1.0 + np.cos(2 * th) + 0.5 * np.sin(29 * th)
-    v = lowpass(grid, u, frac=2.0 / 3.0)
+    v = grid.lowpass(u, 2.0 / 3.0)
     assert np.max(np.abs(v - (1.0 + np.cos(2 * th)))) < 1e-12
 
     grid2 = build_grid(2, n_theta=12, n_phi=24)
     x = grid2.nodes
     u2 = 1.0 + x[:, 0]
-    assert np.max(np.abs(lowpass(grid2, u2, frac=0.5) - u2)) < 1e-12
+    assert np.max(np.abs(grid2.lowpass(u2, 0.5) - u2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +168,8 @@ def test_circle_derivatives_analytic():
     th = grid.thetas
     for k in (1, 3, 10):
         u = np.cos(k * th)
-        g = gradient(grid, u)
-        h = covariant_hessian(grid, u)
+        jet = grid.derivative_bundle(u)
+        g, h = jet.grad, jet.hess
         assert np.max(np.abs(g[:, 0] + k * np.sin(k * th))) < 1e-10 * k**2
         assert np.max(np.abs(h[:, 0, 0] + k * k * np.cos(k * th))) < 1e-10 * k**2
 
@@ -192,13 +183,13 @@ def test_linear_fields_have_hessian_minus_ug(j):
     """
     grid = build_grid(2, n_theta=16, n_phi=32)
     u = grid.nodes[:, j].copy()
-    h = covariant_hessian(grid, u)
+    h = grid.derivative_bundle(u).hess
     expect = -u[:, None, None] * np.eye(2)[None]
     assert np.max(np.abs(h - expect)) < 1e-11
     # and the gradient is the tangential projection of e_j
     e = np.zeros(3)
     e[j] = 1.0
-    g = gradient(grid, u)
+    g = grid.derivative_bundle(u).grad
     assert np.max(np.abs(g - grid.frames @ e)) < 1e-12
 
 
@@ -208,7 +199,7 @@ def test_harmonic_laplacian_eigenvalues():
     phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
     for l, m in [(2, 1), (4, -3), (7, 0), (9, 5)]:
         y = real_harmonic(l, m, theta, phi)
-        h = covariant_hessian(grid, y)
+        h = grid.derivative_bundle(y).hess
         lap = h[:, 0, 0] + h[:, 1, 1]
         assert np.max(np.abs(lap + l * (l + 1) * y)) < 1e-9, f"(l,m)=({l},{m})"
 
@@ -221,7 +212,7 @@ def test_hessian_of_smooth_field_converges():
         ct = grid.nodes[:, 2]
         st = np.sqrt(1.0 - ct**2)
         u = np.exp(ct)
-        h = covariant_hessian(grid, u)
+        h = grid.derivative_bundle(u).hess
         h11 = (st**2 - ct) * u
         h22 = -ct * u
         return max(
@@ -241,7 +232,7 @@ def test_hessian_of_smooth_field_converges():
 def test_gradient_norm_matches_components():
     grid = build_grid(2, n_theta=12, n_phi=24)
     u = 1.0 + 0.3 * grid.nodes[:, 0] + 0.1 * grid.nodes[:, 2]
-    g = gradient(grid, u)
+    g = grid.derivative_bundle(u).grad
     assert np.allclose(gradient_norm(grid, u), np.hypot(g[:, 0], g[:, 1]), atol=1e-14)
 
 
@@ -253,11 +244,11 @@ def test_gradient_norm_matches_components():
 def test_eval_direction_interpolates_nodes():
     grid = build_grid(1, n=32)
     u = 1.0 + 0.2 * np.cos(3 * grid.thetas)
-    assert np.max(np.abs(eval_direction(grid, u, grid.nodes) - u)) < 1e-12
+    assert np.max(np.abs(grid.eval(u, grid.nodes) - u)) < 1e-12
 
     grid2 = build_grid(2, n_theta=12, n_phi=24)
     u2 = 1.0 + 0.2 * grid2.nodes[:, 0] - 0.1 * grid2.nodes[:, 1] * grid2.nodes[:, 2]
-    assert np.max(np.abs(eval_direction(grid2, u2, grid2.nodes) - u2)) < 1e-12
+    assert np.max(np.abs(grid2.eval(u2, grid2.nodes) - u2)) < 1e-12
 
 
 def test_eval_direction_circle_offgrid():
@@ -266,7 +257,7 @@ def test_eval_direction_circle_offgrid():
     ang = np.array([0.123, 1.9, 4.4])
     pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     expect = 2.0 + 0.3 * np.cos(5 * ang) - 0.1 * np.sin(2 * ang)
-    assert np.max(np.abs(eval_direction(grid, u, pts) - expect)) < 1e-12
+    assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
 
 
 def test_eval_direction_matches_scipy_synthesis():
@@ -291,7 +282,7 @@ def test_eval_direction_matches_scipy_synthesis():
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
         axis=1,
     )
-    got = eval_direction(grid, u, pts)
+    got = grid.eval(u, pts)
     assert np.max(np.abs(got - synth(theta, phi))) < 1e-8
 
 
@@ -299,6 +290,6 @@ def test_eval_direction_rejects_bad_directions():
     grid = build_grid(1, n=32)
     u = np.ones(32)
     with pytest.raises(ParameterError):
-        eval_direction(grid, u, np.array([1.0, 1.0]))
+        grid.eval(u, np.array([1.0, 1.0]))
     with pytest.raises(ParameterError):
-        eval_direction(grid, u, np.array([[0.5, 0.0, 0.0]]))
+        grid.eval(u, np.array([[0.5, 0.0, 0.0]]))
