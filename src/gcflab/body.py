@@ -6,9 +6,11 @@ radii-of-curvature matrix
     A = Hess u + u g        (covariant Hessian, orthonormal frame)
 
 is positive definite at every node.  ``ConvexBody`` freezes the samples and
-checks both conditions up front; the derived curvature quantities (det A,
-Gauss curvature K = 1/det A, boundary embedding X = u x + grad u, ...) are
-computed once and cached.
+checks both conditions up front.  Its curvature data is built once per body
+and holds eagerly only what validation and the flow read (A, det A, trace A,
+the least eigenvalue of A, Gauss curvature K = 1/det A and grad u); the mean
+curvature, |grad u| and the boundary embedding X = u x + grad u are computed
+on first access and then kept.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
@@ -20,7 +22,7 @@ severe aliasing already fails the convexity check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,21 +55,45 @@ class CurvatureData:
     ``a`` is the radii-of-curvature matrix A = Hess u + u g; its eigenvalues
     are the principal radii of curvature, det A the curvature radius product
     and ``gauss = 1/det A`` the Gauss curvature as a function of the normal.
-    ``mean_curvature`` is trace(A^-1), the sum of the principal curvatures.
-    ``position`` is the boundary embedding X = u x + grad u (the point of the
-    body whose outer normal is the node direction).
+    These fields, with ``trace_a``, ``min_eig_a`` and the gradient ``grad``,
+    are computed at construction: body validation and every flow stage read
+    them.  The rest are computed on first access and then kept:
+    ``mean_curvature`` is trace(A^-1), the sum of the principal curvatures;
+    ``grad_norm`` is |grad u|; ``position`` is the boundary embedding
+    X = u x + grad u (the point of the body whose outer normal is the node
+    direction) and ``position_norm`` its length.  (``cached_property`` keeps
+    them in the instance dict, which a frozen dataclass permits.)
     """
 
     a: np.ndarray
     det_a: np.ndarray
     gauss: np.ndarray
     trace_a: np.ndarray
-    mean_curvature: np.ndarray
     min_eig_a: np.ndarray
     grad: np.ndarray
-    grad_norm: np.ndarray
-    position: np.ndarray
-    position_norm: np.ndarray
+    _support: np.ndarray = field(repr=False)
+    _grid: SphereGrid = field(repr=False)
+
+    @cached_property
+    def mean_curvature(self) -> np.ndarray:
+        if self._grid.dim == 1:
+            return 1.0 / self.det_a
+        return self.trace_a / self.det_a
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        return np.sqrt(np.sum(self.grad**2, axis=1))
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        grid = self._grid
+        return self._support[:, None] * grid.nodes + np.einsum(
+            "na,naj->nj", self.grad, grid.frames
+        )
+
+    @cached_property
+    def position_norm(self) -> np.ndarray:
+        return np.sqrt(np.sum(self.position**2, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,29 +138,21 @@ class ConvexBody:
             det = a[:, 0, 0]
             trace = det
             min_eig = det
-            mean_curv = 1.0 / det
         else:
             a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
             det = a11 * a22 - a12 * a12
             trace = a11 + a22
             disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
             min_eig = 0.5 * trace - disc
-            mean_curv = trace / det
-        grad_norm = np.sqrt(np.sum(jet.grad**2, axis=1))
-        position = u[:, None] * grid.nodes + np.einsum(
-            "na,naj->nj", jet.grad, grid.frames
-        )
         return CurvatureData(
             a=a,
             det_a=det,
             gauss=1.0 / det,
             trace_a=trace,
-            mean_curvature=mean_curv,
             min_eig_a=min_eig,
             grad=jet.grad,
-            grad_norm=grad_norm,
-            position=position,
-            position_norm=np.sqrt(np.sum(position**2, axis=1)),
+            _support=u,
+            _grid=grid,
         )
 
     # --- basic geometry ---------------------------------------------------

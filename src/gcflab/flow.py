@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import ConvexBody, normalize_volume
-from .constants import ball_volume
 from .entropy import entropy_point
 from .errors import (
     BodyValidityError,

@@ -10,6 +10,16 @@ off-grid with spectral accuracy:
   functions.  The node set avoids the poles, so covariant components in the
   orthonormal frame (e_theta, e_phi/sin theta) are well defined everywhere.
 
+The dim-2 transform is matrix-organized (Schaeffer 2013, SHTns): an FFT in
+longitude, then one batched matrix product over the orders m in colatitude.
+``build_grid`` precomputes two tables, the quadrature-weighted P_lm (m, l, i)
+for analysis and the stack S (m, i, l) of P_lm, dP_lm and d2P_lm at the
+n_theta colatitudes (3 n_theta rows per order) for synthesis.  Complex
+coefficients enter the products as real/imag pairs, so every product is a
+real matmul.  ``derivative_bundle`` therefore costs one forward transform,
+one matmul against the whole stack and one inverse FFT over all five
+derivative profiles.
+
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
 :meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.eval`,
@@ -118,23 +128,38 @@ class SphereGrid:
         """dim-2 forward transform of a checked field (see :meth:`analyze`)."""
         n_theta, n_phi = self.shape
         g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
-        # c[m, l] = sum_i w_i g_m(theta_i) P_lm(x_i)
-        return np.einsum("mli,im->ml", self._tab["PW"], g[:, : self.bandlimit + 1])
+        g = np.ascontiguousarray(g[:, : self.bandlimit + 1].T)  # (m, i)
+        # c[m, l] = sum_i w_i P_lm(x_i) g_m(theta_i), on real/imag pairs
+        c = self._tab["PWt"] @ g.view(float).reshape(*g.shape, 2)
+        return c.view(complex)[..., 0]
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`analyze` (exact for band-limited data)."""
         if self.dim == 1:
             return np.fft.irfft(coeffs * self.shape[0], n=self.shape[0])
-        n_theta, n_phi = self.shape
-        prof = np.einsum("mli,ml->im", self._tab["P"], coeffs)
-        return self._phi_synth(prof)
+        prof = self._legendre_synth(coeffs, self.shape[0])
+        return self._phi_synth(prof.T)
+
+    def _legendre_synth(self, coeffs: np.ndarray, rows: int) -> np.ndarray:
+        """Colatitude profiles sum_l S[m, i, l] c[m, l] over the first ``rows``
+        rows i of the stacked table: n_theta rows give P, 3 n_theta give P,
+        dP and d2P.  Returns a complex (L+1, rows) array.
+
+        The coefficients enter as real/imag pairs, so the product is one real
+        batched matmul (a complex operand would upcast the table every call).
+        """
+        c = np.ascontiguousarray(coeffs, dtype=complex)
+        prof = self._tab["S"][:, :rows] @ c.view(float).reshape(*c.shape, 2)
+        return prof.view(complex)[..., 0]
 
     def _phi_synth(self, prof: np.ndarray) -> np.ndarray:
-        """Longitude synthesis of per-m colatitude profiles (n_theta, L+1)."""
-        n_theta, n_phi = self.shape
-        buf = np.zeros((n_theta, n_phi // 2 + 1), dtype=complex)
-        buf[:, : prof.shape[1]] = prof
-        return np.fft.irfft(buf * n_phi, n=n_phi, axis=1).reshape(-1)
+        """Longitude synthesis of colatitude profiles (..., n_theta, L+1):
+        one inverse FFT over the stack, giving nodal fields (..., n_nodes)."""
+        n_phi = self.shape[1]
+        buf = np.zeros(prof.shape[:-1] + (n_phi // 2 + 1,), dtype=complex)
+        buf[..., : prof.shape[-1]] = prof
+        out = np.fft.irfft(buf * n_phi, n=n_phi, axis=-1)
+        return out.reshape(*prof.shape[:-2], -1)
 
     def derivative_bundle(self, values: np.ndarray) -> SupportJet:
         """Gradient and covariant Hessian of a nodal field (orthonormal frame).
@@ -154,16 +179,12 @@ class SphereGrid:
             d2u = np.fft.irfft(-(k**2) * c, n=n)
             return SupportJet(values, du[:, None], d2u[:, None, None])
 
-        c = self._analyze_sh(values)
-        m = np.arange(self.bandlimit + 1)
-        prof0 = np.einsum("mli,ml->im", self._tab["P"], c)
-        prof1 = np.einsum("mli,ml->im", self._tab["dP"], c)
-        prof2 = np.einsum("mli,ml->im", self._tab["d2P"], c)
-        u_t = self._phi_synth(prof1)
-        u_tt = self._phi_synth(prof2)
-        u_p = self._phi_synth(1j * m * prof0)
-        u_tp = self._phi_synth(1j * m * prof1)
-        u_pp = self._phi_synth(-(m**2) * prof0)
+        n_theta = self.shape[0]
+        prof = self._legendre_synth(self._analyze_sh(values), 3 * n_theta)
+        prof0, prof1, prof2 = prof.reshape(len(prof), 3, n_theta).swapaxes(0, 1)
+        m = np.arange(self.bandlimit + 1)[:, None]
+        stack = np.stack([prof1, prof2, 1j * m * prof0, 1j * m * prof1, -(m**2) * prof0])
+        u_t, u_tt, u_p, u_tp, u_pp = self._phi_synth(stack.transpose(0, 2, 1))
 
         sin_t = self._tab["sin_flat"]
         cot_t = self._tab["cot_flat"]
@@ -226,14 +247,8 @@ class SphereGrid:
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter)."""
-        c = self.analyze(values)
-        cut = int(np.floor(frac * self.bandlimit))
-        if self.dim == 1:
-            c = c.copy()
-            c[cut + 1 :] = 0.0
-        else:
-            l = np.arange(self.bandlimit + 1)
-            c = np.where(l[None, :] > cut, 0.0, c)
+        c = self.analyze(values)  # a fresh array; the degree is the last axis
+        c[..., max(int(np.floor(frac * self.bandlimit)) + 1, 0) :] = 0.0
         return self.synthesize(c)
 
 
@@ -373,10 +388,9 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     P, dP, d2P = _legendre_tables(x, recurrence)
     tab = {
         "recurrence": recurrence,
-        "P": P,
-        "dP": dP,
-        "d2P": d2P,
-        "PW": P * w_gl[None, None, :],
+        # S[m, i, l]: rows i of P, then dP, then d2P, contiguous per order m
+        "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
+        "PWt": P * w_gl[None, None, :],
         "sin_flat": st,
         "cot_flat": ct / st,
     }

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
 
+from gcflab import flow
 from gcflab.body import (
     ConvexBody,
     GeometrySummary,
@@ -26,7 +27,7 @@ from gcflab.body import (
     spectral_tail,
 )
 from gcflab.constants import ball_volume, sphere_area
-from gcflab.errors import AliasingWarning, BodyValidityError, ParameterError, SolverError
+from gcflab.errors import AliasingWarning, BodyValidityError, ParameterError
 from gcflab.sphere import average, build_grid, integrate
 
 
@@ -124,6 +125,24 @@ def test_curvature_invariants_hold(g1, g2):
             assert np.allclose(np.prod(1.0 / radii, axis=1), c.gauss, rtol=1e-12)
             assert np.allclose(np.sum(radii, axis=1), c.trace_a, rtol=1e-12)
             assert np.allclose(np.prod(radii, axis=1), c.det_a, rtol=1e-12)
+
+
+LAZY_CURVATURE = ("mean_curvature", "grad_norm", "position", "position_norm")
+
+
+def test_lazy_curvature_after_construction_and_step(g1, g2):
+    # only what validation and the flow read is computed eagerly; the rest
+    # is computed on first access and kept
+    for g in (g1, g2):
+        body = make_shape(g, "random_valid", seed=4, translation=0.1)
+        stepped = flow.step(body, flow.stable_dt(body, 0.25))
+        for b in (body, stepped):
+            c = b.curvature
+            assert not set(LAZY_CURVATURE) & set(vars(c))
+            first = [getattr(c, name) for name in LAZY_CURVATURE]
+            assert set(LAZY_CURVATURE) <= set(vars(c))
+            for name, value in zip(LAZY_CURVATURE, first):
+                assert getattr(c, name) is value
 
 
 def test_translated_ball_embedding(g2):
@@ -285,6 +304,26 @@ def test_summary_translated_ball(g1, g2):
         assert abs(s.w_plus - 2.0) < 1e-12 and abs(s.w_minus - 2.0) < 1e-12
         assert np.linalg.norm(s.incenter - np.asarray(c)) < 1e-6
         assert np.linalg.norm(s.circumcenter - np.asarray(c)) < 1e-6
+
+
+@pytest.mark.parametrize("dim,kwargs,center", [
+    (1, dict(n=64), (-0.2, 0.1)),
+    (2, dict(n_theta=16, n_phi=32), (-0.2, 0.1, 0.1)),
+])
+def test_radius_solvers_on_translated_ball(dim, kwargs, center):
+    body = make_shape(build_grid(dim, **kwargs), "translated_ball", radius=1.3, center=center)
+    r_in, z_in = inradius(body)
+    r_out, z_out = circumradius(body)
+    assert abs(r_in - 1.3) < 1e-7
+    assert np.max(np.abs(z_in - center)) < 1e-7
+    assert abs(r_out - 1.3) < 1e-12
+    assert np.max(np.abs(z_out - center)) < 1e-12
+
+
+def test_radius_solvers_on_ellipse():
+    body = make_shape(build_grid(1, n=64), "ellipsoid", semiaxes=(1.5, 0.8))
+    assert abs(inradius(body)[0] - 0.8) < 1e-12
+    assert abs(circumradius(body)[0] - 1.5) < 1e-12
 
 
 def test_summary_ellipse(g1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from gcflab import sphere
 from gcflab.errors import FieldShapeError, ParameterError
 from gcflab.sphere import average, build_grid, gradient_norm, integrate
 
@@ -227,6 +228,75 @@ def test_hessian_of_smooth_field_converges():
     # roundoff floor: second theta-derivatives amplify eps by ~1/sin^2(theta)
     # at the nodes nearest the poles, so the plateau sits slightly above 1e-11
     assert errs(24, 48) < 5e-11
+
+
+class EinsumReference:
+    """The dim-2 transforms as per-table einsum contractions over the
+    [m, l, i] Legendre tables, one longitude FFT per derivative profile."""
+
+    def __init__(self, grid):
+        n_theta, self.n_phi = grid.shape
+        x, w = np.polynomial.legendre.leggauss(n_theta)
+        x, w = x[::-1].copy(), w[::-1].copy()
+        L = grid.bandlimit
+        self.P, self.dP, self.d2P = sphere._legendre_tables(
+            x, sphere._recurrence_coefficients(L)
+        )
+        self.PW = self.P * w[None, None, :]
+        self.m = np.arange(L + 1)
+        self.sin_t = np.repeat(np.sin(np.arccos(x)), self.n_phi)
+        self.cot_t = np.repeat(x, self.n_phi) / self.sin_t
+
+    def analyze(self, u):
+        g = np.fft.rfft(u.reshape(-1, self.n_phi), axis=1) / self.n_phi
+        return np.einsum("mli,im->ml", self.PW, g[:, : self.m.size])
+
+    def phi_synth(self, prof):
+        buf = np.zeros((prof.shape[0], self.n_phi // 2 + 1), dtype=complex)
+        buf[:, : prof.shape[1]] = prof
+        return np.fft.irfft(buf * self.n_phi, n=self.n_phi, axis=1).reshape(-1)
+
+    def synthesize(self, c):
+        return self.phi_synth(np.einsum("mli,ml->im", self.P, c))
+
+    def derivatives(self, u):
+        """(grad_t, grad_p, hess_tt, hess_tp, hess_pp) in the orthonormal frame."""
+        c, m = self.analyze(u), self.m
+        prof0 = np.einsum("mli,ml->im", self.P, c)
+        prof1 = np.einsum("mli,ml->im", self.dP, c)
+        prof2 = np.einsum("mli,ml->im", self.d2P, c)
+        u_t, u_tt = self.phi_synth(prof1), self.phi_synth(prof2)
+        u_p = self.phi_synth(1j * m * prof0)
+        u_tp = self.phi_synth(1j * m * prof1)
+        u_pp = self.phi_synth(-(m**2) * prof0)
+        s, cot = self.sin_t, self.cot_t
+        return u_t, u_p / s, u_tt, (u_tp - cot * u_p) / s, u_pp / s**2 + cot * u_t
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(16, 32), (32, 64)])
+@pytest.mark.parametrize("kind", ["bandlimited", "exp_x3"])
+def test_transforms_match_einsum_reference(n_theta, n_phi, kind):
+    grid = build_grid(2, n_theta=n_theta, n_phi=n_phi)
+    ref = EinsumReference(grid)
+    if kind == "exp_x3":
+        u = np.exp(grid.nodes[:, 2])
+    else:
+        # random triangle c[m, l], l >= m, decaying like a smooth field
+        rng = np.random.default_rng(n_theta)
+        L = grid.bandlimit
+        m, l = np.arange(L + 1)[:, None], np.arange(L + 1)[None, :]
+        coeffs = rng.normal(size=(L + 1, L + 1)) + 1j * rng.normal(size=(L + 1, L + 1))
+        coeffs[0] = coeffs[0].real
+        u = ref.synthesize(np.where(l >= m, coeffs / (1.0 + l) ** 2, 0.0))
+    c = ref.analyze(u)
+    assert np.max(np.abs(grid.analyze(u) - c)) < 1e-12
+    assert np.max(np.abs(grid.synthesize(c) - ref.synthesize(c))) < 1e-12
+    jet = grid.derivative_bundle(u)
+    assert np.array_equal(jet.hess[:, 0, 1], jet.hess[:, 1, 0])
+    ours = (jet.grad[:, 0], jet.grad[:, 1], jet.hess[:, 0, 0], jet.hess[:, 0, 1], jet.hess[:, 1, 1])
+    names = ("grad_t", "grad_p", "hess_tt", "hess_tp", "hess_pp")
+    for name, a, b in zip(names, ours, ref.derivatives(u)):
+        assert np.max(np.abs(a - b)) < 1e-12, name
 
 
 def test_gradient_norm_matches_components():
