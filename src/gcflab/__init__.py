@@ -36,7 +36,6 @@ from .constants import ball_volume, sphere_area
 from .entropy import (
     EntropyReport,
     chow_entropy,
-    entropy,
     entropy_mass_center_residual,
     entropy_point,
     entropy_report,
@@ -97,7 +96,6 @@ __all__ = [
     "chow_entropy",
     "circumradius",
     "dissipation_identity_residual",
-    "entropy",
     "entropy_mass_center_residual",
     "entropy_point",
     "entropy_report",

@@ -251,7 +251,6 @@ def _flow_config(args) -> FlowConfig:
         soliton_tol=args.soliton_tol,
         fixed_dt=args.fixed_dt,
         recenter=args.recenter,
-        record_bodies=args.mode == "unnormalized",
         dealias=not args.no_dealias,
     )
 
@@ -274,7 +273,7 @@ def cmd_flow(args) -> int:
         "converged": trace.converged,
         "soliton_residual": trace.last("soliton_residual"),
     }
-    if cfg.mode == "unnormalized" and len(trace.bodies) >= 3:
+    if cfg.mode == "unnormalized" and len(trace.rows) >= 3:
         summary["harnack"] = asdict(harnack_monitor(trace))
     _dump(summary)
     write_manifest(args.manifest, "flow", asdict(cfg), [], outputs)

@@ -32,7 +32,7 @@ entropy point after each step: translates of solutions remain solutions (the
 origin is a gauge choice), and pinning the entropy point keeps the
 linearized translation mode, which grows like e^t, out of long runs.
 
-``FlowTrace`` collects a fixed 15-column diagnostic series; monitor suites
+``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
 bounds on a finished trace and report violations as data, never as errors.
 """
@@ -99,10 +99,9 @@ class FlowConfig:
     convergence studies; the caller must keep it inside the stability limit
     (a rejected fixed step raises StiffnessError instead of silently
     shrinking, which would corrupt the deterministic step sequence).  ``recenter``
-    re-expresses the body about its entropy point after every accepted step;
-    ``record_bodies`` keeps the recorded states (needed by the per-node
-    Harnack monitor).  ``dealias`` filters the stage velocities (see the
-    module docstring); leave it on for anything but discretization studies.
+    re-expresses the body about its entropy point after every accepted step.
+    ``dealias`` filters the stage velocities (see the module docstring);
+    leave it on for anything but discretization studies.
     """
 
     mode: str = "normalized"
@@ -113,7 +112,6 @@ class FlowConfig:
     soliton_tol: float = 1e-6
     fixed_dt: float = None
     recenter: bool = False
-    record_bodies: bool = False
     dealias: bool = True
     max_steps: int = 2_000_000
 
@@ -143,12 +141,16 @@ class FlowTrace:
     ``rows[i]`` matches ``TRACE_COLUMNS``; the per-row ``violations`` entry
     counts instantaneous monitor breaches (support band, positive curvature,
     the dimension-2 u/K lower bound, Newton's inequality) known at record
-    time.  ``bodies`` is populated only when the run recorded states.
+    time.  Running minima streamed at record time: ``gradient_slack`` of
+    max u - max |grad u|, and (un-normalized mode only, else ``inf``)
+    ``harnack_slack``, the least rise of K t^{n/(n+1)} at a node between records.
     """
 
     config: FlowConfig
+    dim: int
     rows: list = field(default_factory=list)
-    bodies: list = field(default_factory=list)
+    gradient_slack: float = np.inf
+    harnack_slack: float = np.inf
     converged: bool = False
     steps: int = 0
     rejections: int = 0
@@ -241,11 +243,12 @@ def run(body: ConvexBody, config: FlowConfig):
     if cfg.recenter:
         body = body.translate(entropy_point(body)[0])
 
-    trace = FlowTrace(config=cfg)
+    trace = FlowTrace(config=cfg, dim=body.dim)
     z_e = np.zeros(body.dim + 1)
+    prev_weighted = None  # K t^{n/(n+1)} at the previous record (un-normalized)
 
     def record(t, dt_used):
-        nonlocal z_e
+        nonlocal z_e, prev_weighted
         c = body.curvature
         u = body.support
         z_e, e_val, _ = entropy_point(body, z0=_safe_start(body, z_e))
@@ -271,8 +274,14 @@ def run(body: ConvexBody, config: FlowConfig):
                 _count_violations(body, t, cfg),
             )
         )
-        if cfg.record_bodies:
-            trace.bodies.append(body)
+        trace.gradient_slack = min(trace.gradient_slack, float(np.max(u) - np.max(c.grad_norm)))
+        if not normalized:
+            # np.power, not float **, so t^p rounds as the ufunc does on arrays
+            weighted = c.gauss * np.power(t, body.dim / (body.dim + 1.0))
+            if prev_weighted is not None:
+                slack = float(np.min(weighted - prev_weighted))
+                trace.harnack_slack = min(trace.harnack_slack, slack)
+            prev_weighted = weighted
 
     t = 0.0
     record(t, 0.0)
@@ -472,26 +481,20 @@ class HarnackReport:
 
 
 def harnack_monitor(trace: FlowTrace) -> HarnackReport:
-    """Per-node Harnack checks on an un-normalized run with recorded bodies.
+    """Per-node Harnack checks on an un-normalized run of at least 3 rows.
 
-    (i) K(x,t) t^{n/(n+1)} non-decreasing in t at every node (slack 1e-6);
-    (ii) K(x,t) (T-t)^{n/(n+1)} bounded below by a positive run constant,
-    with the extinction time T estimated by linear extrapolation of the
-    exactly-linear volume decay (reported as approximate, never assumed).
+    (i) K(x,t) t^{n/(n+1)} non-decreasing in t at every node (slack 1e-6, streamed);
+    (ii) K(x,t) (T-t)^{n/(n+1)} bounded below by a positive run constant (read
+    from the ``gauss_min`` column), with the extinction time T estimated by linear
+    extrapolation of the exactly-linear volume decay (approximate, never assumed).
     """
     if trace.config.mode != "unnormalized":
         raise ParameterError("Harnack monitor applies to un-normalized runs")
-    if len(trace.bodies) < 3:
-        raise ParameterError("need a run recorded with record_bodies=True (>= 3 rows)")
+    if len(trace.rows) < 3:
+        raise ParameterError("need at least 3 recorded rows")
     t = trace.t
-    n = trace.bodies[0].dim
-    p = n / (n + 1.0)
-    gauss = np.stack([b.curvature.gauss for b in trace.bodies])  # (rows, nodes)
-
-    # (i) monotonicity of K t^p between consecutive recorded times
-    weighted = gauss * t[:, None] ** p
-    slack = float(np.min(np.diff(weighted, axis=0))) if len(t) > 1 else 0.0
-    mono_ok = slack >= -1e-6
+    p = trace.dim / (trace.dim + 1.0)
+    mono_ok = trace.harnack_slack >= -1e-6
 
     # (ii) lower bound with extrapolated extinction time
     v = trace.column("volume")
@@ -500,11 +503,11 @@ def harnack_monitor(trace: FlowTrace) -> HarnackReport:
         raise SolverError("volume is not decreasing; cannot extrapolate extinction")
     t_ext = t[-1] + v[-1] / rate
     rem = (t_ext - t) ** p
-    lower = float(np.min(gauss * rem[:, None]))
+    lower = float(np.min(trace.column("gauss_min") * rem))
 
     return HarnackReport(
         ok=mono_ok and lower > 0.0,
-        worst_monotonicity_slack=slack,
+        worst_monotonicity_slack=trace.harnack_slack,
         lower_constant=lower,
         t_extinction_estimate=float(t_ext),
         detail=f"extinction estimated at t = {t_ext:.6g} (extrapolated)",

@@ -50,7 +50,7 @@ from .soliton import (
     solve_soliton,
     stability_form,
 )
-from .sphere import average, build_grid, gradient_norm
+from .sphere import average, build_grid
 
 DESK_SCALE = {1: dict(n=256), 2: dict(n_theta=32, n_phi=64)}
 
@@ -115,20 +115,39 @@ _FLOW_CASES = {
 
 
 @lru_cache(maxsize=1)
-def _flow_runs():
+def corpus_runs():
+    """The five corpus runs as (label, trace) pairs; shared with the flow tests."""
     by_label = dict(corpus())
     runs = []
     for label, (t_end, stride) in _FLOW_CASES.items():
-        cfg = FlowConfig(
-            mode="normalized",
-            t_end=t_end,
-            output_stride=stride,
-            soliton_tol=0.0,
-            record_bodies=True,
-        )
-        trace, _ = run(by_label[label], cfg)
-        runs.append((label, trace))
+        cfg = FlowConfig(mode="normalized", t_end=t_end, output_stride=stride, soliton_tol=0.0)
+        runs.append((label, run(by_label[label], cfg)[0]))
     return tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def shrinking_ball_run(dim: int):
+    """The shrinking-ball check's run: (trace, final body), to 0.8 of extinction."""
+    cfg = FlowConfig(mode="unnormalized", t_end=0.8 / (dim + 1), output_stride=20)
+    return run(make_shape(desk_grid(dim), "ball"), cfg)
+
+
+@lru_cache(maxsize=None)
+def dissipation_run(dt: float):
+    """The dissipation-identity check's trace at fixed step ``dt`` (4e-5 or 2e-5)."""
+    modes = ((2, 0.03, 0.0), (4, 0.0, 0.01))
+    body = make_shape(desk_grid(1), "harmonic", modes=modes, normalize=True)
+    cfg = FlowConfig(mode="normalized", t_end=0.3, fixed_dt=dt, output_stride=25, soliton_tol=0.0)
+    return run(body, cfg)[0]
+
+
+@lru_cache(maxsize=1)
+def round_convergence_run():
+    """The round-convergence check's run to tol 1e-5: (trace, final body)."""
+    semiaxes = (1.2, 1.0, 1.0 / 1.2)
+    body = make_shape(desk_grid(2), "ellipsoid", semiaxes=semiaxes, normalize=True)
+    cfg = FlowConfig(mode="normalized", t_end=20.0, soliton_tol=1e-5, output_stride=50)
+    return run(body, cfg)
 
 
 @lru_cache(maxsize=None)
@@ -176,10 +195,7 @@ def _check_shrinking_ball(seed, k_scale):
     worst_err = 0.0
     worst_t = 0.0
     for dim in (1, 2):
-        cfg = FlowConfig(
-            mode="unnormalized", t_end=0.8 / (dim + 1), output_stride=20, record_bodies=True
-        )
-        trace, _ = run(make_shape(desk_grid(dim), "ball"), cfg)
+        trace, _ = shrinking_ball_run(dim)
         radius = (1.0 - (dim + 1) * trace.t) ** (1.0 / (dim + 1))
         err = max(
             float(np.max(np.abs(trace.column("u_min") - radius))),
@@ -215,7 +231,7 @@ def _check_entropy_chain(seed, k_scale):
 def _check_entropy_monotone(seed, k_scale):
     worst_rise = -np.inf
     worst_gap = -np.inf
-    for label, trace in _flow_runs():
+    for label, trace in corpus_runs():
         values = {c.name: c.value for c in monitor_bounds(trace).checks}
         worst_rise = max(worst_rise, values["entropy-monotone"])
         worst_gap = max(worst_gap, values["dissipation-integral-dominates"])
@@ -228,27 +244,15 @@ def _check_entropy_monotone(seed, k_scale):
 def _check_dissipation_identity(seed, k_scale):
     # fixed record stride: halving dt halves the record spacing, and the
     # residual is dominated by the O(spacing^2) differencing error
-    body = make_shape(
-        desk_grid(1), "harmonic", modes=((2, 0.03, 0.0), (4, 0.0, 0.01)), normalize=True
-    )
-    res = {}
-    for dt in (4e-5, 2e-5):
-        cfg = FlowConfig(
-            mode="normalized", t_end=0.3, fixed_dt=dt, output_stride=25, soliton_tol=0.0
-        )
-        trace, _ = run(body, cfg)
-        res[dt] = dissipation_identity_residual(trace, t_min=0.05)
+    res = {dt: dissipation_identity_residual(dissipation_run(dt), t_min=0.05)
+           for dt in (4e-5, 2e-5)}
     ratio = res[4e-5] / res[2e-5]
     ok = res[4e-5] <= 1e-4 and ratio >= 3.99
     return ok, res[4e-5], f"identity residual at dt = 4e-5; halving dt reduces it {ratio:.4f}x"
 
 
 def _check_round_convergence(seed, k_scale):
-    body = make_shape(
-        desk_grid(2), "ellipsoid", semiaxes=(1.2, 1.0, 1.0 / 1.2), normalize=True
-    )
-    cfg = FlowConfig(mode="normalized", t_end=20.0, soliton_tol=1e-5, output_stride=50)
-    trace, final = run(body, cfg)
+    trace, final = round_convergence_run()
     resid = trace.last("soliton_residual")
     round_err = float(np.max(np.abs(final.support - 1.0)))
     ok = trace.converged and resid <= 1e-5 and round_err <= 1e-3
@@ -260,22 +264,17 @@ def _check_round_convergence(seed, k_scale):
 def _check_monitor_bounds(seed, k_scale):
     grad_slack = np.inf
     failed = []
-    for label, trace in _flow_runs():
+    for label, trace in corpus_runs():
         report = monitor_bounds(trace)
         failed += [f"{label}:{c.name}" for c in report.checks if not c.ok]
-        for b in trace.bodies:
-            slack = float(np.max(b.support)) - float(np.max(gradient_norm(b.grid, b.support)))
-            grad_slack = min(grad_slack, slack)
+        grad_slack = min(grad_slack, trace.gradient_slack)
     harnack_slack = np.inf
     for dim, kind, params, t_end in (
         (2, "ball", {}, 0.20),
         (1, "ellipsoid", dict(semiaxes=(1.2, 0.9)), 0.35),
     ):
-        cfg = FlowConfig(
-            mode="unnormalized", t_end=t_end, output_stride=10, record_bodies=True
-        )
-        trace, _ = run(make_shape(desk_grid(dim), kind, **params), cfg)
-        h = harnack_monitor(trace)
+        cfg = FlowConfig(mode="unnormalized", t_end=t_end, output_stride=10)
+        h = harnack_monitor(run(make_shape(desk_grid(dim), kind, **params), cfg)[0])
         harnack_slack = min(harnack_slack, h.worst_monotonicity_slack)
         if h.lower_constant <= 0.0:
             failed.append(f"harnack-{kind}:lower")

@@ -27,3 +27,9 @@ def test_spectral_operations_have_one_entry_point(name):
     assert name not in gcflab.__all__ and not hasattr(gcflab, name)
     if name in ("derivative_bundle", "lowpass"):
         assert callable(getattr(gcflab.SphereGrid, name))
+
+
+def test_entropy_submodule_is_not_shadowed():
+    import gcflab.entropy as E
+    assert E is importlib.import_module("gcflab.entropy") and callable(E.entropy_point)
+    assert "entropy" not in gcflab.__all__ and gcflab.entropy is E

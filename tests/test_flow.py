@@ -11,7 +11,7 @@ from math import exp
 import numpy as np
 import pytest
 
-from gcflab.body import make_shape
+from gcflab.body import ConvexBody, make_shape
 from gcflab.constants import ball_volume
 from gcflab.errors import ParameterError, SolverError, StiffnessError
 from gcflab.flow import (
@@ -25,7 +25,8 @@ from gcflab.flow import (
     step,
 )
 from gcflab.sphere import build_grid
-from gcflab.verify import fixed_point_run
+from gcflab.verify import (corpus_runs, dissipation_run, fixed_point_run,
+                           round_convergence_run, shrinking_ball_run)
 
 
 @pytest.fixture(scope="module")
@@ -93,24 +94,17 @@ def test_unit_ball_is_a_fixed_point():
     assert np.abs(trace.column("u_max") - 1.0).max() <= 1e-12
 
 
-def test_unit_ball_fixed_point_dim2(g2):
-    trace, final = run(
-        make_shape(g2, "ball"),
-        FlowConfig(mode="normalized", t_end=1.0, output_stride=500, soliton_tol=0.0),
-    )
+def test_unit_ball_fixed_point_dim2():
+    _, final = fixed_point_run(2)
     assert np.abs(final.support - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_shrinking_ball_matches_closed_form(dim, g1, g2):
-    # u(t) = (1 - (n+1) t)^(1/(n+1)), volume decays linearly
-    g = g1 if dim == 1 else g2
+def test_shrinking_ball_matches_closed_form(dim):
+    # u(t) = (1 - (n+1) t)^(1/(n+1)), volume decays linearly; the
+    # shrinking-ball gate check's run, held here to tighter bounds
     t_end = 0.8 / (dim + 1)
-    trace, final = run(
-        make_shape(g, "ball"),
-        FlowConfig(mode="unnormalized", t_end=t_end, output_stride=50,
-                   record_bodies=True),
-    )
+    trace, final = shrinking_ball_run(dim)
     r_exact = (1.0 - (dim + 1) * t_end) ** (1.0 / (dim + 1))
     assert np.abs(final.support - r_exact).max() <= 1e-9
     v_exact = ball_volume(dim) * (1.0 - (dim + 1) * trace.t)
@@ -126,10 +120,9 @@ def test_shrinking_ball_matches_closed_form(dim, g1, g2):
     assert report.lower_constant == pytest.approx((dim + 1.0) ** -p, abs=1e-6)
 
 
-def test_harnack_monitor_requires_unnormalized_run(g1):
-    trace, _ = run(make_shape(g1, "ball"), FlowConfig(t_end=0.1))
+def test_harnack_monitor_requires_unnormalized_run():
     with pytest.raises(ParameterError):
-        harnack_monitor(trace)
+        harnack_monitor(fixed_point_run(1)[0])  # rejected for its mode, not its rows
 
 
 @pytest.mark.parametrize("r0, t_end", [(0.9, 0.5), (1.1, 1.0)])
@@ -158,11 +151,9 @@ def test_translation_mode_grows_exponentially_without_recentering(g1):
     assert trace_rc.last("entropy_point_norm") <= 1e-10
 
 
-def test_ellipsoid_relaxes_to_the_ball(g2):
-    trace, final = run(
-        make_shape(g2, "ellipsoid", semiaxes=(1.2, 1.0, 1 / 1.2), normalize=True),
-        FlowConfig(mode="normalized", t_end=20.0, output_stride=100, soliton_tol=1e-4),
-    )
+def test_ellipsoid_relaxes_to_the_ball():
+    # the round-convergence gate check's run (soliton_tol 1e-5)
+    trace, final = round_convergence_run()
     assert trace.converged
     assert trace.last("t") < 5.0
     assert trace.last("soliton_residual") < 1e-4
@@ -182,9 +173,9 @@ def test_converged_start_returns_immediately(g1):
 # ---------------------------------------------------------------------------
 
 
-def test_volume_projection_pins_the_volume(g1):
-    trace, _ = run(bumpy(g1), FlowConfig(mode="normalized", t_end=1.0,
-                                         output_stride=50, soliton_tol=0.0))
+def test_volume_projection_pins_the_volume():
+    # the gate's wavy-1 corpus run: the body bumpy() builds, flowed to t = 1.2
+    trace = dict(corpus_runs())["wavy-1"]
     assert np.abs(trace.column("volume") - ball_volume(1)).max() <= 1e-12
 
 
@@ -217,19 +208,36 @@ def test_monitor_suite_on_dim2_run(g2):
 
 
 def test_comparison_principle_preserves_inclusion(g1):
-    # nested initial bodies stay nested under the unnormalized flow
+    # nested initial bodies stay nested after every unnormalized step
     inner = make_shape(g1, "harmonic", modes=[(2, 0.1, 0.05), (3, 0.0, 0.04)])
     outer = make_shape(g1, "ball", radius=1.4)
     gap0 = float(np.min(outer.support - inner.support))
     assert gap0 > 0.0
     dt = 0.5 * min(stable_dt(inner, 0.25), stable_dt(outer, 0.25))
-    kw = dict(mode="unnormalized", t_end=0.2, output_stride=100, fixed_dt=dt,
-              record_bodies=True)
-    tr_in, _ = run(inner, FlowConfig(**kw))
-    tr_out, _ = run(outer, FlowConfig(**kw))
-    np.testing.assert_allclose(tr_in.t, tr_out.t, rtol=0, atol=1e-15)
-    for b_out, b_in in zip(tr_out.bodies, tr_in.bodies):
-        assert float(np.min(b_out.support - b_in.support)) >= gap0 - 1e-12
+    for _ in range(int(0.2 / dt)):
+        inner = step(inner, dt, "unnormalized")
+        outer = step(outer, dt, "unnormalized")
+        assert float(np.min(outer.support - inner.support)) >= gap0 - 1e-12
+
+
+@pytest.fixture(scope="module")
+def shrinking_ellipse():
+    body = make_shape(build_grid(1, n=64), "ellipsoid", semiaxes=(1.2, 0.9))
+    return run(body, FlowConfig(mode="unnormalized", t_end=0.2))
+
+
+def test_harnack_monitor_on_default_unnormalized_run(shrinking_ellipse):
+    # every un-normalized run streams the Harnack data, with no opt-in
+    report = harnack_monitor(shrinking_ellipse[0])
+    assert report.ok and np.isfinite(report.worst_monotonicity_slack), report
+
+
+def test_finished_trace_holds_no_body_or_node_array(shrinking_ellipse):
+    # one row of scalars per record and no body; the final state is a record
+    trace, final = shrinking_ellipse
+    assert not any(isinstance(v, (ConvexBody, np.ndarray)) for v in vars(trace).values())
+    assert all(isinstance(v, (int, float)) for row in trace.rows for v in row)
+    assert 0.0 < trace.gradient_slack <= np.max(final.support) - np.max(final.curvature.grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +245,13 @@ def test_comparison_principle_preserves_inclusion(g1):
 # ---------------------------------------------------------------------------
 
 
-def test_dissipation_identity_and_step_halving(g1):
+def test_dissipation_identity_and_step_halving():
     # d/dt avg log u = -D along the projected normalized flow; the recorded
     # residual is dominated by the O(dt_record^2) differencing error and must
-    # drop fourfold when the record spacing is halved.
-    body = make_shape(g1, "harmonic", modes=[(2, 0.03, 0.0), (4, 0.0, 0.01)],
-                      normalize=True)
+    # drop fourfold when the record spacing is halved (the gate check's runs).
     res = {}
     for dt in (4e-5, 2e-5):
-        trace, _ = run(body, FlowConfig(mode="normalized", t_end=0.3,
-                                        output_stride=25, fixed_dt=dt,
-                                        soliton_tol=0.0))
+        trace = dissipation_run(dt)
         assert trace.rejections == 0
         res[dt] = dissipation_identity_residual(trace, t_min=0.05)
     assert res[4e-5] <= 1e-6
@@ -319,13 +323,3 @@ def test_trace_csv_round_trip(g1, tmp_path):
     parsed = np.array([[float(v) for v in row] for row in rows[1:]])
     for j, name in enumerate(TRACE_COLUMNS):
         np.testing.assert_array_equal(parsed[:, j], trace.column(name))
-
-
-def test_record_bodies_matches_rows(g1):
-    cfg = FlowConfig(mode="normalized", t_end=0.05, output_stride=20,
-                     soliton_tol=0.0, record_bodies=True)
-    trace, _ = run(bumpy(g1), cfg)
-    assert len(trace.bodies) == len(trace.rows)
-    trace2, _ = run(bumpy(g1), FlowConfig(mode="normalized", t_end=0.05,
-                                          output_stride=20, soliton_tol=0.0))
-    assert trace2.bodies == []
