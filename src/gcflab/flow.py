@@ -442,9 +442,9 @@ def monitor_bounds(trace: FlowTrace) -> MonitorReport:
         "per-row violation counter (support band, K > 0, u/K floor, Newton)")
 
     # entropy monotonicity along records
-    rise_e = float(np.max(np.diff(e_val))) if len(t) > 1 else 0.0
+    rise_e = float(np.max(np.diff(e_val)))
     add("entropy-monotone", rise_e <= 1e-9, rise_e, "max recorded increase of E")
-    rise_f = float(np.max(np.diff(e_f))) if len(t) > 1 else 0.0
+    rise_f = float(np.max(np.diff(e_f)))
     add("firey-monotone", rise_f <= 1e-9, rise_f, "max recorded increase of avg log u")
 
     # integrated dissipation inequality via trapezoid sums:
@@ -453,11 +453,11 @@ def monitor_bounds(trace: FlowTrace) -> MonitorReport:
     cum = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))]
     )
-    inc = float(np.max(np.diff(cum))) if len(t) > 1 else 0.0
+    inc = float(np.max(np.diff(cum)))
     add("dissipation-integral-nonpositive", inc <= 1e-9, inc,
         "max trapezoid increment of cumulative (E - E_C)")
     gap = e_val - cum  # E(t) - C(t) must be non-increasing
-    rise_gap = float(np.max(np.diff(gap))) if len(t) > 1 else 0.0
+    rise_gap = float(np.max(np.diff(gap)))
     add("dissipation-integral-dominates", rise_gap <= 1e-6, rise_gap,
         "max increase of E(t) - cumulative integral")
 

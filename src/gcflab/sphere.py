@@ -20,6 +20,9 @@ real matmul.  ``derivative_bundle`` therefore costs one forward transform,
 one matmul against the whole stack and one inverse FFT over all five
 derivative profiles.
 
+Off-grid evaluation sums one azimuthal series on both grids, with G_m the
+rfft coefficient on S^1 and the streamed Legendre sum on S^2 (see ``eval``).
+
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
 :meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.eval`,
@@ -30,9 +33,7 @@ grid as an opaque handle, which keeps the geometry code dimension-agnostic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -175,8 +176,7 @@ class SphereGrid:
             ik = 1j * k
             if n % 2 == 0:
                 ik[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-            du = np.fft.irfft(ik * c, n=n)
-            d2u = np.fft.irfft(-(k**2) * c, n=n)
+            du, d2u = np.fft.irfft(np.stack([ik * c, -(k**2) * c]), n=n, axis=-1)
             return SupportJet(values, du[:, None], d2u[:, None, None])
 
         n_theta = self.shape[0]
@@ -196,7 +196,14 @@ class SphereGrid:
         return SupportJet(values, grad, hess)
 
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Evaluate the spectral interpolant at arbitrary unit directions."""
+        """Evaluate the spectral interpolant at arbitrary unit directions.
+
+        Both dimensions sum u = Re sum_m f_m G_m e^{im phi} (f_0 = 1, f = 1 on
+        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of ``_EVAL_CHUNK``
+        directions: one exp per block, powers by running products, and G_m
+        (:meth:`_eval_modes`) streamed one order at a time.  A 1-D
+        ``directions`` gives a float.
+        """
         values = self.check_field(values)
         directions = np.asarray(directions, dtype=float)
         single = directions.ndim == 1
@@ -209,41 +216,31 @@ class SphereGrid:
         if np.any(np.abs(norms - 1.0) > 1e-10):
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
-        if self.dim == 1:
-            ang = np.arctan2(pts[:, 1], pts[:, 0])
-            c = np.fft.rfft(values) / self.shape[0]
-            out = np.empty(pts.shape[0])
-            for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-                a = ang[lo : lo + _EVAL_CHUNK]
-                acc = np.full(a.shape, c[0].real)
-                for k in range(1, c.size):
-                    term = c[k] * np.exp(1j * k * a)
-                    # Nyquist coefficient represents a pure cosine mode
-                    fac = 1.0 if (self.shape[0] % 2 == 0 and k == c.size - 1) else 2.0
-                    acc += fac * term.real
-                out[lo : lo + _EVAL_CHUNK] = acc
-            return out[0] if single else out
-
         coeffs = self.analyze(values)
-        x = np.clip(pts[:, 2], -1.0, 1.0)
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        nyquist = self.shape[0] // 2 if self.dim == 1 and self.shape[0] % 2 == 0 else -1
         out = np.empty(pts.shape[0])
         for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            out[lo : lo + _EVAL_CHUNK] = self._eval_block(
-                coeffs, x[lo : lo + _EVAL_CHUNK], phi[lo : lo + _EVAL_CHUNK]
-            )
+            block = pts[lo : lo + _EVAL_CHUNK]
+            e_phi = np.exp(1j * np.arctan2(block[:, 1], block[:, 0]))
+            power = np.ones_like(e_phi)  # e^{i m phi}
+            acc = np.zeros(block.shape[0])
+            for m, g in self._eval_modes(coeffs, block):
+                acc += (1.0 if m in (0, nyquist) else 2.0) * (g * power).real
+                power *= e_phi
+            out[lo : lo + _EVAL_CHUNK] = acc
         return out[0] if single else out
 
-    def _eval_block(self, coeffs, x, phi):
-        """Harmonic synthesis at arbitrary points via the ALF recurrence."""
+    def _eval_modes(self, coeffs, pts):
+        """Yield (m, G_m) for :meth:`eval`: the rfft coefficient c_m on S^1, and
+        on S^2 the colatitude sum G_m = sum_l c[m, l] P_lm(x) at the points'
+        x = cos(theta), run by the associated-Legendre recurrence."""
+        if self.dim == 1:
+            yield from enumerate(coeffs)
+            return
+        x = np.clip(pts[:, 2], -1.0, 1.0)
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-        acc = np.zeros(x.shape)
         for m, column in _legendre_columns(x, sin_t, self._tab["recurrence"]):
-            terms = (coeffs[m, l] * p for l, p in enumerate(column, start=m))
-            gm = reduce(operator.add, terms)
-            fac = 1.0 if m == 0 else 2.0
-            acc += fac * (gm * np.exp(1j * m * phi)).real
-        return acc
+            yield m, sum(coeffs[m, l] * p for l, p in enumerate(column, start=m))
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter)."""

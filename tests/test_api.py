@@ -2,6 +2,10 @@
 has one entry point (a ``SphereGrid`` method, not a method plus a wrapper)."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +37,13 @@ def test_entropy_submodule_is_not_shadowed():
     import gcflab.entropy as E
     assert E is importlib.import_module("gcflab.entropy") and callable(E.entropy_point)
     assert "entropy" not in gcflab.__all__ and gcflab.entropy is E
+
+
+def test_runtime_imports_only_runtime_dependencies():
+    # scipy and hypothesis are test-only extras; the CLI must import without them
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, gcflab.cli; print(sorted({'scipy', 'hypothesis'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

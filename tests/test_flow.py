@@ -186,9 +186,9 @@ def test_volume_nearly_conserved_without_projection(g1):
     assert np.abs(trace.column("volume") - ball_volume(1)).max() <= 1e-12
 
 
-def test_monitor_suite_on_generic_run(g1):
-    trace, _ = run(bumpy(g1), FlowConfig(mode="normalized", t_end=2.0,
-                                         output_stride=20, soliton_tol=0.0))
+def test_monitor_suite_on_generic_run():
+    # the gate's wavy-1 corpus run (the body bumpy() builds, to t = 1.2)
+    trace = dict(corpus_runs())["wavy-1"]
     report = monitor_bounds(trace)
     assert report.all_ok(), [c for c in report.checks if not c.ok]
     by_name = {c.name: c for c in report.checks}

@@ -363,3 +363,40 @@ def test_eval_direction_rejects_bad_directions():
         grid.eval(u, np.array([1.0, 1.0]))
     with pytest.raises(ParameterError):
         grid.eval(u, np.array([[0.5, 0.0, 0.0]]))
+
+
+def _random_bandlimited(grid, seed):
+    """A random nodal field that the grid's interpolant reproduces at the nodes
+    (on S^1 every field is; on S^2 project onto the resolved harmonics)."""
+    u = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    return u if grid.dim == 1 else grid.synthesize(grid.analyze(u))
+
+
+@pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
+def test_eval_crosses_block_boundary(kwargs):
+    grid = build_grid(**kwargs)
+    u = _random_bandlimited(grid, seed=5)
+    count = sphere._EVAL_CHUNK + 37
+    reps = -(-count // grid.n_nodes)
+    pts = np.tile(grid.nodes, (reps, 1))[:count]
+    expect = np.tile(u, reps)[:count]
+    assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
+def test_eval_single_direction_is_a_float(kwargs):
+    grid = build_grid(**kwargs)
+    u = _random_bandlimited(grid, seed=6)
+    d = np.ones(grid.dim + 1) / np.sqrt(grid.dim + 1)
+    value = grid.eval(u, d)
+    assert isinstance(value, float)
+    assert value == grid.eval(u, d[None, :])[0]
+
+
+def test_eval_circle_weights_the_nyquist_mode_once():
+    # a field that is not band-limited carries a Nyquist coefficient, which
+    # the node test on cos 3 theta cannot see
+    grid = build_grid(1, n=32)
+    u = np.random.default_rng(7).standard_normal(32)
+    assert abs(np.fft.rfft(u)[-1]) > 1e-3
+    assert np.max(np.abs(grid.eval(u, grid.nodes) - u)) < 1e-12
