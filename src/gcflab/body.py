@@ -24,6 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
@@ -177,10 +178,7 @@ class ConvexBody:
         Support functions transform by u -> u - <z, x>; the subtraction is
         exact at the nodes because linear functions are grid-resolved.
         """
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim + 1,):
-            raise ParameterError(f"z must have shape ({self.dim + 1},), got {z.shape}")
-        return ConvexBody(self.grid, self.support - self.grid.nodes @ z)
+        return ConvexBody(self.grid, self.support_about(z))
 
     def support_about(self, z) -> np.ndarray:
         """Nodal support samples relative to origin z (no validity check)."""
@@ -220,73 +218,78 @@ def normalize_volume(body: ConvexBody) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 
-def _level_minimize(f_and_g, z: np.ndarray, max_iter: int, tol: float):
-    """Minimize a convex max-type function by Polyak-level subgradient steps.
+_ROUNDOFF = 1e-12  # relative slack of the radius solvers' stopping tests
 
-    ``f_and_g(z)`` returns the value and a unit-norm subgradient.  Each step
-    aims at the level f_best - delta; delta is halved after 20 iterations
-    without improvement, and the loop stops once it falls below ``tol``.
-    Returns (f_best, z_best) for the best iterate seen.
+
+def inradius(body: ConvexBody):
+    """Inradius and incenter (largest ball inside the body), exact over the nodes.
+
+    Solves the linear program  max r  subject to  <z, x_i> + r <= u_i  by
+    dual-simplex pivots over bases of dim+2 node rows.  The first rows are
+    the 2(dim+1) nodes that maximize +/-x_j; they positively span the space,
+    so every restricted problem is bounded.  Each round takes, among the
+    nonsingular (dim+2)-subsets of the rows, the vertex that is primal
+    feasible on the rows and dual feasible (multipliers >= 0), hence optimal
+    for them, and adds the most violated node to its basis, until no node is
+    violated beyond relative round-off.  Returns (radius, center), the
+    radius being min over nodes of u - <z, x>.
     """
-    f_best, z_best = f_and_g(z)[0], z.copy()
-    delta = max(0.1 * abs(f_best), 1e-3)
-    since_improve = 0
-    for _ in range(max_iter):
-        f_z, g = f_and_g(z)
-        if f_z < f_best - 1e-15:
-            f_best, z_best = f_z, z.copy()
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= 20:
-                delta *= 0.5
-                since_improve = 0
-        if delta < tol:
-            break
-        step = f_z - f_best + delta  # level step, always > 0; |g| = 1
-        z = z - step * g
-    return f_best, z_best
+    u, x = body.support, body.grid.nodes
+    rows = np.hstack([x, np.ones((len(u), 1))])
+    tol = _ROUNDOFF * float(np.max(u))
+    active = np.unique(np.concatenate([np.argmax(x, axis=0), np.argmin(x, axis=0)]))
+    for _ in range(len(u)):
+        bases = np.array(list(combinations(active, body.dim + 2)))
+        bases = bases[np.abs(np.linalg.det(rows[bases])) > _ROUNDOFF]
+        inv = np.linalg.inv(rows[bases])  # last row: the dual multipliers
+        vertex = np.einsum("bij,bj->bi", inv, u[bases])  # (z, r) per basis
+        optimal = np.all(inv[:, -1, :] >= -_ROUNDOFF, axis=1) & np.all(
+            rows[active] @ vertex.T <= u[active, None] + tol, axis=0)
+        if not np.any(optimal):
+            raise SolverError("inradius: no optimal basis among the restricted rows")
+        best = np.flatnonzero(optimal)[np.argmax(vertex[optimal, -1])]
+        slack = u - x @ vertex[best, :-1]
+        worst = int(np.argmin(slack))
+        if slack[worst] >= vertex[best, -1] - tol:
+            return float(slack[worst]), vertex[best, :-1]
+        active = np.append(bases[best], worst)
+    raise SolverError(f"inradius: no optimum after {len(u)} pivots")
 
 
-def inradius(body: ConvexBody, max_iter: int = 500, tol: float = 1e-8):
-    """Inradius and incenter (largest ball inside the body).
+def circumradius(body: ConvexBody):
+    """Circumradius and circumcenter (smallest ball enclosing the boundary
+    samples X = u x + grad u), exact over the samples.
 
-    Maximizes the concave piecewise-linear function
-    f(z) = min over nodes of (u - <z, x>), that is, minimizes
-    max over nodes of (<z, x> - u) with the level-method subgradient solver
-    :func:`_level_minimize`, starting from the origin.  Returns
-    (radius, center) for the best iterate seen.
-    """
-    u, nodes = body.support, body.grid.nodes
-
-    def f_and_g(z):
-        vals = nodes @ z - u
-        i = int(np.argmax(vals))
-        return float(vals[i]), nodes[i]
-
-    f_best, z_best = _level_minimize(f_and_g, np.zeros(body.dim + 1), max_iter, tol)
-    return -f_best, z_best
-
-
-def circumradius(body: ConvexBody, max_iter: int = 800, tol: float = 1e-9):
-    """Circumradius and circumcenter (smallest ball enclosing the boundary).
-
-    Minimizes the convex function f(z) = max over nodes of |X - z| over the
-    sampled boundary points X with the level-method subgradient solver
-    :func:`_level_minimize` shared with :func:`inradius`, starting from the
-    centroid of the samples.  Returns (radius, center) for the best iterate
-    seen.
+    Pivots a support set of at most dim+2 samples (Gartner 1999).  The
+    smallest ball of the set is found by brute force over its subsets
+    (Welzl 1991): a subset gives the centre c = sum mu_i q_i, sum mu_i = 1,
+    equidistant from its points, and each centre is scored by its farthest
+    support sample, so whatever the pseudo-inverse returns for an affinely
+    dependent subset is still an enclosing ball.  The farthest sample joins,
+    and so on until none lies outside beyond relative round-off; the radius
+    grows with every pivot.  Returns (radius, center).
     """
     pts = body.curvature.position
-
-    def f_and_g(z):
-        d = pts - z[None, :]
-        r2 = np.sum(d * d, axis=1)
-        i = int(np.argmax(r2))
-        r = float(np.sqrt(r2[i]))
-        return r, -d[i] / r
-
-    return _level_minimize(f_and_g, pts.mean(axis=0), max_iter, tol)
+    support = np.array([0])
+    for _ in range(len(pts)):
+        origin = pts[support].mean(axis=0)
+        q = pts[support] - origin
+        k = len(q)
+        masks = np.array([m + (1.0,) for m in product((0.0, 1.0), repeat=k)
+                          if 0 < sum(m) <= body.dim + 2])
+        kkt = np.block([[2.0 * q @ q.T, np.ones((k, 1))], [np.ones((1, k)), 0.0]])
+        rhs = masks * np.append(np.sum(q * q, axis=1), 1.0)
+        mu = np.linalg.pinv(kkt * masks[:, :, None] * masks[:, None, :]) @ rhs[:, :, None]
+        centers = mu[:, :k, 0] @ q
+        radii = np.max(np.linalg.norm(centers[:, None] - q, axis=2), axis=1)
+        best = int(np.argmin(radii))
+        support, center = support[masks[best, :k] > 0], origin + centers[best]
+        dist = np.linalg.norm(pts - center, axis=1)
+        far = int(np.argmax(dist))
+        if dist[far] <= radii[best] * (1.0 + _ROUNDOFF):
+            return float(dist[far]), center
+        support = np.append(support, far)
+    raise SolverError(f"circumradius: no optimum after {len(pts)} pivots")
 
 
 def _antipodal(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
@@ -326,11 +329,11 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
     """Compute a :class:`GeometrySummary`.
 
     Widths pair each node with its antipode (exact on these grids);
-    rho_minus/rho_plus solve the in- and circumscribed-ball problems with
-    deterministic subgradient iterations, so they are translation invariant
-    up to the solver tolerance.  Extrema are over the node set, which at the
-    package's working resolutions biases them far below the tolerances used
-    downstream.
+    rho_minus/rho_plus are the exact in- and circumscribed-ball radii of the
+    node set (:func:`inradius`, :func:`circumradius`), so they are
+    translation invariant up to round-off.  Extrema are over the node set,
+    which at the package's working resolutions biases them far below the
+    tolerances used downstream.
     """
     u = body.support
     widths = u + _antipodal(body.grid, u)

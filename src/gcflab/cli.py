@@ -251,7 +251,6 @@ def _flow_config(args) -> FlowConfig:
         soliton_tol=args.soliton_tol,
         fixed_dt=args.fixed_dt,
         recenter=args.recenter,
-        dealias=not args.no_dealias,
     )
 
 
@@ -388,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-express about the entropy point after each step")
     p.add_argument("--no-project", action="store_true",
                    help="disable the volume projection (normalized mode)")
-    p.add_argument("--no-dealias", action="store_true",
-                   help="disable the velocity low-pass (discretization studies)")
     p.add_argument("--trace", default="trace.csv")
     p.add_argument("--final", default="final.json")
     p.add_argument("--manifest", default="run_manifest.json")

@@ -23,7 +23,7 @@ rates are (n+1) - l(l+1) <= -(n+1) for l >= 2): round-off seeds those modes
 and long runs blow up after the shape has converged.  Filtering the velocity
 restores the damping of the continuous operator; the dimension-1 transform
 has no such quadrature and is unaffected, but the filter is applied
-uniformly.  ``dealias=False`` recovers the raw pointwise scheme.
+uniformly.
 
 In normalized mode the discrete volume drifts at O(dt^4); optional projection
 rescales the support after every accepted step so the volume stays at the
@@ -100,8 +100,6 @@ class FlowConfig:
     (a rejected fixed step raises StiffnessError instead of silently
     shrinking, which would corrupt the deterministic step sequence).  ``recenter``
     re-expresses the body about its entropy point after every accepted step.
-    ``dealias`` filters the stage velocities (see the module docstring);
-    leave it on for anything but discretization studies.
     """
 
     mode: str = "normalized"
@@ -112,7 +110,6 @@ class FlowConfig:
     soliton_tol: float = 1e-6
     fixed_dt: float = None
     recenter: bool = False
-    dealias: bool = True
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -179,14 +176,13 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 
-def _rhs(body: ConvexBody, normalized: bool, dealias: bool) -> np.ndarray:
+def _rhs(body: ConvexBody, normalized: bool) -> np.ndarray:
     gauss = body.curvature.gauss
     vel = body.support - gauss if normalized else -gauss
-    return body.grid.lowpass(vel, DEALIAS_FRAC) if dealias else vel
+    return body.grid.lowpass(vel, DEALIAS_FRAC)
 
 
-def step(body: ConvexBody, dt: float, mode: str = "normalized",
-         dealias: bool = True) -> ConvexBody:
+def step(body: ConvexBody, dt: float, mode: str = "normalized") -> ConvexBody:
     """One explicit RK4 step; raises StepRejected if any stage leaves the
     valid-body cone (the caller halves dt and retries)."""
     if dt <= 0.0:
@@ -194,10 +190,10 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
     normalized = mode == "normalized"
     grid, u = body.grid, body.support
     try:
-        k1 = _rhs(body, normalized, dealias)
-        k2 = _rhs(ConvexBody(grid, u + 0.5 * dt * k1), normalized, dealias)
-        k3 = _rhs(ConvexBody(grid, u + 0.5 * dt * k2), normalized, dealias)
-        k4 = _rhs(ConvexBody(grid, u + dt * k3), normalized, dealias)
+        k1 = _rhs(body, normalized)
+        k2 = _rhs(ConvexBody(grid, u + 0.5 * dt * k1), normalized)
+        k3 = _rhs(ConvexBody(grid, u + 0.5 * dt * k2), normalized)
+        k4 = _rhs(ConvexBody(grid, u + dt * k3), normalized)
         return ConvexBody(grid, u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
@@ -298,7 +294,7 @@ def run(body: ConvexBody, config: FlowConfig):
         dt = min(dt, cfg.t_end - t)
         while True:
             try:
-                new_body = step(body, dt, cfg.mode, cfg.dealias)
+                new_body = step(body, dt, cfg.mode)
                 break
             except StepRejected:
                 trace.rejections += 1

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.special import ellipe
 
-from gcflab import flow
+from gcflab import flow, verify
 from gcflab.body import (
     ConvexBody,
     GeometrySummary,
@@ -289,7 +290,7 @@ def test_isoperimetric_area_bound(g1, g2):
 
 def test_summary_ball(g2):
     s = geometry_summary(make_shape(g2, "ball", radius=1.4))
-    assert abs(s.rho_plus - 1.4) < 1e-7 and abs(s.rho_minus - 1.4) < 1e-7
+    assert abs(s.rho_plus - 1.4) < 1e-12 and abs(s.rho_minus - 1.4) < 1e-12
     assert abs(s.w_plus - 2.8) < 1e-12 and abs(s.w_minus - 2.8) < 1e-12
     assert s.diameter == s.w_plus
     assert abs(s.area - 4 * pi * 1.4**2) < 1e-9
@@ -299,23 +300,30 @@ def test_summary_translated_ball(g1, g2):
     # radii are about the best centers, so translation must not inflate them
     for g, c in [(g1, [0.3, -0.4]), (g2, [0.2, -0.3, 0.35])]:
         s = geometry_summary(make_shape(g, "translated_ball", radius=1.0, center=c))
-        assert abs(s.rho_plus - 1.0) < 1e-7
-        assert abs(s.rho_minus - 1.0) < 1e-7
+        assert abs(s.rho_plus - 1.0) < 1e-12
+        assert abs(s.rho_minus - 1.0) < 1e-12
         assert abs(s.w_plus - 2.0) < 1e-12 and abs(s.w_minus - 2.0) < 1e-12
-        assert np.linalg.norm(s.incenter - np.asarray(c)) < 1e-6
-        assert np.linalg.norm(s.circumcenter - np.asarray(c)) < 1e-6
+        assert np.linalg.norm(s.incenter - np.asarray(c)) < 1e-12
+        assert np.linalg.norm(s.circumcenter - np.asarray(c)) < 1e-12
 
 
 @pytest.mark.parametrize("dim,kwargs,center", [
     (1, dict(n=64), (-0.2, 0.1)),
     (2, dict(n_theta=16, n_phi=32), (-0.2, 0.1, 0.1)),
+    (1, dict(n=64), (0.0, 0.0)),
+    (1, dict(n=256), (0.0, 0.0)),
+    (1, dict(n=256), (-0.25, 0.3)),
+    (2, dict(n_theta=16, n_phi=32), (0.0, 0.0, 0.0)),
+    (2, dict(n_theta=32, n_phi=64), (0.0, 0.0, 0.0)),
+    (2, dict(n_theta=32, n_phi=64), (-0.25, 0.025, 0.3)),
 ])
 def test_radius_solvers_on_translated_ball(dim, kwargs, center):
+    # every node is tight for both problems; the pivots must still stop
     body = make_shape(build_grid(dim, **kwargs), "translated_ball", radius=1.3, center=center)
     r_in, z_in = inradius(body)
     r_out, z_out = circumradius(body)
-    assert abs(r_in - 1.3) < 1e-7
-    assert np.max(np.abs(z_in - center)) < 1e-7
+    assert abs(r_in - 1.3) < 1e-12
+    assert np.max(np.abs(z_in - center)) < 1e-12
     assert abs(r_out - 1.3) < 1e-12
     assert np.max(np.abs(z_out - center)) < 1e-12
 
@@ -324,6 +332,59 @@ def test_radius_solvers_on_ellipse():
     body = make_shape(build_grid(1, n=64), "ellipsoid", semiaxes=(1.5, 0.8))
     assert abs(inradius(body)[0] - 0.8) < 1e-12
     assert abs(circumradius(body)[0] - 1.5) < 1e-12
+
+
+def _reference_bodies(group):
+    """The gate corpus, 20 seeded bodies per desk grid, or one named seed."""
+    if group == "corpus":
+        return [body for _, body in verify.corpus()]
+    dim, seeds = {"random-1": (1, range(20)), "random-2": (2, range(20)),
+                  "s1-seed94": (1, [94]), "s2-seed12": (2, [12])}[group]
+    grid = verify.desk_grid(dim)
+    return [make_shape(grid, "random_valid", seed=s, normalize=True) for s in seeds]
+
+
+REFERENCE_GROUPS = ["corpus", "random-1", "random-2", "s1-seed94", "s2-seed12"]
+HIGHS = dict(method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                      "dual_feasibility_tolerance": 1e-10})
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+def test_inradius_matches_linprog(group):
+    for body in _reference_bodies(group):
+        x, u = body.grid.nodes, body.support
+        ref = linprog(np.append(np.zeros(body.dim + 1), -1.0),
+                      A_ub=np.hstack([x, np.ones((len(u), 1))]), b_ub=u,
+                      bounds=(None, None), **HIGHS)
+        assert ref.status == 0
+        r, z = inradius(body)
+        assert abs(r + ref.fun) < 1e-12
+        assert np.max(x @ z + r - u) < 1e-12
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS)
+def test_circumradius_is_certified(group):
+    # optimal iff the centre lies in the convex hull of the farthest samples
+    for body in _reference_bodies(group):
+        r, c = circumradius(body)
+        pts = body.curvature.position
+        dist = np.linalg.norm(pts - c, axis=1)
+        assert np.max(dist) <= r * (1.0 + 1e-12)
+        far = pts[dist >= r * (1.0 - 1e-10)]
+        hull = linprog(np.zeros(len(far)), A_eq=np.vstack([far.T, np.ones(len(far))]),
+                       b_eq=np.append(c, 1.0), bounds=(0, None), **HIGHS)
+        assert hull.status == 0
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 12), (1, 94)])
+def test_summary_radii_are_translation_invariant(dim, seed):
+    body = make_shape(verify.desk_grid(dim), "random_valid", seed=seed, normalize=True)
+    z = np.full(dim + 1, 0.05)
+    s, t = geometry_summary(body), geometry_summary(body.translate(z))
+    assert abs(t.rho_minus - s.rho_minus) < 1e-12
+    assert abs(t.rho_plus - s.rho_plus) < 1e-12
+    assert np.max(np.abs(t.incenter - (s.incenter - z))) < 1e-12
+    assert np.max(np.abs(t.circumcenter - (s.circumcenter - z))) < 1e-12
 
 
 def test_summary_ellipse(g1):
