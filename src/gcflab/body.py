@@ -6,11 +6,12 @@ radii-of-curvature matrix
     A = Hess u + u g        (covariant Hessian, orthonormal frame)
 
 is positive definite at every node.  ``ConvexBody`` freezes the samples and
-checks both conditions up front.  Its curvature data is built once per body
-and holds eagerly only what validation and the flow read (A, det A, trace A,
-the least eigenvalue of A, Gauss curvature K = 1/det A and grad u); the mean
-curvature, |grad u| and the boundary embedding X = u x + grad u are computed
-on first access and then kept.
+checks both conditions up front.  Its curvature data, the invariants of A
+that the grid derives from u (A itself is never built), is computed once
+per body and holds eagerly only what validation and the flow read (det A,
+trace A, the least eigenvalue of A, sigma_{n-1}(A), Gauss curvature
+K = 1/det A and grad u); the mean curvature, |grad u| and the boundary
+embedding X = u x + grad u are computed on first access and then kept.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
@@ -53,33 +54,31 @@ TAIL_WARN = 1e-7  # relative spectral-tail size that triggers AliasingWarning
 class CurvatureData:
     """Pointwise curvature quantities of a body (all nodal arrays).
 
-    ``a`` is the radii-of-curvature matrix A = Hess u + u g; its eigenvalues
-    are the principal radii of curvature, det A the curvature radius product
-    and ``gauss = 1/det A`` the Gauss curvature as a function of the normal.
-    These fields, with ``trace_a``, ``min_eig_a`` and the gradient ``grad``,
-    are computed at construction: body validation and every flow stage read
-    them.  The rest are computed on first access and then kept:
-    ``mean_curvature`` is trace(A^-1), the sum of the principal curvatures;
+    Of the principal radii of curvature (eigenvalues of A = Hess u + u g),
+    ``det_a`` is the product, ``trace_a`` the sum, ``min_eig_a`` the least
+    and ``adj_trace_a`` sigma_{n-1}(A) = trace adj A (1 on S^1); ``gauss`` =
+    1/det A is the Gauss curvature as a function of the normal.  These and
+    ``grad`` are computed at construction: validation and the flow read them.
+    The rest are computed on first access and then kept: ``mean_curvature``
+    is trace(A^-1) = K sigma_{n-1}(A), the sum of the principal curvatures;
     ``grad_norm`` is |grad u|; ``position`` is the boundary embedding
     X = u x + grad u (the point of the body whose outer normal is the node
     direction) and ``position_norm`` its length.  (``cached_property`` keeps
     them in the instance dict, which a frozen dataclass permits.)
     """
 
-    a: np.ndarray
     det_a: np.ndarray
     gauss: np.ndarray
     trace_a: np.ndarray
     min_eig_a: np.ndarray
+    adj_trace_a: np.ndarray
     grad: np.ndarray
     _support: np.ndarray = field(repr=False)
     _grid: SphereGrid = field(repr=False)
 
     @cached_property
     def mean_curvature(self) -> np.ndarray:
-        if self._grid.dim == 1:
-            return 1.0 / self.det_a
-        return self.trace_a / self.det_a
+        return self.gauss * self.adj_trace_a
 
     @cached_property
     def grad_norm(self) -> np.ndarray:
@@ -130,30 +129,17 @@ class ConvexBody:
 
     @cached_property
     def curvature(self) -> CurvatureData:
-        grid = self.grid
-        jet = grid.derivative_bundle(self.support)
-        u = jet.values
-        dim = grid.dim
-        a = jet.hess + u[:, None, None] * np.eye(dim)[None]
-        if dim == 1:
-            det = a[:, 0, 0]
-            trace = det
-            min_eig = det
-        else:
-            a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
-            det = a11 * a22 - a12 * a12
-            trace = a11 + a22
-            disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
-            min_eig = 0.5 * trace - disc
+        jet = self.grid.derivative_bundle(self.support)
+        det, trace, min_eig, adj_trace = self.grid.radii_invariants(jet)
         return CurvatureData(
-            a=a,
             det_a=det,
             gauss=1.0 / det,
             trace_a=trace,
             min_eig_a=min_eig,
+            adj_trace_a=adj_trace,
             grad=jet.grad,
-            _support=u,
-            _grid=grid,
+            _support=jet.values,
+            _grid=self.grid,
         )
 
     # --- basic geometry ---------------------------------------------------
@@ -292,19 +278,6 @@ def circumradius(body: ConvexBody):
     raise SolverError(f"circumradius: no optimum after {len(pts)} pivots")
 
 
-def _antipodal(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
-    """Samples of u at the antipodes of the nodes.
-
-    Both grids are antipodally symmetric (even counts; Gauss-Legendre
-    colatitudes come in +/- pairs), so this is an index permutation.
-    """
-    if grid.dim == 1:
-        return np.roll(u, grid.shape[0] // 2)
-    n_theta, n_phi = grid.shape
-    v = u.reshape(n_theta, n_phi)[::-1, :]
-    return np.roll(v, n_phi // 2, axis=1).ravel()
-
-
 @dataclass(frozen=True)
 class GeometrySummary:
     """Scalar geometry of a body: volume, boundary measure, extremal radii
@@ -336,7 +309,7 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
     tolerances used downstream.
     """
     u = body.support
-    widths = u + _antipodal(body.grid, u)
+    widths = u + u[body.grid.antipodes]
     rho_minus, incenter = inradius(body)
     rho_plus, circumcenter = circumradius(body)
     w_plus = float(np.max(widths))
@@ -397,16 +370,8 @@ def spectral_tail(grid: SphereGrid, u: np.ndarray) -> float:
     above ~1e-7 mean the grid is marginal for this shape and derivatives
     (hence curvature) lose accuracy.
     """
-    coeffs = grid.analyze(u)
-    L = grid.bandlimit
-    lo = (2 * L) // 3
-    if grid.dim == 1:
-        tail = float(np.max(np.abs(coeffs[lo:])))
-    else:
-        degrees = np.arange(L + 1)
-        orders = np.arange(L + 1)
-        band = (degrees[None, :] >= lo) & (degrees[None, :] >= orders[:, None])
-        tail = float(np.max(np.abs(coeffs[band])))
+    # the degree is the last axis (the unused S^2 triangle l < m is exactly 0)
+    tail = float(np.max(np.abs(grid.analyze(u)[..., (2 * grid.bandlimit) // 3 :])))
     return tail / max(float(np.max(np.abs(u))), 1e-300)
 
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .body import ConvexBody, make_shape
-from .constants import sphere_area
 from .entropy import entropy_report, mc_log_integral
 from .errors import (
     BodyValidityError,
@@ -314,7 +313,7 @@ def cmd_oracle(args) -> int:
     u_z = body.support_about(np.zeros(body.dim + 1) if z is None else np.asarray(z))
     if float(np.min(u_z)) <= 0.0:
         raise ParameterError("z is not interior to the body")
-    quadrature = float(average(body.grid, np.log(u_z))) * sphere_area(body.dim)
+    quadrature = float(average(body.grid, np.log(u_z))) * body.grid.area
     estimate, stderr = mc_log_integral(body, z=z, samples=args.samples, seed=args.seed)
     if stderr > 0.0:
         z_score = float(abs(estimate - quadrature) / stderr)

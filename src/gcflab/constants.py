@@ -5,11 +5,14 @@ derivations are sketched in the docstrings so the numbers can be re-checked
 by hand.  Reports that quote these constants carry the marker
 ``constant_provenance = "derived"``.
 
-Only ``dim`` in {1, 2} (curves in the plane, surfaces in 3-space) is
-supported, matching the rest of the package.
+``sphere_area``, ``ball_volume`` and ``log_coordinate_mean`` are closed forms
+in every dimension n >= 0; the three derived scale constants rest on
+sketches that assume n <= 2 and accept only dim in {1, 2}.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,9 +38,11 @@ def _check_dim(dim: int) -> int:
 
 
 def sphere_area(dim: int) -> float:
-    """Total measure of S^dim: 2*pi for the circle, 4*pi for the sphere."""
-    _check_dim(dim)
-    return 2.0 * np.pi if dim == 1 else 4.0 * np.pi
+    """Total measure of S^dim, 2 pi^((dim+1)/2) / Gamma((dim+1)/2): 2*pi, 4*pi, ..."""
+    if dim < 0:
+        raise ParameterError(f"dim must be >= 0, got {dim}")
+    half = (dim + 1) / 2.0
+    return 2.0 * math.pi**half / math.gamma(half)
 
 
 def ball_volume(dim: int) -> float:
@@ -50,14 +55,17 @@ def ball_volume(dim: int) -> float:
 
 
 def log_coordinate_mean(dim: int) -> float:
-    """Spherical average of log|x_last| over S^dim.
+    """Spherical average of log|x_last| over S^dim, -(psi((dim+1)/2) - psi(1/2))/2.
 
-    dim 1: (1/2pi) * int log|sin t| dt = -log 2 (classical log-sine integral).
-    dim 2: (1/2) * int_0^1 log s ds * 2 = -1 after reducing to the uniform
-    distribution of x_3 on [-1, 1].
+    x_last^2 is Beta(1/2, dim/2) distributed, and E log of a Beta(a, b)
+    variable is psi(a) - psi(a + b).  psi(k + 1) = psi(k) + 1/k makes the
+    difference a finite harmonic sum down to psi(1/2), or for odd dim to
+    psi(1) = psi(1/2) + 2 log 2: -log 2 for dim 1, -1 for dim 2.
     """
-    _check_dim(dim)
-    return -np.log(2.0) if dim == 1 else -1.0
+    if dim < 0:
+        raise ParameterError(f"dim must be >= 0, got {dim}")
+    steps = sum(2.0 / j for j in range(1 + dim % 2, dim, 2))  # sum of 1/k, k = j/2
+    return -0.5 * (steps + (2.0 * np.log(2.0) if dim % 2 else 0.0))
 
 
 def outer_scale_constant(dim: int) -> float:
@@ -71,6 +79,7 @@ def outer_scale_constant(dim: int) -> float:
     radius obeys rho+ <= w+ / sqrt(2) ... <= w+, and folding the slack into
     the constant yields C = 4 e^{-L}: 8 for dim 1 and 4e for dim 2.
     """
+    _check_dim(dim)
     return 4.0 * np.exp(-log_coordinate_mean(dim))
 
 
@@ -84,10 +93,8 @@ def inner_scale_constant(dim: int) -> float:
     C' = 1 / (2 dim (dim+2) area(S^{dim-1}) C^dim):
     1/96 for dim 1 and 1/(512 pi e^2) for dim 2.
     """
-    _check_dim(dim)
-    lower_area = 2.0 if dim == 1 else 2.0 * np.pi  # area of S^(dim-1)
     c_outer = outer_scale_constant(dim)
-    return 1.0 / (2.0 * dim * (dim + 2) * lower_area * c_outer**dim)
+    return 1.0 / (2.0 * dim * (dim + 2) * sphere_area(dim - 1) * c_outer**dim)
 
 
 def santalo_support_constant(dim: int) -> float:
@@ -101,9 +108,8 @@ def santalo_support_constant(dim: int) -> float:
     c = kappa / (2^(2 dim + 1) (dim+1) V_ball^2 C^dim):
     1/(64 pi^2) for dim 1 and 99/(294912 pi e^2) for dim 2.
     """
-    _check_dim(dim)
-    kappa = 2.0 if dim == 1 else 11.0 * np.pi / 12.0
     c_outer = outer_scale_constant(dim)
+    kappa = 2.0 if dim == 1 else 11.0 * np.pi / 12.0
     return kappa / (
         2.0 ** (2 * dim + 1) * (dim + 1) * ball_volume(dim) ** 2 * c_outer**dim
     )

@@ -33,14 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .body import ConvexBody, geometry_summary
+from .body import ConvexBody, inradius
 from .constants import (
     CONSTANT_PROVENANCE,
     ball_volume,
     inner_scale_constant,
     outer_scale_constant,
     santalo_support_constant,
-    sphere_area,
 )
 from .errors import ConcavityError, ParameterError, SolverError
 from .sphere import average
@@ -238,6 +237,8 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
     The inequality checks are written in volume-corrected form so they hold
     for every valid body; at unit-ball volume they reduce to the plain chain
     E_C >= E >= E_F together with the radius, width, and polar bounds.
+    The outer bound's rhs is the largest width w+: rho+ <= w+/sqrt(2) never
+    sets max(w+, rho+), so the circumradius is not computed.
     """
     n = body.dim
     vol = body.volume()
@@ -246,7 +247,8 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
     e_f = firey_entropy(body)
     e_c = chow_entropy(body)
     z_s, v_star = santalo_point(body)
-    summary = geometry_summary(body)
+    widths = body.support + body.support[body.grid.antipodes]
+    rho_minus = inradius(body)[0]
     u_s_min = float(np.min(body.support_about(z_s)))
 
     def mk(name, lhs, rhs, tol=1e-8):
@@ -259,11 +261,11 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
         mk(
             "outer-radius-bound",
             outer_scale_constant(n) * np.exp(e_val),
-            max(summary.w_plus, summary.rho_plus),
+            float(np.max(widths)),
         ),
         mk(
             "inner-radius-bound",
-            min(summary.rho_minus, summary.w_minus),
+            min(rho_minus, float(np.min(widths))),
             inner_scale_constant(n) * vol * np.exp(-n * e_val),
         ),
         mk(
@@ -336,7 +338,7 @@ def mc_log_integral(body: ConvexBody, z=None, samples: int = 100_000, seed: int 
     if r_hi - r_lo <= 1e-15:
         return 0.0, 0.0
     p_lo, p_hi = r_lo ** (n + 1), r_hi ** (n + 1)
-    vol_annulus = sphere_area(n) * (p_hi - p_lo) / (n + 1)
+    vol_annulus = grid.area * (p_hi - p_lo) / (n + 1)
 
     total = 0.0
     total_sq = 0.0
@@ -381,7 +383,7 @@ def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed:
     if np.min(u_z) <= 0.0:
         raise ParameterError("z is not interior to the body")
     r_max = 1.0 / float(np.min(u_z))
-    scale = sphere_area(n) * r_max
+    scale = grid.area * r_max
 
     total = np.zeros(n + 1)
     total_sq = np.zeros(n + 1)

@@ -117,12 +117,14 @@ class FlowConfig:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ParameterError("dt_safety must be in (0, 1]")
-        if self.t_end <= 0.0:
-            raise ParameterError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ParameterError("t_end must be positive and finite")
+        if not 0.0 <= self.soliton_tol < np.inf:
+            raise ParameterError("soliton_tol must be non-negative and finite")
         if self.output_stride < 1:
             raise ParameterError("output_stride must be >= 1")
-        if self.fixed_dt is not None and not self.fixed_dt > 0.0:
-            raise ParameterError("fixed_dt must be positive")
+        if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
+            raise ParameterError("fixed_dt must be positive and finite")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
         if self.project_volume and self.mode == "unnormalized":
@@ -137,8 +139,9 @@ class FlowTrace:
 
     ``rows[i]`` matches ``TRACE_COLUMNS``; the per-row ``violations`` entry
     counts instantaneous monitor breaches (support band, positive curvature,
-    the dimension-2 u/K lower bound, Newton's inequality) known at record
-    time.  Running minima streamed at record time: ``gradient_slack`` of
+    the dimension-2 u/K lower bound, and Newton's inequality in its AM-GM form
+    on the principal radii, (trace A / n)^n >= det A) known at record time.
+    Running minima streamed at record time: ``gradient_slack`` of
     max u - max |grad u|, and (un-normalized mode only, else ``inf``)
     ``harnack_slack``, the least rise of K t^{n/(n+1)} at a node between records.
     """
@@ -201,8 +204,8 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized") -> ConvexBody:
 
 def stable_dt(body: ConvexBody, safety: float) -> float:
     c = body.curvature
-    rate = float(np.max(c.gauss * (c.trace_a * c.gauss if body.dim == 2 else c.gauss)))
-    # trace(A^-1) = trace(A)/det(A) in dim 2 and 1/A in dim 1
+    # K * mean curvature, formed here so the cached ``mean_curvature`` stays lazy
+    rate = float(np.max(c.gauss * (c.gauss * c.adj_trace_a)))
     return safety * body.grid.h_min**2 / rate
 
 
@@ -214,14 +217,13 @@ def _count_violations(body: ConvexBody, t: float, cfg: FlowConfig) -> int:
         bad += 1
     if float(np.min(c.det_a)) <= 0.0:
         bad += 1
-    if body.dim == 2:
-        if cfg.mode == "normalized" and t >= 0.1:
-            floor = (1.0 / 3.0) * (1.0 - np.exp(-t)) ** (2.0 / 3.0)
-            if float(np.min(u / c.gauss)) < floor:
-                bad += 1
-        # Newton's inequality for A: (sigma_1/2)^2 >= sigma_2
-        if float(np.min((0.5 * c.trace_a) ** 2 - c.det_a)) < -1e-9:
+    if body.dim == 2 and cfg.mode == "normalized" and t >= 0.1:
+        floor = (1.0 / 3.0) * (1.0 - np.exp(-t)) ** (2.0 / 3.0)
+        if float(np.min(u / c.gauss)) < floor:
             bad += 1
+    # Newton's inequality, AM-GM form on the principal radii (0 at n = 1)
+    if float(np.min((c.trace_a / body.dim) ** body.dim - c.det_a)) < -1e-9:
+        bad += 1
     return bad
 
 
@@ -393,7 +395,8 @@ def monitor_bounds(trace: FlowTrace) -> MonitorReport:
     """Evaluate the a-posteriori monitor suite on a normalized-mode trace.
 
     Hard assertions: the two-sided support band, the dimension-2 u/K lower
-    bound after t = 0.1, Newton's inequality (via the per-row violation
+    bound after t = 0.1, Newton's inequality in AM-GM form on the principal
+    radii, (trace A / n)^n >= det A (these three via the per-row violation
     counter), the entropy/Firey monotonicity, and the integrated dissipation
     inequality.  Curvature and trace bounds are reported as run constants
     (their boundedness is the claim; the constants are body-dependent).

@@ -141,7 +141,7 @@ def solve_soliton(body: ConvexBody, tol: float = 1e-6, t_end: float = 20.0):
     Returns (final body, SolitonReport).  Non-convergence by ``t_end`` is not
     an error: the report comes back with ``converged=False``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ParameterError("tol must be positive")
     v_ball = ball_volume(body.dim)
     if abs(body.volume() - v_ball) > 1e-6 * v_ball:

@@ -23,12 +23,16 @@ derivative profiles.
 Off-grid evaluation sums one azimuthal series on both grids, with G_m the
 rfft coefficient on S^1 and the streamed Legendre sum on S^2 (see ``eval``).
 
+The grid owns the form of A = Hess u + u I: ``radii_invariants`` maps a jet
+to the invariants of A that callers read, so no caller builds A.
+
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
-:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.eval`,
-:meth:`~SphereGrid.lowpass`) and the quadrature helpers :func:`integrate`,
-:func:`average` and :func:`gradient_norm`.  Everything downstream treats the
-grid as an opaque handle, which keeps the geometry code dimension-agnostic.
+:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.radii_invariants`,
+:meth:`~SphereGrid.eval`, :meth:`~SphereGrid.lowpass`) and the quadrature
+helpers :func:`integrate`, :func:`average` and :func:`gradient_norm`.
+Everything downstream treats the grid as an opaque handle, which keeps the
+geometry code dimension-agnostic.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import sphere_area
 from .errors import FieldShapeError, ParameterError
 
 __all__ = [
@@ -77,6 +82,8 @@ class SphereGrid:
     bandlimit : largest harmonic degree the transforms resolve.
     h_min : collocation spacing of the highest resolved mode, pi/(bandlimit+1);
         this is the spacing that governs explicit time-step stability.
+    antipodes : (n_nodes,) index of each node's antipode, so that
+        ``nodes[antipodes] = -nodes`` up to round-off.
     """
 
     dim: int
@@ -88,6 +95,7 @@ class SphereGrid:
     bandlimit: int
     quad_degree: int
     h_min: float
+    antipodes: np.ndarray
     # dim-2 only public angle arrays (dim 1 stores angles in `thetas`)
     thetas: np.ndarray = None
     phis: np.ndarray = None
@@ -194,6 +202,19 @@ class SphereGrid:
         hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot_t * u_p) / sin_t
         hess[:, 1, 1] = u_pp / sin_t**2 + cot_t * u_t
         return SupportJet(values, grad, hess)
+
+    def radii_invariants(self, jet: SupportJet):
+        """(det A, trace A, least eigenvalue, sigma_{n-1}(A) = trace adj A) of
+        A = Hess u + u I at the nodes: the scalar u'' + u on S^1, closed 2x2
+        forms in the Hessian components on S^2."""
+        h, u = jet.hess, jet.values
+        if self.dim == 1:
+            a = h[:, 0, 0] + u
+            return a, a, a, np.ones_like(a)
+        a11, a22, a12 = h[:, 0, 0] + u, h[:, 1, 1] + u, h[:, 0, 1]
+        trace = a11 + a22
+        disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
+        return a11 * a22 - a12 * a12, trace, 0.5 * trace - disc, trace
 
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Evaluate the spectral interpolant at arbitrary unit directions.
@@ -337,19 +358,19 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         weights = np.full(n, 2.0 * np.pi / n)
         frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
         bandlimit = n // 2 - 1
-        grid = SphereGrid(
+        return SphereGrid(
             dim=1,
             shape=(n,),
             nodes=_ro(nodes),
             weights=_ro(weights),
             frames=_ro(frames),
-            area=2.0 * np.pi,
+            area=sphere_area(1),
             bandlimit=bandlimit,
             quad_degree=n - 1,
             h_min=np.pi / (bandlimit + 1),
+            antipodes=_ro(np.roll(np.arange(n), n // 2)),
             thetas=_ro(theta),
         )
-        return grid
 
     if dim != 2:
         raise ParameterError(f"only dim 1 and dim 2 grids are implemented (got {dim})")
@@ -397,10 +418,13 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         nodes=_ro(nodes),
         weights=_ro(weights),
         frames=_ro(frames),
-        area=4.0 * np.pi,
+        area=sphere_area(2),
         bandlimit=L,
         quad_degree=min(2 * n_theta - 1, n_phi - 1),
         h_min=np.pi / (L + 1),
+        # Gauss-Legendre colatitudes come in +/- pairs, longitudes shift by pi
+        antipodes=_ro(np.roll(np.arange(n_theta * n_phi).reshape(n_theta, n_phi)[::-1],
+                              n_phi // 2, axis=1).ravel()),
         thetas=_ro(thetas),
         phis=_ro(phis),
         _tab=tab,

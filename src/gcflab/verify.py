@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .body import ConvexBody, make_shape
-from .constants import ball_volume, sphere_area
+from .constants import ball_volume
 from .entropy import (
     chow_entropy,
     entropy,
@@ -297,7 +297,7 @@ def _check_mc_oracle(seed, k_scale):
     worst = 0.0
     for i, label in enumerate(_MC_LABELS):
         body = by_label[label]
-        quad = float(average(body.grid, np.log(body.support))) * sphere_area(body.dim)
+        quad = float(average(body.grid, np.log(body.support))) * body.grid.area
         est, se = mc_log_integral(body, samples=100_000, seed=seed + i)
         if se == 0.0:
             z = 0.0 if abs(est - quad) <= 1e-12 else np.inf

@@ -179,6 +179,19 @@ def test_flow_ball_trace_and_manifest(tmp_path, capsys):
     assert set(man["outputs"]) == {str(trace), str(final)}
 
 
+@pytest.mark.parametrize("flags", [("--t-end", "nan"), ("--t-end", "inf"),
+                                   ("--soliton-tol", "nan"), ("--soliton-tol", "-1"),
+                                   ("--fixed-dt", "inf")])
+def test_flow_rejects_bad_run_parameters(tmp_path, capsys, flags):
+    snap = shape(tmp_path, "ball.json", "--dim", "1")
+    outputs = [tmp_path / name for name in ("t.csv", "f.json", "m.json")]
+    code = main(["flow", str(snap), *flags, "--trace", str(outputs[0]),
+                 "--final", str(outputs[1]), "--manifest", str(outputs[2])])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
 def test_flow_stiff_fixed_dt_exits_4(tmp_path, capsys):
     snap = shape(tmp_path, "w.json", "--dim", "1", "--harmonic", "2:0.1")
     code = main(["flow", str(snap), "--fixed-dt", "0.01", "--t-end", "1",

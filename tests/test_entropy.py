@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gcflab.body import ConvexBody, make_shape, normalize_volume
+from gcflab import verify
+from gcflab.body import ConvexBody, geometry_summary, make_shape, normalize_volume
 from gcflab.constants import ball_volume, sphere_area
 from gcflab.entropy import (
     chow_entropy,
@@ -175,6 +176,14 @@ def test_report_chain_on_bodies(g1, g2):
         assert rep.all_ok(), [c for c in rep.checks if not c.ok]
         assert rep.first_order_residual <= 1e-7
         assert rep.entropy >= rep.firey - 1e-9
+
+
+def test_report_outer_bound_rhs_is_max_width():
+    # rho+ <= w+/sqrt(2), so the report's rhs w+ equals max(w+, rho+)
+    for _, body in verify.corpus():
+        rhs = {c.name: c.rhs for c in entropy_report(body).checks}["outer-radius-bound"]
+        s = geometry_summary(body)
+        assert rhs == max(s.w_plus, s.rho_plus)
 
 
 def test_normalized_chain_is_plain(g1):

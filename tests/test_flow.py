@@ -55,12 +55,18 @@ def bumpy(g1):
         dict(mode="backwards"),
         dict(t_end=0.0),
         dict(t_end=-1.0),
+        dict(t_end=float("nan")),
+        dict(t_end=float("inf")),
+        dict(soliton_tol=float("nan")),
+        dict(soliton_tol=-1e-6),
+        dict(soliton_tol=float("inf")),
         dict(dt_safety=0.0),
         dict(dt_safety=1.5),
         dict(output_stride=0),
         dict(mode="unnormalized", project_volume=True),
         dict(fixed_dt=0.0),
         dict(fixed_dt=-1e-3),
+        dict(fixed_dt=float("inf")),
         dict(max_steps=0),
     ],
 )

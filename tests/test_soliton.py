@@ -218,6 +218,8 @@ def test_solve_requires_normalized_volume(g1):
         solve_soliton(make_shape(g1, "ball", radius=1.2))
     with pytest.raises(ParameterError):
         solve_soliton(make_shape(g1, "ball"), tol=0.0)
+    with pytest.raises(ParameterError):
+        solve_soliton(make_shape(g1, "ball"), tol=float("nan"))
 
 
 def test_euler_lagrange_constant_stays_bounded(g2):

@@ -66,6 +66,21 @@ def test_grid_metadata():
     assert np.allclose(gram, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("dim,kwargs", [
+    (1, dict(n=256)),
+    (2, dict(n_theta=16, n_phi=32)),
+    (2, dict(n_theta=32, n_phi=64)),
+])
+def test_antipodes_index_the_antipodal_nodes(dim, kwargs):
+    g = build_grid(dim, **kwargs)
+    idx = g.antipodes
+    assert np.array_equal(np.sort(idx), np.arange(g.n_nodes))
+    assert np.array_equal(idx[idx], np.arange(g.n_nodes))
+    # the node formulas round differently at x and -x: equal to a few ulps
+    assert np.max(np.abs(g.nodes[idx] + g.nodes)) < 1e-15
+    assert not idx.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
