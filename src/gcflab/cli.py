@@ -244,7 +244,6 @@ def _flow_config(args) -> FlowConfig:
     return FlowConfig(
         mode=args.mode,
         t_end=args.t_end,
-        dt_safety=args.dt_safety,
         project_volume=False if args.no_project else None,
         output_stride=args.output_stride,
         soliton_tol=args.soliton_tol,
@@ -378,12 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snapshot")
     p.add_argument("--mode", choices=("normalized", "unnormalized"), default="normalized")
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt-safety", type=float, default=0.25)
     p.add_argument("--soliton-tol", type=float, default=1e-6)
     p.add_argument("--output-stride", type=int, default=10)
     p.add_argument("--fixed-dt", type=float, default=None)
     p.add_argument("--recenter", action="store_true",
-                   help="re-express about the entropy point after each step")
+                   help="keep the Steiner point at the origin (no degree-1 velocity)")
     p.add_argument("--no-project", action="store_true",
                    help="disable the volume projection (normalized mode)")
     p.add_argument("--trace", default="trace.csv")

@@ -7,7 +7,7 @@ Two modes on the same right-hand side scaffold:
 
 Stepping is explicit RK4 with the parabolic restriction
 
-    dt = dt_safety * h_min^2 / max(K * trace A^{-1})
+    dt = DT_SAFETY * h_min^2 / max(K * trace A^{-1}),   DT_SAFETY = 1/4
 
 coming from the linearized operator K A^{ij} grad_i grad_j: its largest
 coefficient is K trace(A^{-1}), and h_min is the finest resolved scale of the
@@ -27,10 +27,11 @@ uniformly.
 
 In normalized mode the discrete volume drifts at O(dt^4); optional projection
 rescales the support after every accepted step so the volume stays at the
-unit-ball value exactly.  Optional recentering translates the body to its
-entropy point after each step: translates of solutions remain solutions (the
-origin is a gauge choice), and pinning the entropy point keeps the
-linearized translation mode, which grows like e^t, out of long runs.
+unit-ball value exactly.  A and K do not change under u -> u - <z, x>, so the
+origin is a gauge choice; optional recentering moves the body to its Steiner
+point and removes the degree-1 part of every stage velocity, which keeps the
+linearized translation mode (growing like e^t) out of long runs.  The entropy
+point then agrees with the origin to O(sup|u - 1|^2) at a round endpoint.
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -53,7 +54,7 @@ from .errors import (
     StepRejected,
     StiffnessError,
 )
-from .sphere import average
+from .sphere import average, degree_one
 
 __all__ = [
     "FlowConfig",
@@ -65,10 +66,12 @@ __all__ = [
     "harnack_monitor",
     "monitor_bounds",
     "run",
+    "soliton_residual",
     "step",
 ]
 
 DT_FLOOR = 1e-12
+DT_SAFETY = 0.25
 DEALIAS_FRAC = 2.0 / 3.0
 
 TRACE_COLUMNS = (
@@ -99,12 +102,11 @@ class FlowConfig:
     convergence studies; the caller must keep it inside the stability limit
     (a rejected fixed step raises StiffnessError instead of silently
     shrinking, which would corrupt the deterministic step sequence).  ``recenter``
-    re-expresses the body about its entropy point after every accepted step.
+    keeps the Steiner point at the origin by removing degree-1 velocity parts.
     """
 
     mode: str = "normalized"
     t_end: float = 1.0
-    dt_safety: float = 0.25
     project_volume: bool = None
     output_stride: int = 10
     soliton_tol: float = 1e-6
@@ -115,18 +117,16 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in ("normalized", "unnormalized"):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ParameterError("dt_safety must be in (0, 1]")
         if not 0.0 < self.t_end < np.inf:
             raise ParameterError("t_end must be positive and finite")
         if not 0.0 <= self.soliton_tol < np.inf:
             raise ParameterError("soliton_tol must be non-negative and finite")
-        if self.output_stride < 1:
-            raise ParameterError("output_stride must be >= 1")
+        for name in ("output_stride", "max_steps"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ParameterError(f"{name} must be an integer >= 1")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ParameterError("fixed_dt must be positive and finite")
-        if self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1")
         if self.project_volume and self.mode == "unnormalized":
             raise ParameterError("volume projection only applies to the normalized flow")
         if self.project_volume is None:
@@ -179,13 +179,14 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 
-def _rhs(body: ConvexBody, normalized: bool) -> np.ndarray:
+def _rhs(body: ConvexBody, normalized: bool, recenter: bool) -> np.ndarray:
     gauss = body.curvature.gauss
-    vel = body.support - gauss if normalized else -gauss
-    return body.grid.lowpass(vel, DEALIAS_FRAC)
+    vel = body.grid.lowpass(body.support - gauss if normalized else -gauss, DEALIAS_FRAC)
+    return vel - body.grid.nodes @ degree_one(body.grid, vel) if recenter else vel
 
 
-def step(body: ConvexBody, dt: float, mode: str = "normalized") -> ConvexBody:
+def step(body: ConvexBody, dt: float, mode: str = "normalized",
+         recenter: bool = False) -> ConvexBody:
     """One explicit RK4 step; raises StepRejected if any stage leaves the
     valid-body cone (the caller halves dt and retries)."""
     if dt <= 0.0:
@@ -193,10 +194,10 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized") -> ConvexBody:
     normalized = mode == "normalized"
     grid, u = body.grid, body.support
     try:
-        k1 = _rhs(body, normalized)
-        k2 = _rhs(ConvexBody(grid, u + 0.5 * dt * k1), normalized)
-        k3 = _rhs(ConvexBody(grid, u + 0.5 * dt * k2), normalized)
-        k4 = _rhs(ConvexBody(grid, u + dt * k3), normalized)
+        k1 = _rhs(body, normalized, recenter)
+        k2 = _rhs(ConvexBody(grid, u + 0.5 * dt * k1), normalized, recenter)
+        k3 = _rhs(ConvexBody(grid, u + 0.5 * dt * k2), normalized, recenter)
+        k4 = _rhs(ConvexBody(grid, u + dt * k3), normalized, recenter)
         return ConvexBody(grid, u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
@@ -207,6 +208,11 @@ def stable_dt(body: ConvexBody, safety: float) -> float:
     # K * mean curvature, formed here so the cached ``mean_curvature`` stays lazy
     rate = float(np.max(c.gauss * (c.gauss * c.adj_trace_a)))
     return safety * body.grid.h_min**2 / rate
+
+
+def soliton_residual(body: ConvexBody) -> float:
+    """max over nodes of |u det A - 1|; zero exactly on self-similar states."""
+    return float(np.max(np.abs(body.support * body.curvature.det_a - 1.0)))
 
 
 def _count_violations(body: ConvexBody, t: float, cfg: FlowConfig) -> int:
@@ -239,13 +245,13 @@ def run(body: ConvexBody, config: FlowConfig):
     if cfg.project_volume:
         body = normalize_volume(body)
     if cfg.recenter:
-        body = body.translate(entropy_point(body)[0])
+        body = body.translate(degree_one(body.grid, body.support))
 
     trace = FlowTrace(config=cfg, dim=body.dim)
     z_e = np.zeros(body.dim + 1)
     prev_weighted = None  # K t^{n/(n+1)} at the previous record (un-normalized)
 
-    def record(t, dt_used):
+    def record(t, dt_used, residual):
         nonlocal z_e, prev_weighted
         c = body.curvature
         u = body.support
@@ -266,7 +272,7 @@ def run(body: ConvexBody, config: FlowConfig):
                 float(np.min(c.gauss)),
                 float(np.max(c.gauss)),
                 float(np.max(c.trace_a)),
-                float(np.max(np.abs(u * c.det_a - 1.0))),
+                residual,
                 float(np.linalg.norm(z_e)),
                 dissipation,
                 _count_violations(body, t, cfg),
@@ -282,7 +288,7 @@ def run(body: ConvexBody, config: FlowConfig):
             prev_weighted = weighted
 
     t = 0.0
-    record(t, 0.0)
+    record(t, 0.0, soliton_residual(body))
     if normalized and trace.last("soliton_residual") < cfg.soliton_tol:
         trace.converged = True
         return trace, body
@@ -292,11 +298,10 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
     while t < t_done and trace.steps < cfg.max_steps:
-        dt = cfg.fixed_dt if cfg.fixed_dt else stable_dt(body, cfg.dt_safety)
-        dt = min(dt, cfg.t_end - t)
+        dt = min(cfg.fixed_dt or stable_dt(body, DT_SAFETY), cfg.t_end - t)
         while True:
             try:
-                new_body = step(body, dt, cfg.mode)
+                new_body = step(body, dt, cfg.mode, cfg.recenter)
                 break
             except StepRejected:
                 trace.rejections += 1
@@ -307,21 +312,16 @@ def run(body: ConvexBody, config: FlowConfig):
                 dt *= 0.5
                 if dt < DT_FLOOR:
                     raise StiffnessError(t, dt, body)
-        if cfg.project_volume:
-            new_body = normalize_volume(new_body)
-        if cfg.recenter:
-            z = entropy_point(new_body, z0=_safe_start(new_body, z_e))[0]
-            new_body = new_body.translate(z)
-        body = new_body
+        body = normalize_volume(new_body) if cfg.project_volume else new_body
         t += dt
         trace.steps += 1
-        residual = float(np.max(np.abs(body.support * body.curvature.det_a - 1.0)))
+        residual = soliton_residual(body)
         done = t >= t_done
         if normalized and residual < cfg.soliton_tol:
             trace.converged = True
             done = True
         if done or trace.steps % cfg.output_stride == 0:
-            record(t, dt)
+            record(t, dt, residual)
         if done:
             break
 

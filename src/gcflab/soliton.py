@@ -18,10 +18,11 @@ variation at the unit ball is the quadratic form ``stability_form``; it is
 positive exactly on fields orthogonal to the constants and the first
 harmonics, the neutral dilation/translation directions.
 
-``solve_soliton`` drives the normalized flow (recentered, so the distinguished
-point stays at the origin) until the residual passes the tolerance, then
-audits the endpoint: polar volume about the origin at least the unit-ball
-volume, vanishing entropy-point condition, small Euler-Lagrange residual.
+``solve_soliton`` drives the normalized flow (recentered: the Steiner point
+stays at the origin) until the residual passes the tolerance, then audits the
+endpoint: polar volume about the origin at least the unit-ball volume,
+vanishing entropy-point condition (the Steiner and entropy points agree to
+O(sup|u - 1|^2) at a round endpoint), small Euler-Lagrange residual.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .body import ConvexBody
 from .constants import ball_volume
 from .entropy import entropy_point
 from .errors import ParameterError
-from .flow import FlowConfig, run
-from .sphere import SphereGrid, average, gradient_norm
+from .flow import FlowConfig, run, soliton_residual
+from .sphere import SphereGrid, average, degree_one, gradient_norm
 
 __all__ = [
     "SolitonReport",
@@ -49,11 +50,6 @@ __all__ = [
 ]
 
 DUAL_VOLUME_TOL = 1e-6
-
-
-def soliton_residual(body: ConvexBody) -> float:
-    """max over nodes of |u det A - 1|; zero exactly on self-similar states."""
-    return float(np.max(np.abs(body.support * body.curvature.det_a - 1.0)))
 
 
 def j1_value(body: ConvexBody) -> float:
@@ -102,15 +98,11 @@ def remove_first_harmonics(grid: SphereGrid, eta) -> np.ndarray:
     """Quadrature projection of a field onto the complement of span{1, x_j}.
 
     The basis is quadrature-orthogonal (polynomials of degree <= 2 are
-    integrated exactly), so a single pass leaves residual inner products at
-    round-off.
+    integrated exactly), so one pass leaves residual inner products at round-off.
     """
-    eta = grid.check_field(eta).copy()
-    w, x = grid.weights, grid.nodes
-    eta -= (w @ eta) / grid.area
-    for j in range(grid.dim + 1):
-        eta -= (w @ (eta * x[:, j])) / (w @ x[:, j] ** 2) * x[:, j]
-    return eta
+    eta = grid.check_field(eta)
+    eta = eta - (grid.weights @ eta) / grid.area
+    return eta - grid.nodes @ degree_one(grid, eta)
 
 
 @dataclass(frozen=True)

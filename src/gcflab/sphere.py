@@ -50,6 +50,7 @@ __all__ = [
     "build_grid",
     "integrate",
     "average",
+    "degree_one",
     "gradient_norm",
 ]
 
@@ -234,7 +235,7 @@ class SphereGrid:
                 f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
             )
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
         coeffs = self.analyze(values)
@@ -450,6 +451,13 @@ def integrate(grid: SphereGrid, values) -> float:
 def average(grid: SphereGrid, values) -> float:
     """Area average of a nodal field."""
     return integrate(grid, values) / grid.area
+
+
+def degree_one(grid: SphereGrid, values) -> np.ndarray:
+    """s with <s, x> the degree-1 part of a band-limited nodal field f: s_j = sum w f x_j /
+    sum w x_j^2, exact by quadrature.  For a support function s is the Steiner point."""
+    w, x = grid.weights, grid.nodes
+    return (w @ (grid.check_field(values)[:, None] * x)) / (w @ (x * x))
 
 
 def gradient_norm(grid: SphereGrid, values) -> np.ndarray:

@@ -176,6 +176,7 @@ def test_flow_ball_trace_and_manifest(tmp_path, capsys):
     assert meta["flow_time"] == pytest.approx(0.3)
     man = json.loads(manifest.read_text())
     assert man["config"]["t_end"] == 0.3
+    assert "dt_safety" not in man["config"]  # the step safety factor is a constant
     assert set(man["outputs"]) == {str(trace), str(final)}
 
 

@@ -24,7 +24,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import build_grid
+from gcflab.sphere import build_grid, degree_one
 from gcflab.verify import (corpus_runs, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -60,19 +60,27 @@ def bumpy(g1):
         dict(soliton_tol=float("nan")),
         dict(soliton_tol=-1e-6),
         dict(soliton_tol=float("inf")),
-        dict(dt_safety=0.0),
-        dict(dt_safety=1.5),
         dict(output_stride=0),
         dict(mode="unnormalized", project_volume=True),
         dict(fixed_dt=0.0),
         dict(fixed_dt=-1e-3),
         dict(fixed_dt=float("inf")),
         dict(max_steps=0),
+        dict(max_steps=float("nan")),
+        dict(max_steps=100.0),
+        dict(max_steps=True),
+        dict(output_stride=float("nan")),
+        dict(output_stride=2.5),
     ],
 )
 def test_config_rejects_bad_parameters(kw):
     with pytest.raises(ParameterError):
         FlowConfig(**kw)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = FlowConfig(output_stride=np.int64(7), max_steps=np.int32(100))
+    assert (cfg.output_stride, cfg.max_steps) == (7, 100)
 
 
 def test_projection_default_tracks_mode():
@@ -155,6 +163,26 @@ def test_translation_mode_grows_exponentially_without_recentering(g1):
     trace_rc, final_rc = run(body, FlowConfig(recenter=True, **cfg))
     assert np.abs(final_rc.support - 1.0).max() <= 1e-10
     assert trace_rc.last("entropy_point_norm") <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "dim, modes, t_end",
+    [
+        (1, [(2, 0.1, 0.05), (3, 0.0, 0.04)], 0.3),
+        (2, [(3, 1, 0.05), (3, -2, 0.03), (1, 1, 0.05)], 0.1),
+    ],
+)
+def test_recentering_removes_exactly_the_degree_one_part(dim, modes, t_end):
+    # A and K are translation invariant, so the plain run minus its degree-1
+    # part is the recentered run; the recentered body keeps its Steiner point
+    grid = build_grid(1, n=64) if dim == 1 else build_grid(2, n_theta=16, n_phi=32)
+    body = make_shape(grid, "harmonic", modes=modes, normalize=True)
+    cfg = dict(mode="normalized", t_end=t_end, output_stride=1000, soliton_tol=0.0)
+    _, plain = run(body, FlowConfig(**cfg))
+    _, centred = run(body, FlowConfig(recenter=True, **cfg))
+    u = plain.support
+    assert np.abs(u - grid.nodes @ degree_one(grid, u) - centred.support).max() <= 1e-12
+    assert np.abs(degree_one(grid, centred.support)).max() <= 1e-14
 
 
 def test_ellipsoid_relaxes_to_the_ball():

@@ -7,7 +7,7 @@ from scipy.special import sph_harm_y
 
 from gcflab import sphere
 from gcflab.errors import FieldShapeError, ParameterError
-from gcflab.sphere import average, build_grid, gradient_norm, integrate
+from gcflab.sphere import average, build_grid, degree_one, gradient_norm, integrate
 
 
 def real_harmonic(l, m, theta, phi):
@@ -130,6 +130,16 @@ def test_sphere_quadrature_exact_on_harmonics():
 def test_average_of_constant():
     for grid in (build_grid(1, n=48), build_grid(2, n_theta=10, n_phi=20)):
         assert abs(average(grid, np.full(grid.n_nodes, 3.5)) - 3.5) < 1e-14
+
+
+def test_degree_one_reads_the_linear_part():
+    # constants and degrees 2-3 are quadrature-orthogonal to the x_j
+    for grid in (build_grid(1, n=48), build_grid(2, n_theta=10, n_phi=20)):
+        x = grid.nodes
+        s = np.array([0.3, -0.2, 0.7])[: grid.dim + 1]
+        x0, x1 = x[:, 0], x[:, 1]  # harmonic polynomials of degree 2 and 3 below
+        f = 1.5 + x @ s + x0 * x1 + 0.4 * (x0**2 - x1**2) + x0 * (x0**2 - 3 * x1**2)
+        assert np.abs(degree_one(grid, f) - s).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +388,12 @@ def test_eval_direction_rejects_bad_directions():
         grid.eval(u, np.array([1.0, 1.0]))
     with pytest.raises(ParameterError):
         grid.eval(u, np.array([[0.5, 0.0, 0.0]]))
+    for g in (grid, build_grid(2, n_theta=8, n_phi=16)):
+        ones = np.ones(g.n_nodes)
+        for bad in ([[np.nan] * (g.dim + 1)], [[1.0] + [np.nan] * g.dim],
+                    [[1.0] + [0.0] * g.dim, [np.inf] * (g.dim + 1)]):
+            with pytest.raises(ParameterError):
+                g.eval(ones, np.array(bad))
 
 
 def _random_bandlimited(grid, seed):
