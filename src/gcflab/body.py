@@ -13,6 +13,13 @@ trace A, the least eigenvalue of A, sigma_{n-1}(A), Gauss curvature
 K = 1/det A and grad u); the mean curvature, |grad u| and the boundary
 embedding X = u x + grad u are computed on first access and then kept.
 
+The curvature comes from one ``derivative_bundle`` of the support, or from a
+jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
+for its RK4 stage bodies).  ``scale`` rescales the stored curvature instead
+of transforming again: A is linear in u, so det A, trace A, the least
+eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and f.
+Either way the body is validated at the same thresholds.
+
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
 tail near the bandlimit triggers :class:`~gcflab.errors.AliasingWarning`
@@ -23,7 +30,7 @@ severe aliasing already fails the convexity check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 
@@ -31,7 +38,7 @@ import numpy as np
 
 from .constants import ball_volume
 from .errors import AliasingWarning, BodyValidityError, ParameterError, SolverError
-from .sphere import SphereGrid, integrate
+from .sphere import SphereGrid, SupportJet, integrate
 
 __all__ = [
     "ConvexBody",
@@ -100,6 +107,11 @@ class CurvatureData:
 class ConvexBody:
     """A convex body given by support samples on a grid.
 
+    ``_invariants`` is the package's own hook, not part of the interface:
+    :meth:`from_jet` and :meth:`scale` pass the radii invariants and gradient
+    they already have, (det A, trace A, least eigenvalue, sigma_{n-1}(A),
+    grad u), so the curvature is not computed again.
+
     Raises
     ------
     BodyValidityError
@@ -110,35 +122,46 @@ class ConvexBody:
 
     grid: SphereGrid
     support: np.ndarray
+    _invariants: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _invariants):
         u = self.grid.check_field(self.support).copy()
         u.setflags(write=False)
         object.__setattr__(self, "support", u)
-        u_min = float(np.min(u))
+        u_min = float(u.min())
         if u_min <= MIN_SUPPORT:
             raise BodyValidityError(
                 "positivity", f"min support {u_min:.3e} <= {MIN_SUPPORT:.0e}"
             )
-        eig = float(np.min(self.curvature.min_eig_a))
+        if _invariants is not None:
+            self.__dict__["curvature"] = self._curvature_data(*_invariants)
+        eig = float(self.curvature.min_eig_a.min())
         if eig <= MIN_CURVATURE_EIG:
             raise BodyValidityError(
                 "convexity",
                 f"min curvature-matrix eigenvalue {eig:.3e} <= {MIN_CURVATURE_EIG:.0e}",
             )
 
+    @classmethod
+    def from_jet(cls, jet: SupportJet) -> "ConvexBody":
+        """The body whose support is ``jet.values``, its curvature read from
+        the jet rows (a derivative bundle or a linear combination of them)."""
+        return cls(jet.grid, jet.values, _invariants=(*jet.grid.radii_invariants(jet), jet.grad))
+
     @cached_property
     def curvature(self) -> CurvatureData:
         jet = self.grid.derivative_bundle(self.support)
-        det, trace, min_eig, adj_trace = self.grid.radii_invariants(jet)
+        return self._curvature_data(*self.grid.radii_invariants(jet), jet.grad)
+
+    def _curvature_data(self, det, trace, min_eig, adj_trace, grad) -> CurvatureData:
         return CurvatureData(
             det_a=det,
             gauss=1.0 / det,
             trace_a=trace,
             min_eig_a=min_eig,
             adj_trace_a=adj_trace,
-            grad=jet.grad,
-            _support=jet.values,
+            grad=grad,
+            _support=self.support,
             _grid=self.grid,
         )
 
@@ -184,16 +207,22 @@ class ConvexBody:
         return integrate(self.grid, u_z ** -(self.dim + 1)) / (self.dim + 1)
 
     def scale(self, factor: float) -> "ConvexBody":
-        if factor <= 0.0:
-            raise ParameterError("scale factor must be positive")
-        return ConvexBody(self.grid, self.support * factor)
+        """The body dilated by ``factor`` about the origin, its curvature
+        rescaled from this body's rather than recomputed."""
+        if not 0.0 < factor < np.inf:
+            raise ParameterError(f"scale factor must be positive and finite, got {factor!r}")
+        c, n = self.curvature, self.dim
+        return ConvexBody(self.grid, self.support * factor, _invariants=(
+            c.det_a * factor**n, c.trace_a * factor, c.min_eig_a * factor,
+            c.adj_trace_a * factor ** (n - 1), c.grad * factor))
 
 
 def normalize_volume(body: ConvexBody) -> ConvexBody:
     """Rescale so the volume equals the unit-ball volume exactly.
 
     Volume is homogeneous of degree dim+1 in the support function, so the
-    factor is (V_ball / V)^(1/(dim+1)).
+    factor is (V_ball / V)^(1/(dim+1)).  It costs one quadrature: ``scale``
+    rescales the curvature.
     """
     factor = (ball_volume(body.dim) / body.volume()) ** (1.0 / (body.dim + 1))
     return body.scale(factor)

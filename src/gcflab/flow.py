@@ -15,7 +15,7 @@ grid.  Steps whose stages leave the valid-body cone are rejected and retried
 with dt/2; collapse below 1e-12 raises :class:`StiffnessError` with the last
 state attached.
 
-The stage velocities are dealiased with a 2/3-rule lowpass.  Evaluating
+The stage velocities are dealiased with a 2/3-rule filter.  Evaluating
 1/det A pointwise on the dimension-2 grid aliases the top of the spectral
 band through the colatitude quadrature, and the resulting discrete operator
 acquires a large cluster of spurious eigenvalues near +(n+1) (the continuous
@@ -32,6 +32,20 @@ origin is a gauge choice; optional recentering moves the body to its Steiner
 point and removes the degree-1 part of every stage velocity, which keeps the
 linearized translation mode (growing like e^t) out of long runs.  The entropy
 point then agrees with the origin to O(sup|u - 1|^2) at a round endpoint.
+
+Cost of a step.  The filter and the recentering are masks on the velocity's
+coefficients: the degrees above the 2/3 cut and, when recentering, the l = 1
+coefficients are zeroed, which is exact for a band-limited field.  The
+masked coefficients are synthesized straight into the velocity's jet rows
+(:meth:`SphereGrid.filtered_jet`), and derivatives are linear in u, so a
+stage body's jet is jet(u) + a dt jet(k): one forward transform of the
+velocity and one stacked synthesis per stage, and no transform of the
+stage support.  The step differentiates its start body's support once
+(one ``derivative_bundle``); the stage bodies and the accepted body read
+their curvature from the combined jets and are validated at the same
+thresholds as any body.  Volume projection rescales the accepted body's
+curvature (one quadrature), so an accepted step costs one
+``derivative_bundle`` and four filtered jets.
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -54,7 +68,7 @@ from .errors import (
     StepRejected,
     StiffnessError,
 )
-from .sphere import average, degree_one
+from .sphere import SupportJet, average, degree_one
 
 __all__ = [
     "FlowConfig",
@@ -73,6 +87,7 @@ __all__ = [
 DT_FLOOR = 1e-12
 DT_SAFETY = 0.25
 DEALIAS_FRAC = 2.0 / 3.0
+MODES = ("normalized", "unnormalized")
 
 TRACE_COLUMNS = (
     "t",
@@ -102,7 +117,8 @@ class FlowConfig:
     convergence studies; the caller must keep it inside the stability limit
     (a rejected fixed step raises StiffnessError instead of silently
     shrinking, which would corrupt the deterministic step sequence).  ``recenter``
-    keeps the Steiner point at the origin by removing degree-1 velocity parts.
+    (a bool) keeps the Steiner point at the origin by removing degree-1
+    velocity parts.
     """
 
     mode: str = "normalized"
@@ -115,8 +131,13 @@ class FlowConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.mode not in ("normalized", "unnormalized"):
+        if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.recenter, (bool, np.bool_)):
+            raise ParameterError(f"recenter must be a bool, got {self.recenter!r}")
+        if not isinstance(self.project_volume, (bool, np.bool_, type(None))):
+            raise ParameterError(
+                f"project_volume must be a bool or None, got {self.project_volume!r}")
         if not 0.0 < self.t_end < np.inf:
             raise ParameterError("t_end must be positive and finite")
         if not 0.0 <= self.soliton_tol < np.inf:
@@ -179,10 +200,11 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 
-def _rhs(body: ConvexBody, normalized: bool, recenter: bool) -> np.ndarray:
+def _velocity_jet(body: ConvexBody, normalized: bool, recenter: bool) -> np.ndarray:
+    """Jet rows of the filtered (and, if ``recenter``, degree-1-free) velocity."""
     gauss = body.curvature.gauss
-    vel = body.grid.lowpass(body.support - gauss if normalized else -gauss, DEALIAS_FRAC)
-    return vel - body.grid.nodes @ degree_one(body.grid, vel) if recenter else vel
+    vel = body.support - gauss if normalized else -gauss
+    return body.grid.filtered_jet(vel, DEALIAS_FRAC, recenter).rows
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",
@@ -191,19 +213,28 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
     valid-body cone (the caller halves dt and retries)."""
     if dt <= 0.0:
         raise ParameterError("dt must be positive")
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
     normalized = mode == "normalized"
-    grid, u = body.grid, body.support
+    grid = body.grid
+    u = grid.derivative_bundle(body.support).rows
+
+    def stage(rows):
+        return ConvexBody.from_jet(SupportJet(grid, rows))
+
     try:
-        k1 = _rhs(body, normalized, recenter)
-        k2 = _rhs(ConvexBody(grid, u + 0.5 * dt * k1), normalized, recenter)
-        k3 = _rhs(ConvexBody(grid, u + 0.5 * dt * k2), normalized, recenter)
-        k4 = _rhs(ConvexBody(grid, u + dt * k3), normalized, recenter)
-        return ConvexBody(grid, u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k1 = _velocity_jet(body, normalized, recenter)
+        k2 = _velocity_jet(stage(u + 0.5 * dt * k1), normalized, recenter)
+        k3 = _velocity_jet(stage(u + 0.5 * dt * k2), normalized, recenter)
+        k4 = _velocity_jet(stage(u + dt * k3), normalized, recenter)
+        return stage(u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
 
 
 def stable_dt(body: ConvexBody, safety: float) -> float:
+    if not 0.0 < safety < np.inf:
+        raise ParameterError(f"safety must be positive and finite, got {safety!r}")
     c = body.curvature
     # K * mean curvature, formed here so the cached ``mean_curvature`` stays lazy
     rate = float(np.max(c.gauss * (c.gauss * c.adj_trace_a)))

@@ -16,20 +16,31 @@ longitude, then one batched matrix product over the orders m in colatitude.
 for analysis and the stack S (m, i, l) of P_lm, dP_lm and d2P_lm at the
 n_theta colatitudes (3 n_theta rows per order) for synthesis.  Complex
 coefficients enter the products as real/imag pairs, so every product is a
-real matmul.  ``derivative_bundle`` therefore costs one forward transform,
-one matmul against the whole stack and one inverse FFT over all five
-derivative profiles.
+real matmul.
+
+One synthesis kernel turns coefficients into nodal rows: the values alone
+(:meth:`~SphereGrid.synthesize`, :meth:`~SphereGrid.lowpass`) or the jet
+rows (u, u', u'') on S^1 and (u, u_theta, u_thetatheta, u_phi,
+u_thetaphi, u_phiphi) on S^2, one matmul against the whole stack and one
+inverse FFT over all six profiles.  A :class:`SupportJet` holds those raw
+rows; derivatives are linear in u, so the jet of a linear combination of
+fields is the same combination of rows, which is how the flow builds its
+RK4 stage bodies without transforming them.  ``derivative_bundle`` is one
+analysis plus the kernel, and ``filtered_jet`` masks the coefficients
+in between (the 2/3 cut, and the degree-1 modes when recentering).
 
 Off-grid evaluation sums one azimuthal series on both grids, with G_m the
 rfft coefficient on S^1 and the streamed Legendre sum on S^2 (see ``eval``).
 
-The grid owns the form of A = Hess u + u I: ``radii_invariants`` maps a jet
-to the invariants of A that callers read, so no caller builds A.
+The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
+jet rows and returns the invariants of A that callers read, so no caller
+builds A or the Hessian.
 
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
-:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.radii_invariants`,
-:meth:`~SphereGrid.eval`, :meth:`~SphereGrid.lowpass`) and the quadrature
+:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.filtered_jet`,
+:meth:`~SphereGrid.radii_invariants`, :meth:`~SphereGrid.eval`,
+:meth:`~SphereGrid.lowpass`) and the quadrature
 helpers :func:`integrate`, :func:`average` and :func:`gradient_norm`.
 Everything downstream treats the grid as an opaque handle, which keeps the
 geometry code dimension-agnostic.
@@ -57,18 +68,45 @@ __all__ = [
 _EVAL_CHUNK = 8192  # off-grid evaluation block size (keeps temporaries small)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportJet:
-    """Pointwise derivative data of a nodal field.
+    """Pointwise derivative data of a nodal field, as rows of raw derivatives.
 
-    ``grad`` holds the orthonormal-frame components of the tangential
-    gradient, ``hess`` the covariant Hessian in the same frame; shapes are
-    (n_nodes, dim) and (n_nodes, dim, dim).
+    ``rows`` is (3, n_nodes) on S^1, holding (u, u', u''), and (6, n_nodes)
+    on S^2, holding (u, u_theta, u_thetatheta, u_phi, u_thetaphi, u_phiphi).
+    The rows are linear in u: ``SupportJet(grid, a.rows + t * b.rows)`` is
+    the jet of a + t b.  ``grad`` (orthonormal-frame components of the
+    tangential gradient, (n_nodes, dim)) and ``hess`` (covariant Hessian in
+    the same frame, (n_nodes, dim, dim)) are derived from the rows on each
+    access, as fresh arrays, so a body that keeps its gradient does not keep
+    the whole jet alive.
     """
 
-    values: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
+    grid: SphereGrid
+    rows: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def grad(self) -> np.ndarray:
+        r = self.rows
+        if self.grid.dim == 1:
+            return r[1][:, None].copy()
+        return np.stack([r[1], r[3] / self.grid._tab["sin_flat"]], axis=1)
+
+    @property
+    def hess(self) -> np.ndarray:
+        r = self.rows
+        if self.grid.dim == 1:
+            return r[2][:, None, None].copy()
+        sin_t, cot_t = self.grid._tab["sin_flat"], self.grid._tab["cot_flat"]
+        hess = np.empty((r.shape[1], 2, 2))
+        hess[:, 0, 0] = r[2]
+        hess[:, 0, 1] = hess[:, 1, 0] = (r[4] - cot_t * r[3]) / sin_t
+        hess[:, 1, 1] = r[5] / self.grid._tab["sin2_flat"] + cot_t * r[1]
+        return hess
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +156,7 @@ class SphereGrid:
             raise FieldShapeError(
                 f"field has shape {values.shape}, grid expects ({self.n_nodes},)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise FieldShapeError("field contains non-finite entries")
         return values
 
@@ -128,14 +166,14 @@ class SphereGrid:
         dim 1: complex rfft coefficients divided by N.
         dim 2: complex triangle c[m, l] (zero for l < m) in the orthonormal
         associated-Legendre basis; m >= 0 only, real fields assumed.
+        On both grids the degree is the last axis.
         """
-        values = self.check_field(values)
+        return self._analyze(self.check_field(values))
+
+    def _analyze(self, values: np.ndarray) -> np.ndarray:
+        """Forward transform of a checked field (see :meth:`analyze`)."""
         if self.dim == 1:
             return np.fft.rfft(values) / self.shape[0]
-        return self._analyze_sh(values)
-
-    def _analyze_sh(self, values: np.ndarray) -> np.ndarray:
-        """dim-2 forward transform of a checked field (see :meth:`analyze`)."""
         n_theta, n_phi = self.shape
         g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
         g = np.ascontiguousarray(g[:, : self.bandlimit + 1].T)  # (m, i)
@@ -145,10 +183,28 @@ class SphereGrid:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`analyze` (exact for band-limited data)."""
+        return self._synthesize_rows(coeffs, jet=False)[0]
+
+    def _synthesize_rows(self, coeffs: np.ndarray, jet: bool) -> np.ndarray:
+        """The synthesis kernel: nodal rows of the field with coefficients
+        ``coeffs``, its values (1 row) or, with ``jet``, its jet rows (see
+        :class:`SupportJet`).  Returns (rows, n_nodes)."""
         if self.dim == 1:
-            return np.fft.irfft(coeffs * self.shape[0], n=self.shape[0])
-        prof = self._legendre_synth(coeffs, self.shape[0])
-        return self._phi_synth(prof.T)
+            mult = self._tab["jet"] if jet else self._tab["jet"][:1]
+            return np.fft.irfft(mult * coeffs, n=self.shape[0], axis=-1)
+
+        # Legendre sums of P (and dP, d2P for a jet), written straight into
+        # the longitude spectrum; the phi-derivative rows are multiples of
+        # the first two by i m and -m^2
+        n_theta, n_phi = self.shape
+        orders, k = self.bandlimit + 1, 3 if jet else 1
+        prof = self._legendre_synth(coeffs, k * n_theta).reshape(orders, k, n_theta)
+        buf = np.zeros((2 * k if jet else 1, n_theta, n_phi // 2 + 1), dtype=complex)
+        np.multiply(prof.transpose(1, 2, 0), n_phi, out=buf[:k, :, :orders])
+        if jet:
+            buf[3:5, :, :orders] = buf[:2, :, :orders] * self._tab["im"]
+            buf[5, :, :orders] = buf[0, :, :orders] * self._tab["m2"]
+        return np.fft.irfft(buf, n=n_phi, axis=-1).reshape(len(buf), -1)
 
     def _legendre_synth(self, coeffs: np.ndarray, rows: int) -> np.ndarray:
         """Colatitude profiles sum_l S[m, i, l] c[m, l] over the first ``rows``
@@ -162,60 +218,45 @@ class SphereGrid:
         prof = self._tab["S"][:, :rows] @ c.view(float).reshape(*c.shape, 2)
         return prof.view(complex)[..., 0]
 
-    def _phi_synth(self, prof: np.ndarray) -> np.ndarray:
-        """Longitude synthesis of colatitude profiles (..., n_theta, L+1):
-        one inverse FFT over the stack, giving nodal fields (..., n_nodes)."""
-        n_phi = self.shape[1]
-        buf = np.zeros(prof.shape[:-1] + (n_phi // 2 + 1,), dtype=complex)
-        buf[..., : prof.shape[-1]] = prof
-        out = np.fft.irfft(buf * n_phi, n=n_phi, axis=-1)
-        return out.reshape(*prof.shape[:-2], -1)
-
     def derivative_bundle(self, values: np.ndarray) -> SupportJet:
-        """Gradient and covariant Hessian of a nodal field (orthonormal frame).
+        """Jet of a nodal field: one analysis and the synthesis kernel.
 
         The nodal values are kept as-is; derivatives come from the spectral
         representation, the standard pseudo-spectral convention.
         """
         values = self.check_field(values)
-        if self.dim == 1:
-            n = self.shape[0]
-            c = np.fft.rfft(values)
-            k = np.arange(c.size)
-            ik = 1j * k
-            if n % 2 == 0:
-                ik[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-            du, d2u = np.fft.irfft(np.stack([ik * c, -(k**2) * c]), n=n, axis=-1)
-            return SupportJet(values, du[:, None], d2u[:, None, None])
+        rows = self._synthesize_rows(self._analyze(values), jet=True)
+        rows[0] = values
+        return SupportJet(self, rows)
 
-        n_theta = self.shape[0]
-        prof = self._legendre_synth(self._analyze_sh(values), 3 * n_theta)
-        prof0, prof1, prof2 = prof.reshape(len(prof), 3, n_theta).swapaxes(0, 1)
-        m = np.arange(self.bandlimit + 1)[:, None]
-        stack = np.stack([prof1, prof2, 1j * m * prof0, 1j * m * prof1, -(m**2) * prof0])
-        u_t, u_tt, u_p, u_tp, u_pp = self._phi_synth(stack.transpose(0, 2, 1))
-
-        sin_t = self._tab["sin_flat"]
-        cot_t = self._tab["cot_flat"]
-        grad = np.stack([u_t, u_p / sin_t], axis=1)
-        hess = np.empty((self.n_nodes, 2, 2))
-        hess[:, 0, 0] = u_tt
-        hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot_t * u_p) / sin_t
-        hess[:, 1, 1] = u_pp / sin_t**2 + cot_t * u_t
-        return SupportJet(values, grad, hess)
+    def filtered_jet(self, values: np.ndarray, frac: float,
+                     drop_degree_one: bool = False) -> SupportJet:
+        """Jet of ``lowpass(values, frac)``, less its degree-1 part (the
+        l = 1 coefficients, a translation of a support function) if
+        ``drop_degree_one``: one analysis and the synthesis kernel, with the
+        mask applied to the coefficients in between."""
+        c = self._truncate(self._analyze(self.check_field(values)), frac)
+        if drop_degree_one:
+            c[..., 1] = 0.0
+        return SupportJet(self, self._synthesize_rows(c, jet=True))
 
     def radii_invariants(self, jet: SupportJet):
         """(det A, trace A, least eigenvalue, sigma_{n-1}(A) = trace adj A) of
-        A = Hess u + u I at the nodes: the scalar u'' + u on S^1, closed 2x2
-        forms in the Hessian components on S^2."""
-        h, u = jet.hess, jet.values
+        A = Hess u + u I at the nodes, read from the jet rows: the scalar
+        u'' + u on S^1, closed 2x2 forms on S^2."""
+        r = jet.rows
+        u = r[0]
         if self.dim == 1:
-            a = h[:, 0, 0] + u
-            return a, a, a, np.ones_like(a)
-        a11, a22, a12 = h[:, 0, 0] + u, h[:, 1, 1] + u, h[:, 0, 1]
+            a = r[2] + u
+            return a, a, a, self._tab["ones"]
+        sin_t, cot_t = self._tab["sin_flat"], self._tab["cot_flat"]
+        a11 = r[2] + u
+        a22 = (r[5] / self._tab["sin2_flat"] + cot_t * r[1]) + u
+        a12 = (r[4] - cot_t * r[3]) / sin_t
+        a12_sq = a12 * a12
         trace = a11 + a22
-        disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
-        return a11 * a22 - a12 * a12, trace, 0.5 * trace - disc, trace
+        disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
+        return a11 * a22 - a12_sq, trace, 0.5 * trace - disc, trace
 
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Evaluate the spectral interpolant at arbitrary unit directions.
@@ -265,10 +306,17 @@ class SphereGrid:
             yield m, sum(coeffs[m, l] * p for l, p in enumerate(column, start=m))
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
-        """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter)."""
-        c = self.analyze(values)  # a fresh array; the degree is the last axis
-        c[..., max(int(np.floor(frac * self.bandlimit)) + 1, 0) :] = 0.0
-        return self.synthesize(c)
+        """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
+        a negative ``frac`` zeroes every mode."""
+        return self.synthesize(self._truncate(self.analyze(values), frac))
+
+    def _truncate(self, coeffs: np.ndarray, frac: float) -> np.ndarray:
+        """Zero, in place, the degrees above ``frac * bandlimit`` of a fresh
+        coefficient array (the degree is the last axis); returns it."""
+        if not np.isfinite(frac):
+            raise ParameterError(f"frac must be finite, got {frac!r}")
+        coeffs[..., max(int(np.floor(frac * self.bandlimit)) + 1, 0) :] = 0.0
+        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +407,14 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         weights = np.full(n, 2.0 * np.pi / n)
         frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
         bandlimit = n // 2 - 1
+        k = np.arange(n // 2 + 1)
+        ik = 1j * k
+        ik[-1] = 0.0  # n is even: the Nyquist mode has no well-defined odd derivative
+        tab = {
+            # rfft multipliers of the jet rows (u, u', u''), times n for the irfft
+            "jet": _ro(n * np.stack([np.ones(k.size), ik, -(k**2)])),
+            "ones": _ro(np.ones(n)),  # sigma_0(A), shared by every body
+        }
         return SphereGrid(
             dim=1,
             shape=(n,),
@@ -371,6 +427,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
             h_min=np.pi / (bandlimit + 1),
             antipodes=_ro(np.roll(np.arange(n), n // 2)),
             thetas=_ro(theta),
+            _tab=tab,
         )
 
     if dim != 2:
@@ -411,7 +468,11 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
         "PWt": P * w_gl[None, None, :],
         "sin_flat": st,
+        "sin2_flat": st**2,
         "cot_flat": ct / st,
+        # per-order multipliers of the longitude derivatives
+        "im": 1j * np.arange(L + 1),
+        "m2": -(np.arange(L + 1) ** 2),
     }
     return SphereGrid(
         dim=2,

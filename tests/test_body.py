@@ -229,6 +229,33 @@ def test_scaling_laws(g2):
     assert np.allclose(s.curvature.gauss, b.curvature.gauss / lam**2, rtol=1e-9)
 
 
+@pytest.mark.parametrize("factor", [0.7, 1.3])
+def test_scale_rescales_curvature_as_a_rebuild(g1, g2, factor):
+    # A is linear in u.  The bounds sit above the round-off of one spectral
+    # second derivative, which the rebuild carries: derivative_bundle(0.7 u)
+    # / 0.7 differs from derivative_bundle(u) by up to 5.0e-12 relative on
+    # S^1 n = 256 (modes up to k = 127) and 3.0e-13 on S^2 32x64
+    for g, tol in ((g1, 1e-11), (g2, 1e-12)):
+        b = make_shape(g, "random_valid", seed=11, translation=0.1)
+        scaled = b.scale(factor).curvature
+        rebuilt = ConvexBody(g, b.support * factor).curvature
+        for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
+            a, ref = getattr(scaled, name), getattr(rebuilt, name)
+            assert np.max(np.abs(a - ref)) <= tol * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_scale_rejects_bad_factor(g1, factor):
+    with pytest.raises(ParameterError):
+        make_shape(g1, "ball").scale(factor)
+
+
+def test_scale_to_a_speck_fails_positivity(g2):
+    with pytest.raises(BodyValidityError) as exc:
+        make_shape(g2, "ball").scale(1e-12)
+    assert exc.value.invariant == "positivity"
+
+
 def test_normalize_volume(g1, g2):
     for g in (g1, g2):
         b = make_shape(g, "ellipsoid", semiaxes=(1.4,) + (0.9,) * g.dim)

@@ -11,10 +11,11 @@ from math import exp
 import numpy as np
 import pytest
 
-from gcflab.body import ConvexBody, make_shape
+from gcflab.body import ConvexBody, make_shape, normalize_volume
 from gcflab.constants import ball_volume
 from gcflab.errors import ParameterError, SolverError, StiffnessError
 from gcflab.flow import (
+    DEALIAS_FRAC,
     TRACE_COLUMNS,
     FlowConfig,
     dissipation_identity_residual,
@@ -24,7 +25,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import build_grid, degree_one
+from gcflab.sphere import SphereGrid, SupportJet, build_grid, degree_one
 from gcflab.verify import (corpus_runs, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -71,11 +72,21 @@ def bumpy(g1):
         dict(max_steps=True),
         dict(output_stride=float("nan")),
         dict(output_stride=2.5),
+        dict(recenter="no"),
+        dict(recenter=1),
+        dict(recenter=None),
+        dict(project_volume="no"),
+        dict(project_volume=0),
     ],
 )
 def test_config_rejects_bad_parameters(kw):
     with pytest.raises(ParameterError):
         FlowConfig(**kw)
+
+
+def test_config_accepts_numpy_bools():
+    cfg = FlowConfig(recenter=np.bool_(True), project_volume=np.bool_(False))
+    assert cfg.recenter and not cfg.project_volume
 
 
 def test_config_accepts_numpy_integer_counts():
@@ -92,6 +103,76 @@ def test_projection_default_tracks_mode():
 def test_step_rejects_nonpositive_dt(g1):
     with pytest.raises(ParameterError):
         step(make_shape(g1, "ball"), 0.0)
+
+
+@pytest.mark.parametrize("mode", ["normalised", ""])
+def test_step_rejects_unknown_mode(g1, mode):
+    with pytest.raises(ParameterError):
+        step(make_shape(g1, "ball"), 1e-4, mode)
+
+
+@pytest.mark.parametrize("safety", [0.0, -1.0, float("nan"), float("inf")])
+def test_stable_dt_rejects_bad_safety(g1, safety):
+    with pytest.raises(ParameterError):
+        stable_dt(make_shape(g1, "ball"), safety)
+
+
+# ---------------------------------------------------------------------------
+# stage bodies from combined jets
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["s1", "s2"])
+def flow_body(request, g1, g2):
+    if request.param == 1:
+        return make_shape(g1, "random_valid", seed=5, amplitude=0.15, parity="even",
+                          normalize=True)
+    return make_shape(g2, "ellipsoid", semiaxes=(1.2, 1.0, 1 / 1.2), normalize=True)
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# Round-off of one spectral second derivative: derivative_bundle(0.7 u) / 0.7
+# differs from derivative_bundle(u) by 2.4e-12 to 5.0e-12 relative on S^1
+# n = 256 (modes up to k = 127, eps k^2 = 3.6e-12) and by 2.8e-13 to 3.0e-13
+# on S^2 32x64, measured on four bodies each; the bounds sit above that floor.
+ROUNDOFF = {1: 1e-11, 2: 1e-12}
+
+
+def test_stage_body_from_combined_jets_matches_rebuilt_curvature(flow_body):
+    # jet(u) + a dt jet(k), with k the filtered, degree-1-free velocity, is
+    # the jet of the stage support: its curvature is the rebuilt one
+    grid = flow_body.grid
+    vel = flow_body.support - flow_body.curvature.gauss
+    k = grid.filtered_jet(vel, DEALIAS_FRAC, drop_degree_one=True)
+    dt = 0.5 * stable_dt(flow_body, 0.25)
+    stage = ConvexBody.from_jet(
+        SupportJet(grid, grid.derivative_bundle(flow_body.support).rows + dt * k.rows))
+    ref = ConvexBody(grid, stage.support).curvature
+    for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
+        gap = _relative_gap(getattr(stage.curvature, name), getattr(ref, name))
+        assert gap <= ROUNDOFF[grid.dim], (name, gap)
+
+
+def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch):
+    # a normalized, projected, recentered step differentiates its start
+    # support once and never runs the nodal lowpass (5 and 4 calls before
+    # the stage jets were combined)
+    calls = {"derivative_bundle": 0, "lowpass": 0}
+    for name in calls:
+        original = getattr(SphereGrid, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SphereGrid, name, counted)
+    dt = stable_dt(flow_body, 0.25)
+    stepped = normalize_volume(step(flow_body, dt, "normalized", recenter=True))
+    assert calls["derivative_bundle"] <= 1 and calls["lowpass"] == 0, calls
+    assert stepped.volume() == pytest.approx(ball_volume(flow_body.dim), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,31 @@ def test_lowpass_removes_high_modes_only():
     x = grid2.nodes
     u2 = 1.0 + x[:, 0]
     assert np.max(np.abs(grid2.lowpass(u2, 0.5) - u2)) < 1e-12
+    assert np.max(np.abs(grid2.lowpass(u2, -1.0))) == 0.0  # a negative frac zeroes every mode
+
+
+@pytest.mark.parametrize("frac", [float("nan"), float("inf"), -float("inf")])
+def test_lowpass_rejects_non_finite_frac(frac):
+    grid = build_grid(1, n=32)
+    with pytest.raises(ParameterError):
+        grid.lowpass(np.ones(grid.n_nodes), frac)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_filtered_jet_is_the_jet_of_the_filtered_field(dim):
+    # masking coefficients equals lowpass, then removing the degree-1 part
+    # by quadrature, then differentiating
+    grid = build_grid(1, n=64) if dim == 1 else build_grid(2, n_theta=16, n_phi=32)
+    rng = np.random.default_rng(dim)
+    u = rng.normal(size=grid.n_nodes)
+    for drop in (False, True):
+        v = grid.lowpass(u, 2.0 / 3.0)
+        if drop:
+            v = v - grid.nodes @ degree_one(grid, v)
+        jet = grid.filtered_jet(u, 2.0 / 3.0, drop_degree_one=drop)
+        ref = grid.derivative_bundle(v)
+        assert np.max(np.abs(jet.rows - ref.rows)) < 1e-12 * np.max(np.abs(ref.rows))
+        assert np.max(np.abs(jet.hess - ref.hess)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
