@@ -208,13 +208,27 @@ class ConvexBody:
 
     def scale(self, factor: float) -> "ConvexBody":
         """The body dilated by ``factor`` about the origin, its curvature
-        rescaled from this body's rather than recomputed."""
+        rescaled from this body's rather than recomputed.
+
+        Each distinct array is rescaled once, so the invariants that share
+        an array here (trace A and sigma_1(A) on S^2; det A, trace A and the
+        least eigenvalue on S^1, where sigma_0(A) is the grid's shared ones)
+        share it in the scaled body too.
+        """
         if not 0.0 < factor < np.inf:
             raise ParameterError(f"scale factor must be positive and finite, got {factor!r}")
         c, n = self.curvature, self.dim
+        scaled = {}
+
+        def rescale(a, power):
+            key = (id(a), power)
+            if key not in scaled:
+                scaled[key] = a if power == 0 else a * factor**power
+            return scaled[key]
+
         return ConvexBody(self.grid, self.support * factor, _invariants=(
-            c.det_a * factor**n, c.trace_a * factor, c.min_eig_a * factor,
-            c.adj_trace_a * factor ** (n - 1), c.grad * factor))
+            rescale(c.det_a, n), rescale(c.trace_a, 1), rescale(c.min_eig_a, 1),
+            rescale(c.adj_trace_a, n - 1), rescale(c.grad, 1)))
 
 
 def normalize_volume(body: ConvexBody) -> ConvexBody:

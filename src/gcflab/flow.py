@@ -211,8 +211,8 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
          recenter: bool = False) -> ConvexBody:
     """One explicit RK4 step; raises StepRejected if any stage leaves the
     valid-body cone (the caller halves dt and retries)."""
-    if dt <= 0.0:
-        raise ParameterError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     normalized = mode == "normalized"

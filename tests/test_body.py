@@ -244,6 +244,17 @@ def test_scale_rescales_curvature_as_a_rebuild(g1, g2, factor):
             assert np.max(np.abs(a - ref)) <= tol * np.max(np.abs(ref)), name
 
 
+def test_scaled_curvature_keeps_shared_arrays(g1, g2):
+    # the scaled body holds no more node arrays than a rebuilt one
+    for g in (g1, g2):
+        c = make_shape(g, "random_valid", seed=11).scale(1.3).curvature
+        fields = (c.det_a, c.gauss, c.trace_a, c.min_eig_a, c.adj_trace_a, c.grad)
+        rebuilt = ConvexBody(g, c._support).curvature
+        ref = (rebuilt.det_a, rebuilt.gauss, rebuilt.trace_a, rebuilt.min_eig_a,
+               rebuilt.adj_trace_a, rebuilt.grad)
+        assert len({id(a) for a in fields}) == len({id(a) for a in ref})
+
+
 @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
 def test_scale_rejects_bad_factor(g1, factor):
     with pytest.raises(ParameterError):

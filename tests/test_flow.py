@@ -105,6 +105,12 @@ def test_step_rejects_nonpositive_dt(g1):
         step(make_shape(g1, "ball"), 0.0)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_step_rejects_non_finite_dt(g1, dt):
+    with pytest.raises(ParameterError):
+        step(make_shape(g1, "ball"), dt)
+
+
 @pytest.mark.parametrize("mode", ["normalised", ""])
 def test_step_rejects_unknown_mode(g1, mode):
     with pytest.raises(ParameterError):
