@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written to ``BENCH_<pr>.json``.
 
-    python3 bench/pairs.py --parent HEAD~1 --pr 9
-    python3 bench/pairs.py --parent HEAD~1 --pr 9 --pairs 10 --seeds 0,3 \\
+    python3 bench/pairs.py --parent HEAD~1 --pr N
+    python3 bench/pairs.py --parent HEAD~1 --pr N --pairs 10 --seeds 0,3 \\
         --workloads soliton-s1,flow-round-s2,analyze-corpus --traced
 
 Run it from the root of a gcflab git checkout.  The change side is the working
