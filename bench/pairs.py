@@ -1,25 +1,24 @@
 """Alternating parent/change benchmark pairs, written to ``BENCH_<pr>.json``.
 
-    python3 bench/pairs.py --parent HEAD~1 --pr N
-    python3 bench/pairs.py --parent HEAD~1 --pr N --pairs 10 --seeds 0,3 \\
-        --workloads soliton-s1,flow-round-s2,analyze-corpus --traced
+    python3 bench/pairs.py --parent HEAD~1 --pr N [--change REV] [--traced]
 
 Run it from the root of a gcflab git checkout.  The change side is the working
 tree (or ``--change REV``); the parent side is ``git archive REV`` unpacked
 into a temporary directory, so the repository gets no worktree metadata.
 Both sides run their own copy of ``perfbench/run.py``.
 
-Pair i runs ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0``
-once on each side for every workload, with S the i-th entry of ``--seeds``
-taken cyclically.  The side that runs first alternates from pair to pair: the
-speed of a shared machine drifts by up to 0.73-1.30x over minute-long
-phases, so only matched, alternating pairs are compared.  Per workload the
-file holds every pair's end-to-end metrics, each side's median and
-quartiles, the ratio of medians (change / parent), how many pairs the change
-won on each metric, and, per seed, both sides' fingerprints and headline
-numbers.  ``--traced`` adds one ``--trace 1`` run per side and workload at the
-first seed, for the per-layer counts.  Each side also runs
-``gcflab verify --out`` once, and the file records the 11 check values.
+The runs are fixed: for every workload, ``PAIRS`` pairs, pair i running
+``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once on each
+side, with S the i-th entry of ``SEEDS`` taken cyclically.  The side that runs
+first alternates from pair to pair: the speed of a shared machine drifts by
+up to 0.73-1.30x over minute-long phases, so only matched, alternating pairs
+are compared.  Per workload the file holds every pair's end-to-end metrics,
+each side's median and quartiles, the ratio of medians (change / parent), how
+many pairs the change won on each metric, and, per seed, both sides'
+fingerprints and headline numbers.  ``--traced`` adds one ``--trace 1`` run
+per side and workload at the first seed, for the per-layer counts.  Each side
+also runs ``gcflab verify --out`` once, and the file records the 11 check
+values.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ END_TO_END = ("wall_s", "time_to_solution_s", "setup_s", "peak_rss_mb")  # all l
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUN_TIMEOUT_S = 1800
+PAIRS = 10
+SEEDS = (0, 3)
+SECONDS = 30
 
 
 def parse_args(argv):
@@ -49,21 +51,9 @@ def parse_args(argv):
     p.add_argument("--change", default=None,
                    help="git revision of the change side (default: the working tree)")
     p.add_argument("--pr", required=True, help="label of the output file, BENCH_<pr>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seeds", default="0,3", help="comma-separated seeds, used cyclically")
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--traced", action="store_true",
                    help="add one traced run per side and workload")
-    p.add_argument("--no-verify", action="store_true", help="skip gcflab verify")
-    p.add_argument("--out", default=None, help="output path (default BENCH_<pr>.json)")
-    args = p.parse_args(argv)
-    args.seeds = [int(s) for s in args.seeds.split(",")]
-    args.workloads = args.workloads.split(",")
-    unknown = sorted(set(args.workloads) - set(WORKLOADS))
-    if unknown or args.pairs < 1 or not args.seeds:
-        p.error(f"need --pairs >= 1, at least one seed and known workloads (unknown: {unknown})")
-    return args
+    return p.parse_args(argv)
 
 
 def git(root, *cmd) -> str:
@@ -85,10 +75,10 @@ def export(root, rev, dest) -> Path:
     return dest
 
 
-def run_bench(tree, workload, seed, seconds, trace) -> dict:
+def run_bench(tree, workload, seed, trace) -> dict:
     """One perfbench invocation; returns its report and result lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True,
                           timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
@@ -115,8 +105,6 @@ def run_verify(tree, out_dir, side) -> dict:
 
 
 def quartiles(values):
-    if len(values) < 2:
-        return [values[0], values[0]]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
 
@@ -179,7 +167,7 @@ def main(argv=None) -> int:
                    {"rev": "working tree", "commit": git(root, "rev-parse", "HEAD"),
                     "uncommitted_changes": bool(git(root, "status", "--porcelain"))}),
         "env": environment(),
-        "settings": {"seconds": args.seconds, "pairs": args.pairs, "seeds": args.seeds,
+        "settings": {"seconds": SECONDS, "pairs": PAIRS, "seeds": list(SEEDS),
                      "trace": 0, "command": "perfbench/run.py"},
         "workloads": {},
     }
@@ -187,12 +175,12 @@ def main(argv=None) -> int:
         trees = {"parent": export(root, args.parent, Path(tmp) / "parent"),
                  "change": export(root, args.change, Path(tmp) / "change")
                  if args.change else root}
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             pairs, fingerprints = [], {}
-            for i in range(args.pairs):
-                seed = args.seeds[i % len(args.seeds)]
+            for i in range(PAIRS):
+                seed = SEEDS[i % len(SEEDS)]
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs = {side: run_bench(trees[side], workload, seed, args.seconds, 0)
+                runs = {side: run_bench(trees[side], workload, seed, 0)
                         for side in order}
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 pair.update({side: side_summary(runs[side]) for side in ("parent", "change")})
@@ -212,19 +200,18 @@ def main(argv=None) -> int:
             if args.traced:
                 entry["traced"] = {}
                 for side in ("parent", "change"):
-                    run = run_bench(trees[side], workload, args.seeds[0], args.seconds, 1)
+                    run = run_bench(trees[side], workload, SEEDS[0], 1)
                     entry["traced"][side] = {
-                        "seed": args.seeds[0],
+                        "seed": SEEDS[0],
                         "layers": {k: v["value"] for k, v in run["result"]["metrics"].items()},
                         "workload_metrics": {k: v["value"] for k, v in
                                              run["report"]["workload_metrics"].items()},
                         "layer_errors": run["report"]["layer_errors"],
                     }
             doc["workloads"][workload] = entry
-        if not args.no_verify:
-            doc["verify"] = {side: run_verify(trees[side], tmp, side)
-                             for side in ("parent", "change")}
-    out = Path(args.out or root / f"BENCH_{args.pr}.json")
+        doc["verify"] = {side: run_verify(trees[side], tmp, side)
+                         for side in ("parent", "change")}
+    out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

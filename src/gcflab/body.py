@@ -18,7 +18,9 @@ jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
 for its RK4 stage bodies).  ``scale`` rescales the stored curvature instead
 of transforming again: A is linear in u, so det A, trace A, the least
 eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and f.
-Either way the body is validated at the same thresholds.
+Either way the body is validated at the same thresholds.  The two routes
+agree up to round-off only (a few 1e-12 relative): rebuilding a body from
+its support can move its curvature, and what is read from it, by that much.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
@@ -72,6 +74,13 @@ class CurvatureData:
     X = u x + grad u (the point of the body whose outer normal is the node
     direction) and ``position_norm`` its length.  (``cached_property`` keeps
     them in the instance dict, which a frozen dataclass permits.)
+
+    The arrays depend, at round-off level, on how the body was built: a body
+    from :meth:`ConvexBody.from_jet` (the flow's stage and accepted bodies)
+    or :meth:`ConvexBody.scale` carries curvature that can differ from
+    ``ConvexBody(grid, body.support).curvature`` by a few 1e-12 relative,
+    because derivatives of a linear combination (or a multiple) of fields
+    round differently from derivatives of the combined samples.
     """
 
     det_a: np.ndarray
@@ -110,7 +119,9 @@ class ConvexBody:
     ``_invariants`` is the package's own hook, not part of the interface:
     :meth:`from_jet` and :meth:`scale` pass the radii invariants and gradient
     they already have, (det A, trace A, least eigenvalue, sigma_{n-1}(A),
-    grad u), so the curvature is not computed again.
+    grad u), so the curvature is not computed again.  Such a body's
+    curvature agrees with a rebuild from its support up to round-off (see
+    :class:`CurvatureData`).
 
     Raises
     ------

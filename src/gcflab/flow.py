@@ -270,6 +270,13 @@ def run(body: ConvexBody, config: FlowConfig):
     Records a row at t = 0, every ``output_stride`` accepted steps, and at
     the end.  In normalized mode the run also stops early once the soliton
     residual max|u det A - 1| falls below ``soliton_tol``.
+
+    The recorded curvature columns, the residual and the final body's
+    curvature are those of the stepped bodies, read from combined jets and,
+    with volume projection, rescaled (see :class:`~gcflab.body.CurvatureData`).
+    ``ConvexBody(grid, final.support)`` recomputes them from the support and
+    can differ by round-off, so a residual that stopped the run just under
+    ``soliton_tol`` may land just over it after a rebuild.
     """
     cfg = config
     normalized = cfg.mode == "normalized"

@@ -101,11 +101,11 @@ class SupportJet:
         r = self.rows
         if self.grid.dim == 1:
             return r[2][:, None, None].copy()
-        sin_t, cot_t = self.grid._tab["sin_flat"], self.grid._tab["cot_flat"]
+        h11, h12, h22 = self.grid._frame_hessian(r)
         hess = np.empty((r.shape[1], 2, 2))
-        hess[:, 0, 0] = r[2]
-        hess[:, 0, 1] = hess[:, 1, 0] = (r[4] - cot_t * r[3]) / sin_t
-        hess[:, 1, 1] = r[5] / self.grid._tab["sin2_flat"] + cot_t * r[1]
+        hess[:, 0, 0] = h11
+        hess[:, 0, 1] = hess[:, 1, 0] = h12
+        hess[:, 1, 1] = h22
         return hess
 
 
@@ -249,14 +249,21 @@ class SphereGrid:
         if self.dim == 1:
             a = r[2] + u
             return a, a, a, self._tab["ones"]
-        sin_t, cot_t = self._tab["sin_flat"], self._tab["cot_flat"]
-        a11 = r[2] + u
-        a22 = (r[5] / self._tab["sin2_flat"] + cot_t * r[1]) + u
-        a12 = (r[4] - cot_t * r[3]) / sin_t
+        h11, a12, h22 = self._frame_hessian(r)
+        a11 = h11 + u
+        a22 = h22 + u
         a12_sq = a12 * a12
         trace = a11 + a22
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
         return a11 * a22 - a12_sq, trace, 0.5 * trace - disc, trace
+
+    def _frame_hessian(self, rows: np.ndarray):
+        """(h11, h12, h22), the S^2 covariant Hessian in the orthonormal frame
+        (e_theta, e_phi/sin theta), from jet rows: h11 = u_thetatheta,
+        h12 = (u_thetaphi - cot u_phi)/sin, h22 = u_phiphi/sin^2 + cot u_theta."""
+        sin_t, cot_t = self._tab["sin_flat"], self._tab["cot_flat"]
+        return (rows[2], (rows[4] - cot_t * rows[3]) / sin_t,
+                rows[5] / self._tab["sin2_flat"] + cot_t * rows[1])
 
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Evaluate the spectral interpolant at arbitrary unit directions.
