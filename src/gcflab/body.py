@@ -15,7 +15,7 @@ embedding X = u x + grad u are computed on first access and then kept.
 
 The curvature comes from one ``derivative_bundle`` of the support, or from a
 jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
-for its RK4 stage bodies).  ``scale`` rescales the stored curvature instead
+for its ETDRK4 stage bodies).  ``scale`` rescales the stored curvature instead
 of transforming again: A is linear in u, so det A, trace A, the least
 eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and f.
 Either way the body is validated at the same thresholds.  The two routes
@@ -76,11 +76,11 @@ class CurvatureData:
     them in the instance dict, which a frozen dataclass permits.)
 
     The arrays depend, at round-off level, on how the body was built: a body
-    from :meth:`ConvexBody.from_jet` (the flow's stage and accepted bodies)
-    or :meth:`ConvexBody.scale` carries curvature that can differ from
-    ``ConvexBody(grid, body.support).curvature`` by a few 1e-12 relative,
-    because derivatives of a linear combination (or a multiple) of fields
-    round differently from derivatives of the combined samples.
+    from :meth:`ConvexBody.from_jet` (the flow's stage bodies and the result
+    of one ``flow.step``) or :meth:`ConvexBody.scale` carries curvature that
+    can differ from ``ConvexBody(grid, body.support).curvature`` by a few
+    1e-12 relative, because derivatives synthesized from coefficients (or
+    rescaled) round differently from derivatives of the samples.
     """
 
     det_a: np.ndarray

@@ -54,7 +54,8 @@ class StepRejected(GcflabError):
 
 
 class StiffnessError(GcflabError):
-    """Time stepping collapsed: dt was halved below its floor.
+    """Time stepping collapsed: the step size fell below its floor, or a
+    fixed step (which is never shrunk) left the valid-body cone.
 
     Carries the last accepted state so it can be dumped for inspection.
     """

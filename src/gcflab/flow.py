@@ -5,17 +5,38 @@ Two modes on the same right-hand side scaffold:
     unnormalized   u_t = -1/det A          (bodies shrink, extinct in finite time)
     normalized     u_t = u - 1/det A       (volume preserved by the continuous flow)
 
-Stepping is explicit RK4 with the parabolic restriction
+Stepping is ETDRK4 (Cox-Matthews 2002) on the spectral coefficients u^ of
+the support.  The velocity is split as F(u) = L u + N(u), with L diagonal
+in the degree l:
 
-    dt = DT_SAFETY * h_min^2 / max(K * trace A^{-1}),   DT_SAFETY = 1/4
+    L_l = S min(c - l(l+n-1), 0),   c = n+1 (normalized) or n (unnormalized),
+    S = 1/2 max K / lambda_min(A)   of the step's start body,
 
-coming from the linearized operator K A^{ij} grad_i grad_j: its largest
-coefficient is K trace(A^{-1}), and h_min is the finest resolved scale of the
-grid.  Steps whose stages leave the valid-body cone are rejected and retried
-with dt/2; collapse below 1e-12 raises :class:`StiffnessError` with the last
-state attached.
+the linearization about the round sphere, Delta + c, scaled by the largest
+coefficient of the principal symbol K A^{-1}.  L integrates exactly and N
+explicitly; the weights are functions of dt L, evaluated by contour means
+(Kassam-Trefethen 2005).  L is clipped to <= 0: the positive rates at l <= 1
+would be amplified by e^{cS dt} at a start body of large curvature, where S
+runs into the hundreds.  L is zero on every masked mode, and N(u) =
+mask * analyze(F(u)) - L u^, so masked coefficients stay frozen exactly.
 
-The stage velocities are dealiased with a 2/3-rule filter.  Evaluating
+``run`` takes the step size from accuracy, by step doubling.  A step of dt
+is taken whole and as two steps of dt/2; the Richardson estimate of the
+error, the area-RMS of u_dt - u_{dt/2,dt/2} over 15 relative to the RMS of
+u, is held to ``STEP_TOL``.  An accepted step keeps the locally
+extrapolated u + (u - u_dt)/15 of the two half steps, a body built from
+that support (one ``derivative_bundle``); the next dt is
+dt * 0.8 (STEP_TOL / err)^(1/5), within [0.2, 5] times dt, and a step
+whose estimate exceeds the tolerance is retried at that smaller dt.
+``STEP_TOL`` is set by the closed-form trajectories: it keeps the
+unprojected ball within 1e-12 of its exact radius.  The first step is
+``stable_dt(body, FIRST_STEP_SAFETY)``, the explicit parabolic step limit,
+short enough that the gate's runs start without a rejection.  A step whose
+stage leaves the valid-body cone is retried at dt/2; collapse below
+``DT_FLOOR`` raises :class:`StiffnessError` with the last state attached.
+``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps instead, with no doubling.
+
+The velocity is dealiased with a 2/3-rule filter.  Evaluating
 1/det A pointwise on the dimension-2 grid aliases the top of the spectral
 band through the colatitude quadrature, and the resulting discrete operator
 acquires a large cluster of spurious eigenvalues near +(n+1) (the continuous
@@ -25,27 +46,28 @@ restores the damping of the continuous operator; the dimension-1 transform
 has no such quadrature and is unaffected, but the filter is applied
 uniformly.
 
-In normalized mode the discrete volume drifts at O(dt^4); optional projection
-rescales the support after every accepted step so the volume stays at the
-unit-ball value exactly.  A and K do not change under u -> u - <z, x>, so the
-origin is a gauge choice; optional recentering moves the body to its Steiner
-point and removes the degree-1 part of every stage velocity, which keeps the
-linearized translation mode (growing like e^t) out of long runs.  The entropy
-point then agrees with the origin to O(sup|u - 1|^2) at a round endpoint.
+In normalized mode the discrete volume drifts at the step's error;
+optional projection rescales the support after every accepted step so the
+volume stays at the unit-ball value exactly.  A and K do not change under
+u -> u - <z, x>, so the origin is a gauge choice; optional recentering moves
+the body to its Steiner point and masks the degree-1 part of the velocity,
+which keeps the linearized translation mode (growing like e^t) out of long
+runs.  The entropy point then agrees with the origin to O(sup|u - 1|^2) at
+a round endpoint.
 
-Cost of a step.  The filter and the recentering are masks on the velocity's
-coefficients: the degrees above the 2/3 cut and, when recentering, the l = 1
-coefficients are zeroed, which is exact for a band-limited field.  The
-masked coefficients are synthesized straight into the velocity's jet rows
-(:meth:`SphereGrid.filtered_jet`), and derivatives are linear in u, so a
-stage body's jet is jet(u) + a dt jet(k): one forward transform of the
-velocity and one stacked synthesis per stage, and no transform of the
-stage support.  The step differentiates its start body's support once
-(one ``derivative_bundle``); the stage bodies and the accepted body read
-their curvature from the combined jets and are validated at the same
-thresholds as any body.  Volume projection rescales the accepted body's
-curvature (one quadrature), so an accepted step costs one
-``derivative_bundle`` and four filtered jets.
+Cost of a step.  The filter and the recentering are masks on coefficients
+(:meth:`SphereGrid.degree_mask`): the degrees above the 2/3 cut and, when
+recentering, the l = 1 coefficients, which is exact for a band-limited
+field.  A step analyzes its start support once; the nodal remainder
+u - synthesize(u^), which the coefficients do not hold on S^2, is kept
+fixed beside them and added to row 0 of every stage jet.  So a step makes
+one analysis and one synthesis per body: five analyses (the start support
+and the velocities of the start and of the three stages) and five
+syntheses (the remainder, and the jets of the three stages and of the
+result), and no ``derivative_bundle``.  Stage bodies read their curvature
+from the synthesized jet rows and are validated at the same thresholds as
+any body.  Volume projection rescales
+the accepted body's curvature (one quadrature).
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -68,7 +90,7 @@ from .errors import (
     StepRejected,
     StiffnessError,
 )
-from .sphere import SupportJet, average, degree_one
+from .sphere import average, degree_one
 
 __all__ = [
     "FlowConfig",
@@ -85,8 +107,16 @@ __all__ = [
 ]
 
 DT_FLOOR = 1e-12
-DT_SAFETY = 0.25
 DEALIAS_FRAC = 2.0 / 3.0
+STEP_TOL = 1e-12  # bound on a step's Richardson error estimate (area-RMS, relative to u)
+FIRST_STEP_SAFETY = 0.25  # the first step of a run is stable_dt(body, FIRST_STEP_SAFETY)
+# contour of the ETDRK4 weight means: M = 16 points on the upper unit half
+# circle (by symmetry, the 32-point trapezoid rule on the whole circle).
+# Against 50-digit values at 1900 points of [-1e6, 0], the contour means
+# alone have a largest relative error of 4.2e-13 at M = 16, 1.7e-12 at M = 8
+# (truncation) and 3.4e-12 at M = 32 (a point of the contour lands near the
+# origin, where the numerators cancel).
+_CONTOUR = np.exp(1j * np.pi * (np.arange(16) + 0.5) / 16)
 MODES = ("normalized", "unnormalized")
 
 TRACE_COLUMNS = (
@@ -113,10 +143,11 @@ class FlowConfig:
     """Run parameters.
 
     ``project_volume=None`` resolves to True in normalized mode and False
-    otherwise.  ``fixed_dt`` (positive) bypasses the adaptive step size for
-    convergence studies; the caller must keep it inside the stability limit
-    (a rejected fixed step raises StiffnessError instead of silently
-    shrinking, which would corrupt the deterministic step sequence).  ``recenter``
+    otherwise.  ``fixed_dt`` (positive) replaces the step-doubling control
+    by fixed ETDRK4 steps of that size, for convergence studies; a step
+    whose stage leaves the valid-body cone raises StiffnessError instead of
+    silently shrinking, which would corrupt the deterministic step sequence.
+    ``recenter``
     (a bool) keeps the Steiner point at the origin by removing degree-1
     velocity parts.
     """
@@ -158,10 +189,13 @@ class FlowConfig:
 class FlowTrace:
     """Diagnostic time series with a pinned column layout.
 
-    ``rows[i]`` matches ``TRACE_COLUMNS``; the per-row ``violations`` entry
-    counts instantaneous monitor breaches (support band, positive curvature,
-    the dimension-2 u/K lower bound, and Newton's inequality in its AM-GM form
-    on the principal radii, (trace A / n)^n >= det A) known at record time.
+    ``rows[i]`` matches ``TRACE_COLUMNS``; ``dt`` is the accepted step that
+    led to the row, and ``rejections`` counts retried steps (an error
+    estimate over ``STEP_TOL``, or a stage outside the valid cone).  The
+    per-row ``violations`` entry counts instantaneous monitor breaches
+    (support band, positive curvature, the dimension-2 u/K lower bound, and
+    Newton's inequality in its AM-GM form on the principal radii,
+    (trace A / n)^n >= det A) known at record time.
     Running minima streamed at record time: ``gradient_slack`` of
     max u - max |grad u|, and (un-normalized mode only, else ``inf``)
     ``harnack_slack``, the least rise of K t^{n/(n+1)} at a node between records.
@@ -200,39 +234,102 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 
-def _velocity_jet(body: ConvexBody, normalized: bool, recenter: bool) -> np.ndarray:
-    """Jet rows of the filtered (and, if ``recenter``, degree-1-free) velocity."""
-    gauss = body.curvature.gauss
-    vel = body.support - gauss if normalized else -gauss
-    return body.grid.filtered_jet(vel, DEALIAS_FRAC, recenter).rows
+def _stiffness(body: ConvexBody) -> float:
+    """S = 1/2 max K / lambda_min(A), the scale of the linear part: the
+    principal symbol of the velocity's linearization is K A^{-1}, whose
+    largest eigenvalue is K / lambda_min(A)."""
+    c = body.curvature
+    return 0.5 * float(np.max(c.gauss / c.min_eig_a))
+
+
+def _weight_forms(w: np.ndarray):
+    """(Q, f1, f2, f3) of the ETDRK4 step at w = dt L, divided by dt:
+
+        Q  = (e^{w/2} - 1) / w
+        f1 = (-4 - w + e^w (4 - 3w + w^2)) / w^3
+        f2 = (2 + w + e^w (w - 2)) / w^3
+        f3 = (-4 - 3w - w^2 + e^w (4 - w)) / w^3
+
+    Elementwise, for real or complex w != 0."""
+    e_w = np.exp(w)
+    w2 = w * w
+    inv_w3 = 1.0 / (w2 * w)
+    return ((np.exp(0.5 * w) - 1.0) / w,
+            (-4.0 - w + e_w * (4.0 - 3.0 * w + w2)) * inv_w3,
+            (2.0 + w + e_w * (w - 2.0)) * inv_w3,
+            (-4.0 - 3.0 * w - w2 + e_w * (4.0 - w)) * inv_w3)
+
+
+def _etd_weights(z: np.ndarray):
+    """ETDRK4 weights at z = dt L (per degree, z <= 0): (e^{z/2}, e^z, Q, f1,
+    f2, f3), the last four divided by dt (see :func:`_weight_forms`).
+
+    For z <= -1 the forms are evaluated as written.  Near z = 0 their
+    numerators cancel, so for -1 < z <= 0 each is the real part of its mean
+    over the points z + r of ``_CONTOUR`` (Kassam-Trefethen 2005), once per
+    distinct z.  Against 50-digit values at z = 0 and 1900 points of
+    [-1e6, -1e-8] the largest relative error is 3.2e-13."""
+    near = z > -1.0
+    w = np.where(near, -1.0, z)
+    weights = np.array(_weight_forms(w))
+    if near.any():
+        zs, back = np.unique(z[near], return_inverse=True)
+        means = np.array(_weight_forms(zs[:, None] + _CONTOUR)).real.mean(axis=2)
+        weights[:, near] = means[:, back]
+    return (np.exp(0.5 * z), np.exp(z), *weights)
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",
          recenter: bool = False) -> ConvexBody:
-    """One explicit RK4 step; raises StepRejected if any stage leaves the
-    valid-body cone (the caller halves dt and retries)."""
+    """One ETDRK4 step (Cox-Matthews) in coefficient space; raises
+    StepRejected if any stage leaves the valid-body cone (the caller
+    retries with a smaller dt)."""
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     normalized = mode == "normalized"
     grid = body.grid
-    u = grid.derivative_bundle(body.support).rows
+    mask = grid.degree_mask(DEALIAS_FRAC, recenter)
+    n, l = body.dim, np.arange(mask.size)  # the index along the degree axis is l
+    # linearized about the round sphere the velocity is Delta + (n+1) (normalized)
+    # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
+    c_0 = n + 1 if normalized else n
+    lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0) * mask
+    e2, e1, q, f1, f2, f3 = _etd_weights(dt * lin)
+    q, f1, f2, f3 = dt * q, dt * f1, dt * f2, dt * f3
 
-    def stage(rows):
-        return ConvexBody.from_jet(SupportJet(grid, rows))
+    u_hat = grid.analyze(body.support)
+    remainder = body.support - grid.synthesize(u_hat)
+
+    def nonlinear(stage_body, coeffs):
+        gauss = stage_body.curvature.gauss
+        vel = stage_body.support - gauss if normalized else -gauss
+        return grid.analyze(vel) * mask - lin * coeffs
+
+    def stage(coeffs):
+        jet = grid.synthesize(coeffs, jet=True)
+        jet.rows[0] += remainder
+        return ConvexBody.from_jet(jet)
 
     try:
-        k1 = _velocity_jet(body, normalized, recenter)
-        k2 = _velocity_jet(stage(u + 0.5 * dt * k1), normalized, recenter)
-        k3 = _velocity_jet(stage(u + 0.5 * dt * k2), normalized, recenter)
-        k4 = _velocity_jet(stage(u + dt * k3), normalized, recenter)
-        return stage(u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        n_u = nonlinear(body, u_hat)
+        a = e2 * u_hat + q * n_u
+        n_a = nonlinear(stage(a), a)
+        b = e2 * u_hat + q * n_a
+        n_b = nonlinear(stage(b), b)
+        c = e2 * a + q * (2.0 * n_b - n_u)
+        n_c = nonlinear(stage(c), c)
+        return stage(e1 * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
 
 
 def stable_dt(body: ConvexBody, safety: float) -> float:
+    """safety * h_min^2 / max(K trace A^{-1}), the explicit parabolic
+    step limit of the body on its grid: :func:`run` takes its first step
+    at ``FIRST_STEP_SAFETY`` times this, and the step-size control takes
+    over from there."""
     if not 0.0 < safety < np.inf:
         raise ParameterError(f"safety must be positive and finite, got {safety!r}")
     c = body.curvature
@@ -269,11 +366,14 @@ def run(body: ConvexBody, config: FlowConfig):
 
     Records a row at t = 0, every ``output_stride`` accepted steps, and at
     the end.  In normalized mode the run also stops early once the soliton
-    residual max|u det A - 1| falls below ``soliton_tol``.
+    residual max|u det A - 1| falls below ``soliton_tol``.  A run that
+    converges on its last permitted step returns; one that runs out of
+    ``max_steps`` before ``t_end`` raises SolverError.
 
     The recorded curvature columns, the residual and the final body's
-    curvature are those of the stepped bodies, read from combined jets and,
-    with volume projection, rescaled (see :class:`~gcflab.body.CurvatureData`).
+    curvature are those of the stepped bodies: with volume projection they
+    are rescaled (see :class:`~gcflab.body.CurvatureData`), and with
+    ``fixed_dt`` they are read from a stage jet.
     ``ConvexBody(grid, final.support)`` recomputes them from the support and
     can differ by round-off, so a residual that stopped the run just under
     ``soliton_tol`` may land just over it after a rebuild.
@@ -335,12 +435,22 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~ steps * eps * t_end, and an absolute epsilon would let a spurious
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
+    dt_next = cfg.fixed_dt or stable_dt(body, FIRST_STEP_SAFETY)
     while t < t_done and trace.steps < cfg.max_steps:
-        dt = min(cfg.fixed_dt or stable_dt(body, DT_SAFETY), cfg.t_end - t)
+        dt = min(dt_next, cfg.t_end - t)
         while True:
+            if dt < DT_FLOOR:
+                raise StiffnessError(t, dt, body)
             try:
-                new_body = step(body, dt, cfg.mode, cfg.recenter)
-                break
+                if cfg.fixed_dt:
+                    new_body = step(body, dt, cfg.mode, cfg.recenter)
+                    break
+                new_body, err = _doubled_step(body, dt, cfg)
+                if err <= STEP_TOL:
+                    dt_next = dt * _step_factor(err)
+                    break
+                trace.rejections += 1
+                dt *= _step_factor(err)
             except StepRejected:
                 trace.rejections += 1
                 if cfg.fixed_dt:
@@ -348,8 +458,6 @@ def run(body: ConvexBody, config: FlowConfig):
                     # silently substituting smaller steps would corrupt them
                     raise StiffnessError(t, dt, body)
                 dt *= 0.5
-                if dt < DT_FLOOR:
-                    raise StiffnessError(t, dt, body)
         body = normalize_volume(new_body) if cfg.project_volume else new_body
         t += dt
         trace.steps += 1
@@ -363,9 +471,35 @@ def run(body: ConvexBody, config: FlowConfig):
         if done:
             break
 
-    if trace.steps >= cfg.max_steps and t < t_done:
+    if t < t_done and not trace.converged:
         raise SolverError(f"step budget {cfg.max_steps} exhausted at t={t:.6g}")
     return trace, body
+
+
+def _doubled_step(body: ConvexBody, dt: float, cfg: FlowConfig):
+    """Step doubling: the locally extrapolated body u_{dt/2,dt/2} +
+    (u_{dt/2,dt/2} - u_dt)/15, built from its support, and the Richardson
+    estimate of the error of u_{dt/2,dt/2}, the area-RMS of
+    u_dt - u_{dt/2,dt/2} over 15, relative to the RMS of u."""
+    whole = step(body, dt, cfg.mode, cfg.recenter)
+    half = step(body, 0.5 * dt, cfg.mode, cfg.recenter)
+    fine = step(half, 0.5 * dt, cfg.mode, cfg.recenter)
+    diff = fine.support - whole.support
+    grid = body.grid
+    err = (average(grid, diff * diff) / average(grid, fine.support**2)) ** 0.5 / 15.0
+    try:
+        return ConvexBody(grid, fine.support + diff / 15.0), err
+    except BodyValidityError as exc:
+        raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
+
+
+def _step_factor(err: float) -> float:
+    """Step-size change for a step whose error estimate is ``err``:
+    0.8 (STEP_TOL / err)^(1/5), the local error being O(dt^5), kept
+    within [0.2, 5]."""
+    if err == 0.0:
+        return 5.0
+    return min(5.0, max(0.2, 0.8 * (STEP_TOL / err) ** 0.2))
 
 
 def _safe_start(body: ConvexBody, z: np.ndarray):

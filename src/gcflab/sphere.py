@@ -21,13 +21,15 @@ real matmul.
 One synthesis kernel turns coefficients into nodal rows: the values alone
 (:meth:`~SphereGrid.synthesize`, :meth:`~SphereGrid.lowpass`) or the jet
 rows (u, u', u'') on S^1 and (u, u_theta, u_thetatheta, u_phi,
-u_thetaphi, u_phiphi) on S^2, one matmul against the whole stack and one
-inverse FFT over all six profiles.  A :class:`SupportJet` holds those raw
-rows; derivatives are linear in u, so the jet of a linear combination of
-fields is the same combination of rows, which is how the flow builds its
-RK4 stage bodies without transforming them.  ``derivative_bundle`` is one
-analysis plus the kernel, and ``filtered_jet`` masks the coefficients
-in between (the 2/3 cut, and the degree-1 modes when recentering).
+u_thetaphi, u_phiphi) on S^2 (``synthesize(coeffs, jet=True)``), one
+matmul against the whole stack and one inverse FFT over all six profiles.
+A :class:`SupportJet` holds those raw rows; derivatives are linear in u,
+so the jet of a linear combination of fields is the same combination of
+rows.  ``derivative_bundle`` is one analysis plus the kernel.  The degree
+is the last axis of a coefficient array on both grids, so a filter is a
+multiplier along it (:meth:`~SphereGrid.degree_mask`: the 2/3 cut, and the
+degree-1 modes when the flow recenters); the flow's ETDRK4 stage bodies
+are jets synthesized from masked coefficient states.
 
 Off-grid evaluation sums one azimuthal series on both grids, with G_m the
 rfft coefficient on S^1 and the streamed Legendre sum on S^2 (see ``eval``).
@@ -38,7 +40,7 @@ builds A or the Hessian.
 
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
-:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.filtered_jet`,
+:meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.degree_mask`,
 :meth:`~SphereGrid.radii_invariants`, :meth:`~SphereGrid.eval`,
 :meth:`~SphereGrid.lowpass`) and the quadrature
 helpers :func:`integrate`, :func:`average` and :func:`gradient_norm`.
@@ -120,7 +122,8 @@ class SphereGrid:
     frames : (n_nodes, dim, dim+1) orthonormal tangent frames at the nodes.
     bandlimit : largest harmonic degree the transforms resolve.
     h_min : collocation spacing of the highest resolved mode, pi/(bandlimit+1);
-        this is the spacing that governs explicit time-step stability.
+        it sets the explicit parabolic step limit, ``flow.stable_dt``, which
+        the flow takes as its first step.
     antipodes : (n_nodes,) index of each node's antipode, so that
         ``nodes[antipodes] = -nodes`` up to round-off.
     """
@@ -181,8 +184,11 @@ class SphereGrid:
         c = self._tab["PWt"] @ g.view(float).reshape(*g.shape, 2)
         return c.view(complex)[..., 0]
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`analyze` (exact for band-limited data)."""
+    def synthesize(self, coeffs: np.ndarray, jet: bool = False):
+        """Inverse of :meth:`analyze` (exact for band-limited data): the nodal
+        values or, with ``jet``, the :class:`SupportJet` of the field."""
+        if jet:
+            return SupportJet(self, self._synthesize_rows(coeffs, jet=True))
         return self._synthesize_rows(coeffs, jet=False)[0]
 
     def _synthesize_rows(self, coeffs: np.ndarray, jet: bool) -> np.ndarray:
@@ -225,20 +231,9 @@ class SphereGrid:
         representation, the standard pseudo-spectral convention.
         """
         values = self.check_field(values)
-        rows = self._synthesize_rows(self._analyze(values), jet=True)
-        rows[0] = values
-        return SupportJet(self, rows)
-
-    def filtered_jet(self, values: np.ndarray, frac: float,
-                     drop_degree_one: bool = False) -> SupportJet:
-        """Jet of ``lowpass(values, frac)``, less its degree-1 part (the
-        l = 1 coefficients, a translation of a support function) if
-        ``drop_degree_one``: one analysis and the synthesis kernel, with the
-        mask applied to the coefficients in between."""
-        c = self._truncate(self._analyze(self.check_field(values)), frac)
-        if drop_degree_one:
-            c[..., 1] = 0.0
-        return SupportJet(self, self._synthesize_rows(c, jet=True))
+        jet = self.synthesize(self._analyze(values), jet=True)
+        jet.rows[0] = values
+        return jet
 
     def radii_invariants(self, jet: SupportJet):
         """(det A, trace A, least eigenvalue, sigma_{n-1}(A) = trace adj A) of
@@ -315,15 +310,19 @@ class SphereGrid:
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
         a negative ``frac`` zeroes every mode."""
-        return self.synthesize(self._truncate(self.analyze(values), frac))
+        return self.synthesize(self.analyze(values) * self.degree_mask(frac))
 
-    def _truncate(self, coeffs: np.ndarray, frac: float) -> np.ndarray:
-        """Zero, in place, the degrees above ``frac * bandlimit`` of a fresh
-        coefficient array (the degree is the last axis); returns it."""
+    def degree_mask(self, frac: float, drop_degree_one: bool = False) -> np.ndarray:
+        """Multiplier along the coefficients' degree axis: 1 on the degrees
+        up to ``frac * bandlimit`` and 0 above (0 everywhere for a negative
+        ``frac``), and 0 at l = 1, a translation of a support function, if
+        ``drop_degree_one``.  Masking is exact for a band-limited field."""
         if not np.isfinite(frac):
             raise ParameterError(f"frac must be finite, got {frac!r}")
-        coeffs[..., max(int(np.floor(frac * self.bandlimit)) + 1, 0) :] = 0.0
-        return coeffs
+        mask = (self._tab["degrees"] <= np.floor(frac * self.bandlimit)).astype(float)
+        if drop_degree_one:
+            mask[1] = 0.0
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +420,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
             # rfft multipliers of the jet rows (u, u', u''), times n for the irfft
             "jet": _ro(n * np.stack([np.ones(k.size), ik, -(k**2)])),
             "ones": _ro(np.ones(n)),  # sigma_0(A), shared by every body
+            "degrees": _ro(k),
         }
         return SphereGrid(
             dim=1,
@@ -480,6 +480,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         # per-order multipliers of the longitude derivatives
         "im": 1j * np.arange(L + 1),
         "m2": -(np.arange(L + 1) ** 2),
+        "degrees": _ro(np.arange(L + 1)),
     }
     return SphereGrid(
         dim=2,

@@ -103,14 +103,16 @@ def corpus():
 # shared flow runs
 # ---------------------------------------------------------------------------
 
-# label -> (t_end, output_stride); five normalized corpus runs reused by the
-# monotonicity and monitor checks
+# label -> t_end; five normalized corpus runs reused by the monotonicity and
+# monitor checks.  Those checks read every recorded row, so these runs and the
+# shrinking-ball, Harnack and fixed-point runs record every accepted step
+# (output_stride=1): a monotonicity claim is checked at each step.
 _FLOW_CASES = {
-    "ellipse-3:2": (1.2, 40),
-    "wavy-1": (1.2, 40),
-    "random-1-s11": (1.2, 40),
-    "ellipsoid-2": (0.8, 20),
-    "random-2-s21": (0.8, 20),
+    "ellipse-3:2": 1.2,
+    "wavy-1": 1.2,
+    "random-1-s11": 1.2,
+    "ellipsoid-2": 0.8,
+    "random-2-s21": 0.8,
 }
 
 
@@ -119,8 +121,8 @@ def corpus_runs():
     """The five corpus runs as (label, trace) pairs; shared with the flow tests."""
     by_label = dict(corpus())
     runs = []
-    for label, (t_end, stride) in _FLOW_CASES.items():
-        cfg = FlowConfig(mode="normalized", t_end=t_end, output_stride=stride, soliton_tol=0.0)
+    for label, t_end in _FLOW_CASES.items():
+        cfg = FlowConfig(mode="normalized", t_end=t_end, output_stride=1, soliton_tol=0.0)
         runs.append((label, run(by_label[label], cfg)[0]))
     return tuple(runs)
 
@@ -128,7 +130,7 @@ def corpus_runs():
 @lru_cache(maxsize=None)
 def shrinking_ball_run(dim: int):
     """The shrinking-ball check's run: (trace, final body), to 0.8 of extinction."""
-    cfg = FlowConfig(mode="unnormalized", t_end=0.8 / (dim + 1), output_stride=20)
+    cfg = FlowConfig(mode="unnormalized", t_end=0.8 / (dim + 1), output_stride=1)
     return run(make_shape(desk_grid(dim), "ball"), cfg)
 
 
@@ -155,7 +157,7 @@ def fixed_point_run(dim: int):
     """The unit ball flowed in normalized mode to t = 5 with no early stop;
     returns (trace, final body).  Shared by the fixed-point check and the
     flow tests."""
-    cfg = FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0, output_stride=500)
+    cfg = FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0, output_stride=1)
     return run(make_shape(desk_grid(dim), "ball"), cfg)
 
 
@@ -273,7 +275,7 @@ def _check_monitor_bounds(seed, k_scale):
         (2, "ball", {}, 0.20),
         (1, "ellipsoid", dict(semiaxes=(1.2, 0.9)), 0.35),
     ):
-        cfg = FlowConfig(mode="unnormalized", t_end=t_end, output_stride=10)
+        cfg = FlowConfig(mode="unnormalized", t_end=t_end, output_stride=1)
         h = harnack_monitor(run(make_shape(desk_grid(dim), kind, **params), cfg)[0])
         harnack_slack = min(harnack_slack, h.worst_monotonicity_slack)
         if h.lower_constant <= 0.0:

@@ -194,8 +194,10 @@ def test_flow_rejects_bad_run_parameters(tmp_path, capsys, flags):
 
 
 def test_flow_stiff_fixed_dt_exits_4(tmp_path, capsys):
+    # a fixed step past the extinction time (t = 1/2) leaves the valid cone
     snap = shape(tmp_path, "w.json", "--dim", "1", "--harmonic", "2:0.1")
-    code = main(["flow", str(snap), "--fixed-dt", "0.01", "--t-end", "1",
+    code = main(["flow", str(snap), "--mode", "unnormalized", "--fixed-dt", "0.6",
+                 "--t-end", "1",
                  "--trace", str(tmp_path / "t.csv"),
                  "--final", str(tmp_path / "f.json"),
                  "--manifest", str(tmp_path / "m.json")])
@@ -207,7 +209,7 @@ def test_flow_unnormalized_reports_harnack(tmp_path, capsys):
     snap = shape(tmp_path, "ball.json", "--dim", "1")
     capsys.readouterr()
     code = main(["flow", str(snap), "--mode", "unnormalized", "--t-end", "0.3",
-                 "--output-stride", "50", "--trace", str(tmp_path / "t.csv"),
+                 "--output-stride", "1", "--trace", str(tmp_path / "t.csv"),
                  "--final", str(tmp_path / "f.json"),
                  "--manifest", str(tmp_path / "m.json")])
     assert code == 0

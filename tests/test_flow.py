@@ -14,6 +14,7 @@ import pytest
 from gcflab.body import ConvexBody, make_shape, normalize_volume
 from gcflab.constants import ball_volume
 from gcflab.errors import ParameterError, SolverError, StiffnessError
+from gcflab import flow as flow_module
 from gcflab.flow import (
     DEALIAS_FRAC,
     TRACE_COLUMNS,
@@ -25,7 +26,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import SphereGrid, SupportJet, build_grid, degree_one
+from gcflab.sphere import SphereGrid, build_grid, degree_one
 from gcflab.verify import (corpus_runs, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -148,37 +149,94 @@ ROUNDOFF = {1: 1e-11, 2: 1e-12}
 
 
 def test_stage_body_from_combined_jets_matches_rebuilt_curvature(flow_body):
-    # jet(u) + a dt jet(k), with k the filtered, degree-1-free velocity, is
-    # the jet of the stage support: its curvature is the rebuilt one
+    # a stage body's jet is the jet synthesized from its coefficients (here
+    # u^ + dt k^, k the filtered, degree-1-free velocity) with the start's
+    # nodal remainder u - synthesize(u^) added to row 0: its curvature is
+    # the rebuilt one
     grid = flow_body.grid
+    u_hat = grid.analyze(flow_body.support)
     vel = flow_body.support - flow_body.curvature.gauss
-    k = grid.filtered_jet(vel, DEALIAS_FRAC, drop_degree_one=True)
+    k_hat = grid.analyze(vel) * grid.degree_mask(DEALIAS_FRAC, drop_degree_one=True)
     dt = 0.5 * stable_dt(flow_body, 0.25)
-    stage = ConvexBody.from_jet(
-        SupportJet(grid, grid.derivative_bundle(flow_body.support).rows + dt * k.rows))
+    jet = grid.synthesize(u_hat + dt * k_hat, jet=True)
+    jet.rows[0] += flow_body.support - grid.synthesize(u_hat)
+    stage = ConvexBody.from_jet(jet)
     ref = ConvexBody(grid, stage.support).curvature
     for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
         gap = _relative_gap(getattr(stage.curvature, name), getattr(ref, name))
         assert gap <= ROUNDOFF[grid.dim], (name, gap)
 
 
+def _spy(monkeypatch, name, record):
+    """Wrap the SphereGrid method ``name``; ``record(args, kwargs, result)``
+    sees every call."""
+    original = getattr(SphereGrid, name)
+
+    def spied(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        record(args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(SphereGrid, name, spied)
+
+
 def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch):
-    # a normalized, projected, recentered step differentiates its start
-    # support once and never runs the nodal lowpass (5 and 4 calls before
-    # the stage jets were combined)
-    calls = {"derivative_bundle": 0, "lowpass": 0}
+    # a normalized, projected, recentered ETDRK4 step makes one analysis and
+    # one synthesis per body (the start, three stages and the result) and
+    # differentiates no support: no derivative_bundle, no nodal lowpass
+    calls = dict.fromkeys(("analyze", "synthesize", "derivative_bundle", "lowpass"), 0)
     for name in calls:
-        original = getattr(SphereGrid, name)
-
-        def counted(self, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SphereGrid, name, counted)
+        _spy(monkeypatch, name, lambda *_, _name=name: calls.__setitem__(_name, calls[_name] + 1))
     dt = stable_dt(flow_body, 0.25)
     stepped = normalize_volume(step(flow_body, dt, "normalized", recenter=True))
-    assert calls["derivative_bundle"] <= 1 and calls["lowpass"] == 0, calls
+    assert calls == {"analyze": 5, "synthesize": 5, "derivative_bundle": 0, "lowpass": 0}
     assert stepped.volume() == pytest.approx(ball_volume(flow_body.dim), abs=1e-12)
+
+
+@pytest.mark.parametrize("recenter", [False, True])
+def test_step_leaves_masked_coefficients_bit_identical(flow_body, recenter, monkeypatch):
+    # every coefficient the filter masks (above the 2/3 cut, and l = 1 when
+    # recentering) has L = 0 and N = 0, so it passes through the step
+    # unchanged, bit for bit.  A translation gives the start body l = 1
+    # content.  The step's first analysis is of its start support and its
+    # last jet synthesis is of the result's coefficients.
+    body = flow_body.translate(np.full(flow_body.dim + 1, 0.02))
+    grid = body.grid
+    start = grid.analyze(body.support)
+    analyses, jets = [], []
+    _spy(monkeypatch, "analyze", lambda args, kwargs, result: analyses.append(result))
+    _spy(monkeypatch, "synthesize",
+         lambda args, kwargs, result: jets.append(args[0].copy()) if kwargs.get("jet") else None)
+    step(body, stable_dt(body, 0.25), "normalized", recenter)
+    np.testing.assert_array_equal(analyses[0], start)
+    masked = grid.degree_mask(DEALIAS_FRAC, recenter) == 0.0
+    assert np.abs(start[..., 1]).max() > 1e-3
+    assert np.array_equal(jets[-1][..., masked], start[..., masked])
+    assert not np.array_equal(jets[-1][..., ~masked], start[..., ~masked])
+    assert np.array_equal(jets[-1][..., 1], start[..., 1]) == recenter
+
+
+def test_linear_part_only_damps(flow_body):
+    # L is clipped to <= 0.  The S^1 body (the soliton gate's) has max K = 40,
+    # so S = 1/2 max K / lambda_min(A) = 801: unclipped, the rate (n+1) S at
+    # l = 0 would grow the start by e^16 over dt = 0.01 and leave the cone
+    stepped = step(flow_body, 0.01)
+    assert np.abs(stepped.support - flow_body.support).max() < 0.05
+
+
+def test_step_keeps_the_nodal_remainder(g2):
+    # the S^2 coefficients do not hold every nodal field: the transform drops
+    # the longitude Nyquist mode (-1)^j.  A step carries the remainder
+    # u - synthesize(analyze(u)) unchanged beside the coefficients.
+    base = make_shape(g2, "ellipsoid", semiaxes=(1.2, 1.0, 1 / 1.2), normalize=True)
+    body = ConvexBody(g2, base.support + 1e-4 * (-1.0) ** np.arange(g2.n_nodes))
+
+    def remainder(b):
+        return b.support - g2.synthesize(g2.analyze(b.support))
+
+    assert np.abs(remainder(body)).max() > 9e-5
+    stepped = step(body, stable_dt(body, 0.25))
+    assert np.abs(remainder(stepped) - remainder(body)).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +387,13 @@ def test_monitor_suite_on_dim2_run(g2):
 
 
 def test_comparison_principle_preserves_inclusion(g1):
-    # nested initial bodies stay nested after every unnormalized step
+    # nested initial bodies stay nested after every unnormalized ETDRK4 step
     inner = make_shape(g1, "harmonic", modes=[(2, 0.1, 0.05), (3, 0.0, 0.04)])
     outer = make_shape(g1, "ball", radius=1.4)
     gap0 = float(np.min(outer.support - inner.support))
     assert gap0 > 0.0
-    dt = 0.5 * min(stable_dt(inner, 0.25), stable_dt(outer, 0.25))
-    for _ in range(int(0.2 / dt)):
+    dt = 0.005
+    for _ in range(40):
         inner = step(inner, dt, "unnormalized")
         outer = step(outer, dt, "unnormalized")
         assert float(np.min(outer.support - inner.support)) >= gap0 - 1e-12
@@ -387,15 +445,15 @@ def test_dissipation_residual_needs_three_rows(g1):
         dissipation_identity_residual(trace)
 
 
-def test_rk4_is_fourth_order_in_dt():
-    # coarse grid so the time-stepping error is visible above round-off
+def test_etdrk4_is_fourth_order_in_dt():
+    # fixed steps of h, h/2 and h/4 to t = 0.4 on a coarse grid, so the
+    # time-stepping error is visible above round-off
     g = build_grid(1, n=32)
     body = make_shape(g, "harmonic", modes=[(2, 0.1, 0.0)], normalize=True)
-    dt0 = 2.5e-3
-    assert dt0 < stable_dt(body, 0.25)
+    dt0 = 0.025
 
     def final_support(dt):
-        trace, fin = run(body, FlowConfig(mode="normalized", t_end=0.2,
+        trace, fin = run(body, FlowConfig(mode="normalized", t_end=0.4,
                                           output_stride=10**9, fixed_dt=dt,
                                           soliton_tol=0.0))
         assert trace.rejections == 0
@@ -408,23 +466,75 @@ def test_rk4_is_fourth_order_in_dt():
     assert 12.0 < d1 / d2 < 22.0  # 2^4 = 16 for a fourth-order scheme
 
 
+def test_etd_weights_match_closed_forms():
+    # the contour means agree with the closed forms where those do not cancel
+    # (|z| >= 4) and with their limits 1/2, 1/6, 1/6, 1/6 at z = 0
+    z = np.array([0.0, -4.0, -30.0, -1e4])
+    e2, e1, q, f1, f2, f3 = flow_module._etd_weights(z)
+    np.testing.assert_array_equal(e2, np.exp(0.5 * z))
+    np.testing.assert_array_equal(e1, np.exp(z))
+    np.testing.assert_allclose([q[0], f1[0], f2[0], f3[0]], [0.5, 1 / 6, 1 / 6, 1 / 6],
+                               rtol=1e-13)
+    w, ew = z[1:], np.exp(z[1:])
+    closed = ((np.exp(0.5 * w) - 1.0) / w,
+              (-4.0 - w + ew * (4.0 - 3.0 * w + w * w)) / w**3,
+              (2.0 + w + ew * (w - 2.0)) / w**3,
+              (-4.0 - 3.0 * w - w * w + ew * (4.0 - w)) / w**3)
+    for got, want in zip((q, f1, f2, f3), closed):
+        np.testing.assert_allclose(got[1:], want, rtol=1e-12)
+
+
+def test_step_size_control_grows_after_rejections(g1, monkeypatch):
+    # a first step far too long for STEP_TOL is rejected and shrunk; on a
+    # smooth body the accepted steps then grow again, by at most 5x a step
+    monkeypatch.setattr(flow_module, "stable_dt", lambda body, safety: 0.5)
+    trace, _ = run(bumpy(g1), FlowConfig(mode="normalized", t_end=1.0, output_stride=1,
+                                         soliton_tol=0.0))
+    dt = trace.column("dt")[1:-1]  # accepted steps, less the one cut short at t_end
+    assert trace.rejections >= 1
+    assert dt[0] < 0.5
+    assert dt.max() > 10.0 * dt[0]
+    assert np.all(dt[1:] <= 5.0 * dt[:-1])
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
 
 def test_unstable_fixed_dt_fails_fast(g1):
-    body = bumpy(g1)
-    dt = 40.0 * stable_dt(body, 1.0)
-    with pytest.raises(StiffnessError):
-        run(body, FlowConfig(mode="normalized", t_end=1.0, fixed_dt=dt,
-                             soliton_tol=0.0))
+    # a fixed step past the extinction time drives a stage out of the cone;
+    # a fixed step is never shrunk, so the run stops at its first step
+    with pytest.raises(StiffnessError, match="at t=0 "):
+        run(bumpy(g1), FlowConfig(mode="unnormalized", t_end=1.0, fixed_dt=0.6))
+
+
+def test_adaptive_run_collapses_at_extinction():
+    # the shrinking ball dies at t = 1/2; the step size follows it down and
+    # the run raises once the step falls below DT_FLOOR
+    ball = make_shape(build_grid(1, n=32), "ball")
+    with pytest.raises(StiffnessError) as info:
+        run(ball, FlowConfig(mode="unnormalized", t_end=1.0, output_stride=10**6))
+    assert info.value.t == pytest.approx(0.5, abs=1e-9)
+    assert info.value.dt < flow_module.DT_FLOOR
 
 
 def test_step_budget_exhaustion_raises(g1):
     with pytest.raises(SolverError):
         run(bumpy(g1), FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0,
                                   max_steps=5))
+
+
+def test_convergence_on_the_last_permitted_step_returns():
+    # a run that converges on its max_steps-th step has not run out of steps
+    g = build_grid(1, n=32)
+    body = make_shape(g, "harmonic", modes=[(2, 0.05, 0.0)], normalize=True)
+    cfg = dict(mode="normalized", t_end=50.0, soliton_tol=1e-3)
+    trace, final = run(body, FlowConfig(**cfg))
+    assert trace.converged
+    again, final_again = run(body, FlowConfig(max_steps=trace.steps, **cfg))
+    assert again.converged and again.steps == trace.steps
+    np.testing.assert_array_equal(final_again.support, final.support)
 
 
 # ---------------------------------------------------------------------------
