@@ -14,11 +14,12 @@ in the degree l:
 
 the linearization about the round sphere, Delta + c, scaled by the largest
 coefficient of the principal symbol K A^{-1}.  L integrates exactly and N
-explicitly; the weights are functions of dt L, evaluated by contour means
-(Kassam-Trefethen 2005).  L is clipped to <= 0: the positive rates at l <= 1
-would be amplified by e^{cS dt} at a start body of large curvature, where S
-runs into the hundreds.  L is zero on every masked mode, and N(u) =
-mask * analyze(F(u)) - L u^, so masked coefficients stay frozen exactly.
+explicitly; the weights are functions of dt L, evaluated in closed form or,
+near 0, by contour means (Kassam-Trefethen 2005).  L is clipped to <= 0:
+the positive rates at l <= 1 would be amplified by e^{cS dt} at a start
+body of large curvature, where S runs into the hundreds.  L is zero on
+every masked mode, and N(u) = mask * analyze(F(u)) - L u^, so masked
+coefficients stay frozen exactly.
 
 ``run`` takes the step size from accuracy, by step doubling.  A step of dt
 is taken whole and as two steps of dt/2; the Richardson estimate of the
@@ -56,18 +57,16 @@ runs.  The entropy point then agrees with the origin to O(sup|u - 1|^2) at
 a round endpoint.
 
 Cost of a step.  The filter and the recentering are masks on coefficients
-(:meth:`SphereGrid.degree_mask`): the degrees above the 2/3 cut and, when
-recentering, the l = 1 coefficients, which is exact for a band-limited
-field.  A step analyzes its start support once; the nodal remainder
-u - synthesize(u^), which the coefficients do not hold on S^2, is kept
-fixed beside them and added to row 0 of every stage jet.  So a step makes
-one analysis and one synthesis per body: five analyses (the start support
-and the velocities of the start and of the three stages) and five
-syntheses (the remainder, and the jets of the three stages and of the
+(:meth:`SphereGrid.degree_mask`), exact for a band-limited field.  The
+nodal remainder u - synthesize(u^), which the coefficients do not hold on
+S^2, is kept fixed beside them and added to row 0 of every stage jet.  A
+step makes one analysis and one synthesis per body: five analyses (the
+start support and the velocities of the start and of the three stages) and
+five syntheses (the remainder, and the jets of the three stages and of the
 result), and no ``derivative_bundle``.  Stage bodies read their curvature
 from the synthesized jet rows and are validated at the same thresholds as
-any body.  Volume projection rescales
-the accepted body's curvature (one quadrature).
+any body.  Volume projection rescales the accepted body's curvature (one
+quadrature).
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -264,18 +263,18 @@ def _etd_weights(z: np.ndarray):
     """ETDRK4 weights at z = dt L (per degree, z <= 0): (e^{z/2}, e^z, Q, f1,
     f2, f3), the last four divided by dt (see :func:`_weight_forms`).
 
-    For z <= -1 the forms are evaluated as written.  Near z = 0 their
-    numerators cancel, so for -1 < z <= 0 each is the real part of its mean
-    over the points z + r of ``_CONTOUR`` (Kassam-Trefethen 2005), once per
-    distinct z.  Against 50-digit values at z = 0 and 1900 points of
-    [-1e6, -1e-8] the largest relative error is 3.2e-13."""
-    near = z > -1.0
-    w = np.where(near, -1.0, z)
+    For z <= -1 the forms are evaluated as written, and at z = 0 they take
+    their limits 1/2, 1/6, 1/6, 1/6.  In between their numerators cancel,
+    so each is the real part of its mean over the points z + r of
+    ``_CONTOUR`` (Kassam-Trefethen 2005).  Against 50-digit values at 1900
+    points of [-1e6, -1e-8] the largest relative error is 3.2e-13."""
+    near = (z > -1.0) & (z < 0.0)
+    w = np.where(z > -1.0, -1.0, z)
     weights = np.array(_weight_forms(w))
+    weights[:, z == 0.0] = np.array([[0.5], [1.0 / 6.0], [1.0 / 6.0], [1.0 / 6.0]])
     if near.any():
-        zs, back = np.unique(z[near], return_inverse=True)
-        means = np.array(_weight_forms(zs[:, None] + _CONTOUR)).real.mean(axis=2)
-        weights[:, near] = means[:, back]
+        r = z[near, None] + _CONTOUR
+        weights[:, near] = [f.real.mean(axis=1) for f in _weight_forms(r)]
     return (np.exp(0.5 * z), np.exp(z), *weights)
 
 
