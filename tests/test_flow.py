@@ -6,15 +6,15 @@ step-halving study check its order of accuracy on a genuinely curved body.
 """
 
 import csv
-from math import exp
+from math import exp, factorial
 
 import numpy as np
 import pytest
 
+from gcflab import flow as flow_module
 from gcflab.body import ConvexBody, make_shape, normalize_volume
 from gcflab.constants import ball_volume
 from gcflab.errors import ParameterError, SolverError, StiffnessError
-from gcflab import flow as flow_module
 from gcflab.flow import (
     DEALIAS_FRAC,
     TRACE_COLUMNS,
@@ -466,22 +466,21 @@ def test_etdrk4_is_fourth_order_in_dt():
     assert 12.0 < d1 / d2 < 22.0  # 2^4 = 16 for a fourth-order scheme
 
 
-def test_etd_weights_match_closed_forms():
-    # the contour means agree with the closed forms where those do not cancel
-    # (|z| >= 4) and with their limits 1/2, 1/6, 1/6, 1/6 at z = 0
-    z = np.array([0.0, -4.0, -30.0, -1e4])
-    e2, e1, q, f1, f2, f3 = flow_module._etd_weights(z)
+def test_etd_weights_match_the_phi_series():
+    # Q = phi_1(z/2)/2, f1 = phi_1 - 3 phi_2 + 4 phi_3, f2 = phi_2 - 2 phi_3 and
+    # f3 = 4 phi_3 - phi_2, with phi_k(z) = sum_j z^j / (j+k)!: the limits at
+    # z = 0, the contour means in (-1, 0) and the closed forms from -1 down
+    def phi(k, x):
+        return sum(x**j / factorial(j + k) for j in range(40))
+
+    z = np.array([0.0, -1e-8, -0.3, -0.999, -1.0, -2.5])
+    e2, e1, *weights = flow_module._etd_weights(z)
     np.testing.assert_array_equal(e2, np.exp(0.5 * z))
     np.testing.assert_array_equal(e1, np.exp(z))
-    np.testing.assert_allclose([q[0], f1[0], f2[0], f3[0]], [0.5, 1 / 6, 1 / 6, 1 / 6],
-                               rtol=1e-13)
-    w, ew = z[1:], np.exp(z[1:])
-    closed = ((np.exp(0.5 * w) - 1.0) / w,
-              (-4.0 - w + ew * (4.0 - 3.0 * w + w * w)) / w**3,
-              (2.0 + w + ew * (w - 2.0)) / w**3,
-              (-4.0 - 3.0 * w - w * w + ew * (4.0 - w)) / w**3)
-    for got, want in zip((q, f1, f2, f3), closed):
-        np.testing.assert_allclose(got[1:], want, rtol=1e-12)
+    for i, x in enumerate(z):
+        p1, p2, p3 = phi(1, x), phi(2, x), phi(3, x)
+        want = (0.5 * phi(1, 0.5 * x), p1 - 3.0 * p2 + 4.0 * p3, p2 - 2.0 * p3, 4.0 * p3 - p2)
+        np.testing.assert_allclose([w[i] for w in weights], want, rtol=1e-12, err_msg=str(x))
 
 
 def test_step_size_control_grows_after_rejections(g1, monkeypatch):
