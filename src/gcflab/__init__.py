@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
     StiffnessError,
 )
-from .sphere import SphereGrid, average, build_grid, gradient_norm
+from .sphere import SphereGrid, average, build_grid
 from .body import (
     ConvexBody,
     GeometrySummary,
@@ -101,7 +101,6 @@ __all__ = [
     "entropy_report",
     "firey_entropy",
     "geometry_summary",
-    "gradient_norm",
     "harmonic_field",
     "harnack_monitor",
     "inradius",

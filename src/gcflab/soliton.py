@@ -37,7 +37,7 @@ from .constants import ball_volume
 from .entropy import entropy_point
 from .errors import ParameterError
 from .flow import FlowConfig, run, soliton_residual
-from .sphere import SphereGrid, average, degree_one, gradient_norm
+from .sphere import SphereGrid, average, degree_one
 
 __all__ = [
     "SolitonReport",
@@ -88,7 +88,8 @@ def stability_form(grid: SphereGrid, eta) -> float:
     """
     eta = grid.check_field(eta)
     n = grid.dim
-    grad_sq = float(average(grid, gradient_norm(grid, eta) ** 2))
+    g = grid.derivative_bundle(eta).grad
+    grad_sq = float(average(grid, np.sum(g * g, axis=1)))
     mean_sq = float(average(grid, eta * eta))
     mean = float(average(grid, eta))
     return grad_sq - (n + 1) * mean_sq + (n + 1) * (n + 2) * mean**2

@@ -2,15 +2,18 @@
 
 A grid couples quadrature nodes/weights with tabulated basis data so scalar
 fields sampled at the nodes can be differentiated, integrated and evaluated
-off-grid with spectral accuracy:
+off-grid with spectral accuracy.  :func:`build_grid` returns one of two
+kinds of :class:`SphereGrid`, each supplying only its kernels:
 
-* dim 1: uniform angles on S^1, trigonometric (FFT) differentiation;
-* dim 2: Gauss-Legendre colatitudes x uniform longitudes, real spherical
-  harmonic transform built from fully normalized associated Legendre
-  functions.  The node set avoids the poles, so covariant components in the
-  orthonormal frame (e_theta, e_phi/sin theta) are well defined everywhere.
+* :class:`CircleGrid`: uniform angles on S^1, trigonometric (FFT)
+  differentiation;
+* :class:`Sphere2Grid`: Gauss-Legendre colatitudes x uniform longitudes,
+  real spherical harmonic transform built from fully normalized
+  associated Legendre functions.  The node set avoids the poles, so
+  covariant components in the orthonormal frame (e_theta, e_phi/sin theta)
+  are well defined everywhere.
 
-The dim-2 transform is matrix-organized (Schaeffer 2013, SHTns): an FFT in
+The S^2 transform is matrix-organized (Schaeffer 2013, SHTns): an FFT in
 longitude, then one batched matrix product over the orders m in colatitude.
 ``build_grid`` precomputes two tables, the quadrature-weighted P_lm (m, l, i)
 for analysis and the stack S (m, i, l) of P_lm, dP_lm and d2P_lm at the
@@ -41,9 +44,9 @@ builds A or the Hessian.
 The public entry points are :func:`build_grid`, the grid's spectral methods
 (:meth:`SphereGrid.analyze`, :meth:`~SphereGrid.synthesize`,
 :meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.degree_mask`,
-:meth:`~SphereGrid.radii_invariants`, :meth:`~SphereGrid.eval`,
+``radii_invariants``, :meth:`~SphereGrid.eval`,
 :meth:`~SphereGrid.lowpass`) and the quadrature
-helpers :func:`integrate`, :func:`average` and :func:`gradient_norm`.
+helpers :func:`integrate`, :func:`average` and :func:`degree_one`.
 Everything downstream treats the grid as an opaque handle, which keeps the
 geometry code dimension-agnostic.
 """
@@ -64,7 +67,6 @@ __all__ = [
     "integrate",
     "average",
     "degree_one",
-    "gradient_norm",
 ]
 
 _EVAL_CHUNK = 8192  # off-grid evaluation block size (keeps temporaries small)
@@ -74,14 +76,14 @@ _EVAL_CHUNK = 8192  # off-grid evaluation block size (keeps temporaries small)
 class SupportJet:
     """Pointwise derivative data of a nodal field, as rows of raw derivatives.
 
-    ``rows`` is (3, n_nodes) on S^1, holding (u, u', u''), and (6, n_nodes)
-    on S^2, holding (u, u_theta, u_thetatheta, u_phi, u_thetaphi, u_phiphi).
-    The rows are linear in u: ``SupportJet(grid, a.rows + t * b.rows)`` is
-    the jet of a + t b.  ``grad`` (orthonormal-frame components of the
-    tangential gradient, (n_nodes, dim)) and ``hess`` (covariant Hessian in
-    the same frame, (n_nodes, dim, dim)) are derived from the rows on each
-    access, as fresh arrays, so a body that keeps its gradient does not keep
-    the whole jet alive.
+    ``rows`` is (3, n_nodes) on a :class:`CircleGrid`, holding (u, u', u''),
+    and (6, n_nodes) on a :class:`Sphere2Grid`, holding (u, u_theta,
+    u_thetatheta, u_phi, u_thetaphi, u_phiphi).  The rows are linear in u:
+    ``SupportJet(grid, a.rows + t * b.rows)`` is the jet of a + t b.
+    ``grad`` (orthonormal-frame components of the tangential gradient,
+    (n_nodes, dim)) is derived from the rows by the grid's kind on each
+    access, as a fresh array, so a body that keeps its gradient does not
+    keep the whole jet alive.
     """
 
     grid: SphereGrid
@@ -93,27 +95,15 @@ class SupportJet:
 
     @property
     def grad(self) -> np.ndarray:
-        r = self.rows
-        if self.grid.dim == 1:
-            return r[1][:, None].copy()
-        return np.stack([r[1], r[3] / self.grid._tab["sin_flat"]], axis=1)
-
-    @property
-    def hess(self) -> np.ndarray:
-        r = self.rows
-        if self.grid.dim == 1:
-            return r[2][:, None, None].copy()
-        h11, h12, h22 = self.grid._frame_hessian(r)
-        hess = np.empty((r.shape[1], 2, 2))
-        hess[:, 0, 0] = h11
-        hess[:, 0, 1] = hess[:, 1, 0] = h12
-        hess[:, 1, 1] = h22
-        return hess
+        return self.grid._grad(self.rows)
 
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Collocation grid on S^dim (dim in {1, 2}).
+    """Collocation grid on S^dim, a :class:`CircleGrid` (dim 1) or a
+    :class:`Sphere2Grid` (dim 2).  The public methods are defined here and
+    never overridden by a kind: a kind supplies ``_analyze``,
+    ``_synthesize_rows``, ``_eval_modes``, ``_grad`` and ``radii_invariants``.
 
     Attributes
     ----------
@@ -126,6 +116,7 @@ class SphereGrid:
         the flow takes as its first step.
     antipodes : (n_nodes,) index of each node's antipode, so that
         ``nodes[antipodes] = -nodes`` up to round-off.
+    thetas : the node angles on S^1, the n_theta colatitudes on S^2.
     """
 
     dim: int
@@ -138,9 +129,7 @@ class SphereGrid:
     quad_degree: int
     h_min: float
     antipodes: np.ndarray
-    # dim-2 only public angle arrays (dim 1 stores angles in `thetas`)
-    thetas: np.ndarray = None
-    phis: np.ndarray = None
+    thetas: np.ndarray
     # private transform tables
     _tab: dict = field(default_factory=dict, repr=False)
 
@@ -166,17 +155,114 @@ class SphereGrid:
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Forward transform to spectral coefficients.
 
-        dim 1: complex rfft coefficients divided by N.
-        dim 2: complex triangle c[m, l] (zero for l < m) in the orthonormal
+        S^1: complex rfft coefficients divided by N.
+        S^2: complex triangle c[m, l] (zero for l < m) in the orthonormal
         associated-Legendre basis; m >= 0 only, real fields assumed.
         On both grids the degree is the last axis.
         """
         return self._analyze(self.check_field(values))
 
+    def synthesize(self, coeffs: np.ndarray, jet: bool = False):
+        """Inverse of :meth:`analyze` (exact for band-limited data): the nodal
+        values or, with ``jet``, the :class:`SupportJet` of the field (the
+        kind's ``_synthesize_rows`` gives the value row or the jet rows)."""
+        if jet:
+            return SupportJet(self, self._synthesize_rows(coeffs, jet=True))
+        return self._synthesize_rows(coeffs, jet=False)[0]
+
+    def derivative_bundle(self, values: np.ndarray) -> SupportJet:
+        """Jet of a nodal field: one analysis and the synthesis kernel.
+
+        The nodal values are kept as-is; derivatives come from the spectral
+        representation, the standard pseudo-spectral convention.
+        """
+        values = self.check_field(values)
+        jet = self.synthesize(self._analyze(values), jet=True)
+        jet.rows[0] = values
+        return jet
+
+    def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Evaluate the spectral interpolant at arbitrary unit directions.
+
+        Both kinds sum u = Re sum_m f_m G_m e^{im phi} (f_0 = 1, f = 1 on
+        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of ``_EVAL_CHUNK``
+        directions: one exp per block, powers by running products, and
+        (f_m, G_m) (the kind's ``_eval_modes``) streamed one order at a time.
+        A 1-D ``directions`` gives a float.
+        """
+        values = self.check_field(values)
+        directions = np.asarray(directions, dtype=float)
+        single = directions.ndim == 1
+        pts = np.atleast_2d(directions)
+        if pts.shape[1] != self.dim + 1:
+            raise ParameterError(
+                f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
+            )
+        norms = np.linalg.norm(pts, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
+            raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
+
+        coeffs = self.analyze(values)
+        out = np.empty(pts.shape[0])
+        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
+            block = pts[lo : lo + _EVAL_CHUNK]
+            e_phi = np.exp(1j * np.arctan2(block[:, 1], block[:, 0]))
+            power = np.ones_like(e_phi)  # e^{i m phi}
+            acc = np.zeros(block.shape[0])
+            for f, g in self._eval_modes(coeffs, block):
+                acc += f * (g * power).real
+                power *= e_phi
+            out[lo : lo + _EVAL_CHUNK] = acc
+        return out[0] if single else out
+
+    def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
+        """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
+        a negative ``frac`` zeroes every mode."""
+        return self.synthesize(self.analyze(values) * self.degree_mask(frac))
+
+    def degree_mask(self, frac: float, drop_degree_one: bool = False) -> np.ndarray:
+        """Multiplier along the coefficients' degree axis: 1 on the degrees
+        up to ``frac * bandlimit`` and 0 above (0 everywhere for a negative
+        ``frac``), and 0 at l = 1, a translation of a support function, if
+        ``drop_degree_one``.  Masking is exact for a band-limited field."""
+        if not np.isfinite(frac):
+            raise ParameterError(f"frac must be finite, got {frac!r}")
+        mask = (self._tab["degrees"] <= np.floor(frac * self.bandlimit)).astype(float)
+        if drop_degree_one:
+            mask[1] = 0.0
+        return mask
+
+
+class CircleGrid(SphereGrid):
+    """Uniform grid on S^1: FFT transforms, jet rows (u, u', u'')."""
+
     def _analyze(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform of a checked field (see :meth:`analyze`)."""
-        if self.dim == 1:
-            return np.fft.rfft(values) / self.shape[0]
+        return np.fft.rfft(values) / self.shape[0]
+
+    def _synthesize_rows(self, coeffs: np.ndarray, jet: bool) -> np.ndarray:
+        mult = self._tab["jet"] if jet else self._tab["jet"][:1]
+        return np.fft.irfft(mult * coeffs, n=self.shape[0], axis=-1)
+
+    def _grad(self, rows: np.ndarray) -> np.ndarray:
+        return rows[1][:, None].copy()
+
+    def radii_invariants(self, jet: SupportJet):
+        """(det A, trace A, least eigenvalue, sigma_0(A) = 1) of A = u'' + u."""
+        a = jet.rows[2] + jet.rows[0]
+        return a, a, a, self._tab["ones"]
+
+    def _eval_modes(self, coeffs, pts):
+        """Yield (f_m, c_m) for :meth:`eval`, c_m the rfft coefficients."""
+        last = len(coeffs) - 1  # n is even: the last coefficient is the Nyquist mode
+        for m, c in enumerate(coeffs):
+            yield (1.0 if m in (0, last) else 2.0), c
+
+
+class Sphere2Grid(SphereGrid):
+    """Gauss-Legendre x uniform grid on S^2: Legendre matmuls and FFTs, jet
+    rows (u, u_theta, u_thetatheta, u_phi, u_thetaphi, u_phiphi)."""
+
+    def _analyze(self, values: np.ndarray) -> np.ndarray:
         n_theta, n_phi = self.shape
         g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
         g = np.ascontiguousarray(g[:, : self.bandlimit + 1].T)  # (m, i)
@@ -184,21 +270,7 @@ class SphereGrid:
         c = self._tab["PWt"] @ g.view(float).reshape(*g.shape, 2)
         return c.view(complex)[..., 0]
 
-    def synthesize(self, coeffs: np.ndarray, jet: bool = False):
-        """Inverse of :meth:`analyze` (exact for band-limited data): the nodal
-        values or, with ``jet``, the :class:`SupportJet` of the field."""
-        if jet:
-            return SupportJet(self, self._synthesize_rows(coeffs, jet=True))
-        return self._synthesize_rows(coeffs, jet=False)[0]
-
     def _synthesize_rows(self, coeffs: np.ndarray, jet: bool) -> np.ndarray:
-        """The synthesis kernel: nodal rows of the field with coefficients
-        ``coeffs``, its values (1 row) or, with ``jet``, its jet rows (see
-        :class:`SupportJet`).  Returns (rows, n_nodes)."""
-        if self.dim == 1:
-            mult = self._tab["jet"] if jet else self._tab["jet"][:1]
-            return np.fft.irfft(mult * coeffs, n=self.shape[0], axis=-1)
-
         # Legendre sums of P (and dP, d2P for a jet), written straight into
         # the longitude spectrum; the phi-derivative rows are multiples of
         # the first two by i m and -m^2
@@ -224,105 +296,33 @@ class SphereGrid:
         prof = self._tab["S"][:, :rows] @ c.view(float).reshape(*c.shape, 2)
         return prof.view(complex)[..., 0]
 
-    def derivative_bundle(self, values: np.ndarray) -> SupportJet:
-        """Jet of a nodal field: one analysis and the synthesis kernel.
-
-        The nodal values are kept as-is; derivatives come from the spectral
-        representation, the standard pseudo-spectral convention.
-        """
-        values = self.check_field(values)
-        jet = self.synthesize(self._analyze(values), jet=True)
-        jet.rows[0] = values
-        return jet
+    def _grad(self, rows: np.ndarray) -> np.ndarray:
+        return np.stack([rows[1], rows[3] / self._tab["sin_flat"]], axis=1)
 
     def radii_invariants(self, jet: SupportJet):
-        """(det A, trace A, least eigenvalue, sigma_{n-1}(A) = trace adj A) of
-        A = Hess u + u I at the nodes, read from the jet rows: the scalar
-        u'' + u on S^1, closed 2x2 forms on S^2."""
-        r = jet.rows
+        """(det A, trace A, least eigenvalue, sigma_1(A) = trace A) of
+        A = Hess u + u I at the nodes, in closed 2x2 forms.  In the frame
+        (e_theta, e_phi/sin theta) the covariant Hessian is h11 = u_thetatheta,
+        h12 = (u_thetaphi - cot u_phi)/sin, h22 = u_phiphi/sin^2 + cot u_theta."""
+        r, sin_t, cot_t = jet.rows, self._tab["sin_flat"], self._tab["cot_flat"]
         u = r[0]
-        if self.dim == 1:
-            a = r[2] + u
-            return a, a, a, self._tab["ones"]
-        h11, a12, h22 = self._frame_hessian(r)
-        a11 = h11 + u
-        a22 = h22 + u
+        a11 = r[2] + u
+        a12 = (r[4] - cot_t * r[3]) / sin_t
+        a22 = (r[5] / self._tab["sin2_flat"] + cot_t * r[1]) + u
         a12_sq = a12 * a12
         trace = a11 + a22
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
         return a11 * a22 - a12_sq, trace, 0.5 * trace - disc, trace
 
-    def _frame_hessian(self, rows: np.ndarray):
-        """(h11, h12, h22), the S^2 covariant Hessian in the orthonormal frame
-        (e_theta, e_phi/sin theta), from jet rows: h11 = u_thetatheta,
-        h12 = (u_thetaphi - cot u_phi)/sin, h22 = u_phiphi/sin^2 + cot u_theta."""
-        sin_t, cot_t = self._tab["sin_flat"], self._tab["cot_flat"]
-        return (rows[2], (rows[4] - cot_t * rows[3]) / sin_t,
-                rows[5] / self._tab["sin2_flat"] + cot_t * rows[1])
-
-    def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Evaluate the spectral interpolant at arbitrary unit directions.
-
-        Both dimensions sum u = Re sum_m f_m G_m e^{im phi} (f_0 = 1, f = 1 on
-        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of ``_EVAL_CHUNK``
-        directions: one exp per block, powers by running products, and G_m
-        (:meth:`_eval_modes`) streamed one order at a time.  A 1-D
-        ``directions`` gives a float.
-        """
-        values = self.check_field(values)
-        directions = np.asarray(directions, dtype=float)
-        single = directions.ndim == 1
-        pts = np.atleast_2d(directions)
-        if pts.shape[1] != self.dim + 1:
-            raise ParameterError(
-                f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
-            )
-        norms = np.linalg.norm(pts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
-            raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
-
-        coeffs = self.analyze(values)
-        nyquist = self.shape[0] // 2 if self.dim == 1 and self.shape[0] % 2 == 0 else -1
-        out = np.empty(pts.shape[0])
-        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            block = pts[lo : lo + _EVAL_CHUNK]
-            e_phi = np.exp(1j * np.arctan2(block[:, 1], block[:, 0]))
-            power = np.ones_like(e_phi)  # e^{i m phi}
-            acc = np.zeros(block.shape[0])
-            for m, g in self._eval_modes(coeffs, block):
-                acc += (1.0 if m in (0, nyquist) else 2.0) * (g * power).real
-                power *= e_phi
-            out[lo : lo + _EVAL_CHUNK] = acc
-        return out[0] if single else out
-
     def _eval_modes(self, coeffs, pts):
-        """Yield (m, G_m) for :meth:`eval`: the rfft coefficient c_m on S^1, and
-        on S^2 the colatitude sum G_m = sum_l c[m, l] P_lm(x) at the points'
-        x = cos(theta), run by the associated-Legendre recurrence."""
-        if self.dim == 1:
-            yield from enumerate(coeffs)
-            return
+        """Yield (f_m, G_m) for :meth:`eval`: the colatitude sum
+        G_m = sum_l c[m, l] P_lm(x) at the points' x = cos(theta), run by the
+        associated-Legendre recurrence."""
         x = np.clip(pts[:, 2], -1.0, 1.0)
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
         for m, column in _legendre_columns(x, sin_t, self._tab["recurrence"]):
-            yield m, sum(coeffs[m, l] * p for l, p in enumerate(column, start=m))
-
-    def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
-        """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
-        a negative ``frac`` zeroes every mode."""
-        return self.synthesize(self.analyze(values) * self.degree_mask(frac))
-
-    def degree_mask(self, frac: float, drop_degree_one: bool = False) -> np.ndarray:
-        """Multiplier along the coefficients' degree axis: 1 on the degrees
-        up to ``frac * bandlimit`` and 0 above (0 everywhere for a negative
-        ``frac``), and 0 at l = 1, a translation of a support function, if
-        ``drop_degree_one``.  Masking is exact for a band-limited field."""
-        if not np.isfinite(frac):
-            raise ParameterError(f"frac must be finite, got {frac!r}")
-        mask = (self._tab["degrees"] <= np.floor(frac * self.bandlimit)).astype(float)
-        if drop_degree_one:
-            mask[1] = 0.0
-        return mask
+            g = sum(coeffs[m, l] * p for l, p in enumerate(column, start=m))
+            yield (1.0 if m == 0 else 2.0), g
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +405,9 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     n_phi >= 16.  Other dimensions are rejected: the tabulated transforms
     below are what make the rest of the package dimension-agnostic.
     """
+    for name, v in (("dim", dim), ("n", n), ("n_theta", n_theta), ("n_phi", n_phi)):
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise ParameterError(f"{name} must be an integer, got {v!r}")
     if dim == 1:
         if n is None or n < 16 or n % 2:
             raise ParameterError("dim 1 grids need an even node count n >= 16")
@@ -422,7 +425,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
             "ones": _ro(np.ones(n)),  # sigma_0(A), shared by every body
             "degrees": _ro(k),
         }
-        return SphereGrid(
+        return CircleGrid(
             dim=1,
             shape=(n,),
             nodes=_ro(nodes),
@@ -482,7 +485,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         "m2": -(np.arange(L + 1) ** 2),
         "degrees": _ro(np.arange(L + 1)),
     }
-    return SphereGrid(
+    return Sphere2Grid(
         dim=2,
         shape=(n_theta, n_phi),
         nodes=_ro(nodes),
@@ -496,7 +499,6 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
         antipodes=_ro(np.roll(np.arange(n_theta * n_phi).reshape(n_theta, n_phi)[::-1],
                               n_phi // 2, axis=1).ravel()),
         thetas=_ro(thetas),
-        phis=_ro(phis),
         _tab=tab,
     )
 
@@ -528,8 +530,3 @@ def degree_one(grid: SphereGrid, values) -> np.ndarray:
     w, x = grid.weights, grid.nodes
     return (w @ (grid.check_field(values)[:, None] * x)) / (w @ (x * x))
 
-
-def gradient_norm(grid: SphereGrid, values) -> np.ndarray:
-    """Pointwise norm of the tangential gradient."""
-    g = grid.derivative_bundle(values).grad
-    return np.sqrt(np.sum(g * g, axis=1))

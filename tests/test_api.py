@@ -22,7 +22,8 @@ def test_exported_names_resolve(module):
 
 
 @pytest.mark.parametrize(
-    "name", ["derivative_bundle", "gradient", "covariant_hessian", "eval_direction", "lowpass"]
+    "name",
+    ["derivative_bundle", "gradient", "covariant_hessian", "eval_direction", "lowpass", "gradient_norm"],
 )
 def test_spectral_operations_have_one_entry_point(name):
     sphere = importlib.import_module("gcflab.sphere")

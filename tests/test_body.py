@@ -111,9 +111,19 @@ def test_ellipsoid_curvature_closed_form(g2):
 
 
 def radii_matrix(body):
-    """A = Hess u + u I, rebuilt from the grid's derivative jet."""
+    """A = Hess u + u I, rebuilt from the rows of the grid's derivative jet:
+    u'' + u on S^1, and on S^2 the covariant Hessian in the orthonormal frame
+    (e_theta, e_phi/sin theta) written out."""
     u = body.support
-    return body.grid.derivative_bundle(u).hess + u[:, None, None] * np.eye(body.dim)
+    r = body.grid.derivative_bundle(u).rows
+    if body.dim == 1:
+        return (r[2] + u)[:, None, None]
+    cos_t = body.grid.nodes[:, 2]
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    cot_t = cos_t / sin_t
+    a12 = (r[4] - cot_t * r[3]) / sin_t
+    a = [[r[2] + u, a12], [a12, r[5] / sin_t**2 + cot_t * r[1] + u]]
+    return np.stack(a).transpose(2, 0, 1)
 
 
 def test_curvature_invariants_hold(g1, g2):

@@ -7,7 +7,7 @@ from scipy.special import sph_harm_y
 
 from gcflab import sphere
 from gcflab.errors import FieldShapeError, ParameterError
-from gcflab.sphere import average, build_grid, degree_one, gradient_norm, integrate
+from gcflab.sphere import SphereGrid, average, build_grid, degree_one, integrate
 
 
 def real_harmonic(l, m, theta, phi):
@@ -18,6 +18,16 @@ def real_harmonic(l, m, theta, phi):
     if m > 0:
         return np.sqrt(2.0) * y.real
     return np.sqrt(2.0) * y.imag
+
+
+def frame_hessian(grid, rows):
+    """(h11, h12, h22), the covariant Hessian in the orthonormal frame
+    (e_theta, e_phi/sin theta), from S^2 jet rows by the frame formulas."""
+    _, u_t, u_tt, u_p, u_tp, u_pp = rows
+    cos_t = grid.nodes[:, 2]
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    cot_t = cos_t / sin_t
+    return u_tt, (u_tp - cot_t * u_p) / sin_t, u_pp / sin_t**2 + cot_t * u_t
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +42,9 @@ def real_harmonic(l, m, theta, phi):
     (2, dict(n_theta=16, n_phi=15)),
     (2, dict(n_theta=16, n_phi=8)),
     (3, dict(n=32)),
+    (1, dict(n=16.0)),
+    (2, dict(n_theta=8.5, n_phi=16)),
+    (True, dict(n=16)),
 ])
 def test_grid_rejects_bad_parameters(dim, kwargs):
     with pytest.raises(ParameterError):
@@ -207,7 +220,9 @@ def test_filtered_jet_is_the_jet_of_the_filtered_field(dim):
         jet = grid.synthesize(grid.analyze(u) * mask, jet=True)
         ref = grid.derivative_bundle(v)
         assert np.max(np.abs(jet.rows - ref.rows)) < 1e-12 * np.max(np.abs(ref.rows))
-        assert np.max(np.abs(jet.hess - ref.hess)) < 1e-11
+        # trace A and its least eigenvalue, both Lipschitz in A
+        for a, b in zip(grid.radii_invariants(jet)[1:3], grid.radii_invariants(ref)[1:3]):
+            assert np.max(np.abs(a - b)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +236,9 @@ def test_circle_derivatives_analytic():
     for k in (1, 3, 10):
         u = np.cos(k * th)
         jet = grid.derivative_bundle(u)
-        g, h = jet.grad, jet.hess
+        g, h = jet.grad, jet.rows[2]
         assert np.max(np.abs(g[:, 0] + k * np.sin(k * th))) < 1e-10 * k**2
-        assert np.max(np.abs(h[:, 0, 0] + k * k * np.cos(k * th))) < 1e-10 * k**2
+        assert np.max(np.abs(h + k * k * np.cos(k * th))) < 1e-10 * k**2
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
@@ -235,9 +250,9 @@ def test_linear_fields_have_hessian_minus_ug(j):
     """
     grid = build_grid(2, n_theta=16, n_phi=32)
     u = grid.nodes[:, j].copy()
-    h = grid.derivative_bundle(u).hess
-    expect = -u[:, None, None] * np.eye(2)[None]
-    assert np.max(np.abs(h - expect)) < 1e-11
+    # A = Hess u + u I = 0: det, trace, least eigenvalue and sigma_1 all vanish
+    for invariant in grid.radii_invariants(grid.derivative_bundle(u)):
+        assert np.max(np.abs(invariant)) < 1e-11
     # and the gradient is the tangential projection of e_j
     e = np.zeros(3)
     e[j] = 1.0
@@ -251,8 +266,8 @@ def test_harmonic_laplacian_eigenvalues():
     phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
     for l, m in [(2, 1), (4, -3), (7, 0), (9, 5)]:
         y = real_harmonic(l, m, theta, phi)
-        h = grid.derivative_bundle(y).hess
-        lap = h[:, 0, 0] + h[:, 1, 1]
+        trace_a = grid.radii_invariants(grid.derivative_bundle(y))[1]
+        lap = trace_a - 2.0 * y
         assert np.max(np.abs(lap + l * (l + 1) * y)) < 1e-9, f"(l,m)=({l},{m})"
 
 
@@ -264,13 +279,11 @@ def test_hessian_of_smooth_field_converges():
         ct = grid.nodes[:, 2]
         st = np.sqrt(1.0 - ct**2)
         u = np.exp(ct)
-        h = grid.derivative_bundle(u).hess
-        h11 = (st**2 - ct) * u
-        h22 = -ct * u
+        h11, h12, h22 = frame_hessian(grid, grid.derivative_bundle(u).rows)
         return max(
-            np.max(np.abs(h[:, 0, 0] - h11)),
-            np.max(np.abs(h[:, 1, 1] - h22)),
-            np.max(np.abs(h[:, 0, 1])),
+            np.max(np.abs(h11 - (st**2 - ct) * u)),
+            np.max(np.abs(h22 + ct * u)),
+            np.max(np.abs(h12)),
         )
 
     coarse = errs(12, 24)
@@ -343,18 +356,32 @@ def test_transforms_match_einsum_reference(n_theta, n_phi, kind):
     assert np.max(np.abs(grid.analyze(u) - c)) < 1e-12
     assert np.max(np.abs(grid.synthesize(c) - ref.synthesize(c))) < 1e-12
     jet = grid.derivative_bundle(u)
-    assert np.array_equal(jet.hess[:, 0, 1], jet.hess[:, 1, 0])
-    ours = (jet.grad[:, 0], jet.grad[:, 1], jet.hess[:, 0, 0], jet.hess[:, 0, 1], jet.hess[:, 1, 1])
+    ours = (jet.grad[:, 0], jet.grad[:, 1], *frame_hessian(grid, jet.rows))
     names = ("grad_t", "grad_p", "hess_tt", "hess_tp", "hess_pp")
-    for name, a, b in zip(names, ours, ref.derivatives(u)):
+    expect = ref.derivatives(u)
+    for name, a, b in zip(names, ours, expect):
         assert np.max(np.abs(a - b)) < 1e-12, name
+    # the grid's invariants of A = Hess u + u I against the reference's A
+    _, _, h11, h12, h22 = expect
+    radii = np.linalg.eigvalsh(np.stack([[h11 + u, h12], [h12, h22 + u]]).transpose(2, 0, 1))
+    det, trace, least, adj = grid.radii_invariants(jet)
+    scale = np.max(np.abs(radii))
+    assert np.max(np.abs(det - radii[:, 0] * radii[:, 1])) < 1e-12 * scale**2
+    assert np.max(np.abs(trace - radii.sum(axis=1))) < 1e-12 * scale
+    assert np.max(np.abs(least - radii[:, 0])) < 1e-12 * scale
+    assert np.array_equal(adj, trace)
 
 
-def test_gradient_norm_matches_components():
-    grid = build_grid(2, n_theta=12, n_phi=24)
-    u = 1.0 + 0.3 * grid.nodes[:, 0] + 0.1 * grid.nodes[:, 2]
-    g = grid.derivative_bundle(u).grad
-    assert np.allclose(gradient_norm(grid, u), np.hypot(g[:, 0], g[:, 1]), atol=1e-14)
+@pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
+def test_public_methods_live_on_the_base_grid(kwargs):
+    # perfbench's tracer and the flow tests' spy patch these on SphereGrid
+    # itself, so a kind must inherit them, never override them
+    grid = build_grid(**kwargs)
+    assert isinstance(grid, SphereGrid)
+    assert repr(grid) == f"SphereGrid(dim={grid.dim}, shape={grid.shape})"
+    for name in ("analyze", "synthesize", "derivative_bundle", "lowpass", "eval"):
+        assert name in SphereGrid.__dict__
+        assert name not in type(grid).__dict__
 
 
 # ---------------------------------------------------------------------------
