@@ -408,6 +408,7 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     for name, v in (("dim", dim), ("n", n), ("n_theta", n_theta), ("n_phi", n_phi)):
         if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise ParameterError(f"{name} must be an integer, got {v!r}")
+    n, n_theta, n_phi = (None if v is None else int(v) for v in (n, n_theta, n_phi))
     if dim == 1:
         if n is None or n < 16 or n % 2:
             raise ParameterError("dim 1 grids need an even node count n >= 16")

@@ -48,6 +48,15 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path, dim):
     assert np.array_equal(l2.support, body.support)
 
 
+def test_snapshot_of_a_grid_built_from_numpy_integers(tmp_path):
+    # build_grid takes numpy integers, and the grid keeps plain ints for JSON
+    grid = build_grid(np.int64(2), n_theta=np.int64(16), n_phi=np.int64(32))
+    assert repr(grid) == "SphereGrid(dim=2, shape=(16, 32))"
+    write_snapshot(tmp_path / "b.json", make_shape(grid, "ball"))
+    loaded, _ = read_snapshot(tmp_path / "b.json")
+    assert loaded.grid.shape == (16, 32)
+
+
 def test_snapshot_structural_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 99, "dim": 1, "grid": {"n": 64}, "support": []}')
