@@ -308,7 +308,7 @@ class Sphere2Grid(SphereGrid):
         u = r[0]
         a11 = r[2] + u
         a12 = (r[4] - cot_t * r[3]) / sin_t
-        a22 = (r[5] / self._tab["sin2_flat"] + cot_t * r[1]) + u
+        a22 = r[5] / self._tab["sin2_flat"] + cot_t * r[1] + u
         a12_sq = a12 * a12
         trace = a11 + a22
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
