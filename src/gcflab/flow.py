@@ -278,16 +278,9 @@ def _etd_weights(z: np.ndarray):
     return (np.exp(0.5 * z), np.exp(z), *weights)
 
 
-def step(body: ConvexBody, dt: float, mode: str = "normalized",
-         recenter: bool = False) -> ConvexBody:
-    """One ETDRK4 step (Cox-Matthews) in coefficient space; raises
-    StepRejected if any stage leaves the valid-body cone (the caller
-    retries with a smaller dt)."""
-    if not 0.0 < dt < np.inf:
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    normalized = mode == "normalized"
+def _start_stage(body: ConvexBody, normalized: bool, recenter: bool) -> tuple:
+    """What a step takes from its start body alone, whatever its dt:
+    (mask, L, u^, the nodal remainder u - synthesize(u^), N(u))."""
     grid = body.grid
     mask = grid.degree_mask(DEALIAS_FRAC, recenter)
     n, l = body.dim, np.arange(mask.size)  # the index along the degree axis is l
@@ -295,16 +288,41 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
     # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
     c_0 = n + 1 if normalized else n
     lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0) * mask
-    e2, e1, q, f1, f2, f3 = _etd_weights(dt * lin)
-    q, f1, f2, f3 = dt * q, dt * f1, dt * f2, dt * f3
-
     u_hat = grid.analyze(body.support)
     remainder = body.support - grid.synthesize(u_hat)
+    return mask, lin, u_hat, remainder, _nonlinear(body, u_hat, normalized, mask, lin)
 
-    def nonlinear(stage_body, coeffs):
-        gauss = stage_body.curvature.gauss
-        vel = stage_body.support - gauss if normalized else -gauss
-        return grid.analyze(vel) * mask - lin * coeffs
+
+def _nonlinear(body: ConvexBody, coeffs, normalized: bool, mask, lin):
+    """N = mask * analyze(F(u)) - L u^ of a body whose coefficients are coeffs."""
+    gauss = body.curvature.gauss
+    vel = body.support - gauss if normalized else -gauss
+    return body.grid.analyze(vel) * mask - lin * coeffs
+
+
+def step(body: ConvexBody, dt: float, mode: str = "normalized",
+         recenter: bool = False, *, _start: tuple = None,
+         _weights: tuple = None) -> ConvexBody:
+    """One ETDRK4 step (Cox-Matthews) in coefficient space; raises
+    StepRejected if any stage leaves the valid-body cone (the caller
+    retries with a smaller dt).
+
+    ``_start`` and ``_weights`` are the package's own hook, not part of the
+    interface: :func:`_doubled_step` passes the start stage of ``body``
+    (:func:`_start_stage`) and the weights at dt L, which it shares between
+    the whole and the first half step."""
+    if not 0.0 < dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    normalized = mode == "normalized"
+    grid = body.grid
+    mask, lin, u_hat, remainder, n_u = _start or _start_stage(body, normalized, recenter)
+    e2, e1, q, f1, f2, f3 = _weights or _etd_weights(dt * lin)
+    q, f1, f2, f3 = dt * q, dt * f1, dt * f2, dt * f3
+
+    def nonlinear(coeffs):
+        return _nonlinear(stage(coeffs), coeffs, normalized, mask, lin)
 
     def stage(coeffs):
         jet = grid.synthesize(coeffs, jet=True)
@@ -312,13 +330,12 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
         return ConvexBody.from_jet(jet)
 
     try:
-        n_u = nonlinear(body, u_hat)
         a = e2 * u_hat + q * n_u
-        n_a = nonlinear(stage(a), a)
+        n_a = nonlinear(a)
         b = e2 * u_hat + q * n_a
-        n_b = nonlinear(stage(b), b)
+        n_b = nonlinear(b)
         c = e2 * a + q * (2.0 * n_b - n_u)
-        n_c = nonlinear(stage(c), c)
+        n_c = nonlinear(c)
         return stage(e1 * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
@@ -480,8 +497,12 @@ def _doubled_step(body: ConvexBody, dt: float, cfg: FlowConfig):
     (u_{dt/2,dt/2} - u_dt)/15, built from its support, and the Richardson
     estimate of the error of u_{dt/2,dt/2}, the area-RMS of
     u_dt - u_{dt/2,dt/2} over 15, relative to the RMS of u."""
-    whole = step(body, dt, cfg.mode, cfg.recenter)
-    half = step(body, 0.5 * dt, cfg.mode, cfg.recenter)
+    # the whole and the first half step share their start stage, and the
+    # weights at dt L and dt L / 2 come from one call
+    start = _start_stage(body, cfg.mode == "normalized", cfg.recenter)
+    whole_w, half_w = zip(*_etd_weights(np.array([[dt], [0.5 * dt]]) * start[1]))
+    whole = step(body, dt, cfg.mode, cfg.recenter, _start=start, _weights=whole_w)
+    half = step(body, 0.5 * dt, cfg.mode, cfg.recenter, _start=start, _weights=half_w)
     fine = step(half, 0.5 * dt, cfg.mode, cfg.recenter)
     diff = fine.support - whole.support
     grid = body.grid

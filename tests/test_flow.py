@@ -194,6 +194,25 @@ def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch
 
 
 @pytest.mark.parametrize("recenter", [False, True])
+def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, monkeypatch):
+    # the whole and the first half step of an attempt share the start's
+    # analysis, remainder synthesis and velocity analysis: 13 analyses and
+    # 15 syntheses (the extrapolated body's derivative_bundle makes one),
+    # with the same body as three separate public steps
+    dt = stable_dt(flow_body, 0.25)
+    whole = step(flow_body, dt, "normalized", recenter)
+    fine = step(step(flow_body, 0.5 * dt, "normalized", recenter), 0.5 * dt, "normalized",
+                recenter)
+    calls = dict.fromkeys(("analyze", "synthesize"), 0)
+    for name in calls:
+        _spy(monkeypatch, name, lambda *_, _name=name: calls.__setitem__(_name, calls[_name] + 1))
+    doubled, _ = flow_module._doubled_step(flow_body, dt, FlowConfig(recenter=recenter))
+    assert calls == {"analyze": 13, "synthesize": 15}
+    expected = fine.support + (fine.support - whole.support) / 15.0
+    np.testing.assert_array_equal(doubled.support, expected)
+
+
+@pytest.mark.parametrize("recenter", [False, True])
 def test_step_leaves_masked_coefficients_bit_identical(flow_body, recenter, monkeypatch):
     # every coefficient the filter masks (above the 2/3 cut, and l = 1 when
     # recentering) has L = 0 and N = 0, so it passes through the step
