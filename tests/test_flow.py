@@ -6,6 +6,7 @@ step-halving study check its order of accuracy on a genuinely curved body.
 """
 
 import csv
+from fractions import Fraction
 from math import exp, factorial
 
 import numpy as np
@@ -485,21 +486,31 @@ def test_etdrk4_is_fourth_order_in_dt():
     assert 12.0 < d1 / d2 < 22.0  # 2^4 = 16 for a fourth-order scheme
 
 
+def _phi(k, x, terms=60):
+    """phi_k(x) = sum_j x^j / (j+k)! over j <= terms, summed exactly: a
+    float x is p / q, so the sum is one integer over (terms+k)! q^terms."""
+    p, q = x.as_integer_ratio()
+    top = factorial(terms + k)
+    num = sum(p**j * q ** (terms - j) * (top // factorial(j + k)) for j in range(terms + 1))
+    return Fraction(num, top * q**terms)
+
+
 def test_etd_weights_match_the_phi_series():
     # Q = phi_1(z/2)/2, f1 = phi_1 - 3 phi_2 + 4 phi_3, f2 = phi_2 - 2 phi_3 and
-    # f3 = 4 phi_3 - phi_2, with phi_k(z) = sum_j z^j / (j+k)!: the limits at
-    # z = 0, the contour means in (-1, 0) and the closed forms from -1 down
-    def phi(k, x):
-        return sum(x**j / factorial(j + k) for j in range(40))
-
-    z = np.array([0.0, -1e-8, -0.3, -0.999, -1.0, -2.5])
+    # f3 = 4 phi_3 - phi_2, in exact rationals (the first omitted term is
+    # below 1e-40 on [-2.5, 0]): the Taylor series on (-1, 0] hold to 1e-14
+    # and the closed forms from -1 down to 1e-13
+    near = np.concatenate([[0.0], -np.logspace(-12, np.log10(0.999999), 120)])
+    z = np.concatenate([near, [-1.0, -2.5]])
     e2, e1, *weights = flow_module._etd_weights(z)
     np.testing.assert_array_equal(e2, np.exp(0.5 * z))
     np.testing.assert_array_equal(e1, np.exp(z))
-    for i, x in enumerate(z):
-        p1, p2, p3 = phi(1, x), phi(2, x), phi(3, x)
-        want = (0.5 * phi(1, 0.5 * x), p1 - 3.0 * p2 + 4.0 * p3, p2 - 2.0 * p3, 4.0 * p3 - p2)
-        np.testing.assert_allclose([w[i] for w in weights], want, rtol=1e-12, err_msg=str(x))
+    for i, x in enumerate(z.tolist()):
+        p1, p2, p3 = _phi(1, x), _phi(2, x), _phi(3, x)
+        want = [float(v) for v in (_phi(1, 0.5 * x) / 2, p1 - 3 * p2 + 4 * p3, p2 - 2 * p3,
+                                   4 * p3 - p2)]
+        np.testing.assert_allclose([w[i] for w in weights], want,
+                                   rtol=1e-14 if x > -1.0 else 1e-13, err_msg=str(x))
 
 
 def test_step_size_control_grows_after_rejections(g1, monkeypatch):
