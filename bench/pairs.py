@@ -2,10 +2,15 @@
 
     python3 bench/pairs.py --parent HEAD~1 --pr N [--change REV] [--traced]
 
-Run it from the root of a gcflab git checkout.  The change side is the working
-tree (or ``--change REV``); the parent side is ``git archive REV`` unpacked
-into a temporary directory, so the repository gets no worktree metadata.
-Both sides run their own copy of ``perfbench/run.py``.
+Run it from the root of a gcflab git checkout.  The parent side is ``git
+archive REV`` unpacked into a temporary directory, so the repository gets no
+worktree metadata.  The change side is ``git archive`` of ``--change REV``
+unpacked the same way, or by default a copy of the working tree's files
+(``git ls-files --cached --others --exclude-standard``: tracked and untracked,
+less what ``.gitignore`` excludes).  Both sides thus start without a
+``__pycache__``, so neither runs warm where the other compiles every module
+(as it does on every run when ``PYTHONDONTWRITEBYTECODE`` is set).  Both sides
+run their own copy of ``perfbench/run.py``.
 
 The runs are fixed: for every workload, ``PAIRS`` pairs, pair i running
 ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once on each
@@ -27,6 +32,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -72,6 +78,19 @@ def export(root, rev, dest) -> Path:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+    return dest
+
+
+def copy_worktree(root, dest) -> Path:
+    """Copy the working tree's tracked and untracked, not ignored files into
+    dest; returns dest.  Tracked files deleted from the tree are skipped."""
+    listed = git(root, "ls-files", "--cached", "--others", "--exclude-standard", "-z")
+    dest.mkdir()
+    for name in filter(None, listed.split("\0")):
+        source = Path(root) / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
     return dest
 
 
@@ -174,7 +193,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="gcflab-pairs-") as tmp:
         trees = {"parent": export(root, args.parent, Path(tmp) / "parent"),
                  "change": export(root, args.change, Path(tmp) / "change")
-                 if args.change else root}
+                 if args.change else copy_worktree(root, Path(tmp) / "change")}
         for workload in WORKLOADS:
             pairs, fingerprints = [], {}
             for i in range(PAIRS):

@@ -202,6 +202,26 @@ def test_flow_rejects_bad_run_parameters(tmp_path, capsys, flags):
     assert not any(p.exists() for p in outputs)
 
 
+def test_flow_determinism_modulo_timestamp(tmp_path):
+    # the same flags give a byte-identical trace and the same final snapshot
+    # apart from its creation time, over a run of adaptive steps
+    snap = shape(tmp_path, "r.json", "--dim", "1", "--n", "64", "--random-seed", "3",
+                 "--normalize")
+    traces, finals = [], []
+    for run in ("a", "b"):
+        trace, final = tmp_path / f"t{run}.csv", tmp_path / f"f{run}.json"
+        assert main(["flow", str(snap), "--t-end", "0.2", "--output-stride", "3",
+                     "--trace", str(trace), "--final", str(final),
+                     "--manifest", str(tmp_path / f"m{run}.json")]) == 0
+        traces.append(trace.read_bytes())
+        doc = json.loads(final.read_text())
+        doc["metadata"].pop("created")
+        finals.append(doc)
+    assert traces[0] == traces[1]
+    assert len(traces[0].splitlines()) > 3
+    assert finals[0] == finals[1]
+
+
 def test_flow_stiff_fixed_dt_exits_4(tmp_path, capsys):
     # a fixed step past the extinction time (t = 1/2) leaves the valid cone
     snap = shape(tmp_path, "w.json", "--dim", "1", "--harmonic", "2:0.1")
