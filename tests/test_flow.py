@@ -500,8 +500,7 @@ def test_etd_weights_match_the_phi_series():
     # f3 = 4 phi_3 - phi_2, in exact rationals (the first omitted term is
     # below 1e-40 on [-2.5, 0]): the Taylor series on (-1, 0] hold to 1e-14
     # and the closed forms from -1 down to 1e-13
-    near = np.concatenate([[0.0], -np.logspace(-12, np.log10(0.999999), 120)])
-    z = np.concatenate([near, [-1.0, -2.5]])
+    z = np.concatenate([[0.0], -np.logspace(-12, np.log10(0.999999), 120), [-1.0, -2.5]])
     e2, e1, *weights = flow_module._etd_weights(z)
     np.testing.assert_array_equal(e2, np.exp(0.5 * z))
     np.testing.assert_array_equal(e1, np.exp(z))
