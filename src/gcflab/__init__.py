@@ -36,7 +36,6 @@ from .constants import ball_volume, sphere_area
 from .entropy import (
     EntropyReport,
     chow_entropy,
-    entropy_mass_center_residual,
     entropy_point,
     entropy_report,
     firey_entropy,
@@ -54,6 +53,7 @@ from .flow import (
     harnack_monitor,
     monitor_bounds,
     run,
+    soliton_residual,
     stable_dt,
     step,
 )
@@ -63,7 +63,6 @@ from .soliton import (
     j1_value,
     remove_first_harmonics,
     solve_soliton,
-    soliton_residual,
     stability_form,
 )
 from .verify import CHECK_NAMES, CheckResult, run_checks
@@ -96,7 +95,6 @@ __all__ = [
     "chow_entropy",
     "circumradius",
     "dissipation_identity_residual",
-    "entropy_mass_center_residual",
     "entropy_point",
     "entropy_report",
     "firey_entropy",

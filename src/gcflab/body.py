@@ -52,6 +52,7 @@ __all__ = [
     "inradius",
     "make_shape",
     "normalize_volume",
+    "spectral_tail",
 ]
 
 MIN_SUPPORT = 1e-8  # positivity threshold for u
@@ -337,8 +338,8 @@ class GeometrySummary:
     """Scalar geometry of a body: volume, boundary measure, extremal radii
     (about the best centers, not the current origin) and widths.
 
-    ``diameter`` equals ``w_plus``: the diameter of a convex body is its
-    largest width.  Invariants: rho_minus <= rho_plus, w_minus <= w_plus.
+    ``w_plus`` is the diameter: the diameter of a convex body is its largest
+    width.  Invariants: rho_minus <= rho_plus, w_minus <= w_plus.
     """
 
     volume: float
@@ -347,7 +348,6 @@ class GeometrySummary:
     rho_minus: float
     w_plus: float
     w_minus: float
-    diameter: float
     incenter: np.ndarray
     circumcenter: np.ndarray
 
@@ -366,15 +366,13 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
     widths = u + u[body.grid.antipodes]
     rho_minus, incenter = inradius(body)
     rho_plus, circumcenter = circumradius(body)
-    w_plus = float(np.max(widths))
     return GeometrySummary(
         volume=body.volume(),
         area=body.area(),
         rho_plus=rho_plus,
         rho_minus=rho_minus,
-        w_plus=w_plus,
+        w_plus=float(np.max(widths)),
         w_minus=float(np.min(widths)),
-        diameter=w_plus,
         incenter=incenter,
         circumcenter=circumcenter,
     )

@@ -309,11 +309,10 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     body, _ = read_snapshot(args.snapshot)
     z = _floats(args.z, body.dim + 1, "--z") if args.z else None
-    u_z = body.support_about(np.zeros(body.dim + 1) if z is None else np.asarray(z))
-    if float(np.min(u_z)) <= 0.0:
-        raise ParameterError("z is not interior to the body")
-    quadrature = float(average(body.grid, np.log(u_z))) * body.grid.area
+    # raises ParameterError unless z is interior
     estimate, stderr = mc_log_integral(body, z=z, samples=args.samples, seed=args.seed)
+    u_z = body.support_about(np.zeros(body.dim + 1) if z is None else np.asarray(z))
+    quadrature = float(average(body.grid, np.log(u_z))) * body.grid.area
     if stderr > 0.0:
         z_score = float(abs(estimate - quadrature) / stderr)
     else:

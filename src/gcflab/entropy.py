@@ -48,8 +48,6 @@ __all__ = [
     "EntropyReport",
     "InequalityCheck",
     "chow_entropy",
-    "entropy",
-    "entropy_mass_center_residual",
     "entropy_point",
     "entropy_report",
     "firey_entropy",
@@ -159,11 +157,6 @@ def entropy_point(body: ConvexBody, z0=None):
 
     z, f_val, grad = _newton_minimize(body, z0, value, gradient, hessian, "entropy point")
     return z, -f_val, float(np.max(np.abs(grad)))
-
-
-def entropy(body: ConvexBody) -> float:
-    """The entropy E = sup_z avg log(u - <z,x>)."""
-    return entropy_point(body)[1]
 
 
 def santalo_point(body: ConvexBody, z0=None):
@@ -400,16 +393,3 @@ def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed:
     var = np.maximum(0.0, total_sq / samples - mean * mean)
     return mean, np.sqrt(var / samples)
 
-
-def entropy_mass_center_residual(
-    body: ConvexBody, z=None, samples: int = 100_000, seed: int = 0
-):
-    """Norm of the Monte Carlo polar mass center and its propagated stderr.
-
-    With z omitted the entropy point is used, where the residual should be
-    statistically consistent with zero.
-    """
-    if z is None:
-        z = entropy_point(body)[0]
-    m, se = mc_polar_mass_center(body, z, samples=samples, seed=seed)
-    return float(np.linalg.norm(m)), float(np.linalg.norm(se))

@@ -32,11 +32,12 @@ dt * 0.8 (STEP_TOL / err)^(1/5), within [0.2, 5] times dt, and a step
 whose estimate exceeds the tolerance is retried at that smaller dt.
 ``STEP_TOL`` is set by the closed-form trajectories: it keeps the
 unprojected ball within 1e-12 of its exact radius.  The first step is
-``stable_dt(body, FIRST_STEP_SAFETY)``, the explicit parabolic step limit,
-short enough that the gate's runs start without a rejection.  A step whose
-stage leaves the valid-body cone is retried at dt/2; collapse below
-``DT_FLOOR`` raises :class:`StiffnessError` with the last state attached.
-``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps instead, with no doubling.
+``FIRST_STEP_SAFETY * stable_dt(body)``, a quarter of the explicit
+parabolic step limit, short enough that the gate's runs start without a
+rejection.  A step whose stage leaves the valid-body cone is retried at
+dt/2; collapse below ``DT_FLOOR`` raises :class:`StiffnessError` with the
+last state attached.  ``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps
+instead, with no doubling.
 
 The velocity is dealiased with a 2/3-rule filter.  Evaluating
 1/det A pointwise on the dimension-2 grid aliases the top of the spectral
@@ -86,7 +87,7 @@ from math import factorial
 import numpy as np
 
 from .body import ConvexBody, normalize_volume
-from .entropy import entropy_point
+from .entropy import chow_entropy, entropy_point, firey_entropy
 from .errors import (
     BodyValidityError,
     ParameterError,
@@ -97,6 +98,7 @@ from .errors import (
 from .sphere import average, degree_one
 
 __all__ = [
+    "TRACE_COLUMNS",
     "FlowConfig",
     "FlowTrace",
     "HarnackReport",
@@ -107,13 +109,14 @@ __all__ = [
     "monitor_bounds",
     "run",
     "soliton_residual",
+    "stable_dt",
     "step",
 ]
 
 DT_FLOOR = 1e-12
 DEALIAS_FRAC = 2.0 / 3.0
 STEP_TOL = 1e-12  # bound on a step's Richardson error estimate (area-RMS, relative to u)
-FIRST_STEP_SAFETY = 0.25  # the first step of a run is stable_dt(body, FIRST_STEP_SAFETY)
+FIRST_STEP_SAFETY = 0.25  # the first step of a run is FIRST_STEP_SAFETY * stable_dt(body)
 MODES = ("normalized", "unnormalized")
 
 TRACE_COLUMNS = (
@@ -356,17 +359,15 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
 
 
-def stable_dt(body: ConvexBody, safety: float) -> float:
-    """safety * h_min^2 / max(K trace A^{-1}), the explicit parabolic
-    step limit of the body on its grid: :func:`run` takes its first step
-    at ``FIRST_STEP_SAFETY`` times this, and the step-size control takes
-    over from there."""
-    if not 0.0 < safety < np.inf:
-        raise ParameterError(f"safety must be positive and finite, got {safety!r}")
+def stable_dt(body: ConvexBody) -> float:
+    """h_min^2 / max(K trace A^{-1}), the explicit parabolic step limit of
+    the body on its grid: :func:`run` takes its first step at
+    ``FIRST_STEP_SAFETY`` times this, and the step-size control takes over
+    from there."""
     c = body.curvature
     # K * mean curvature, formed here so the cached ``mean_curvature`` stays lazy
     rate = float(np.max(c.gauss * (c.gauss * c.adj_trace_a)))
-    return safety * body.grid.h_min**2 / rate
+    return body.grid.h_min**2 / rate
 
 
 def soliton_residual(body: ConvexBody) -> float:
@@ -425,7 +426,6 @@ def run(body: ConvexBody, config: FlowConfig):
         c = body.curvature
         u = body.support
         z_e, e_val, _ = entropy_point(body, z0=_safe_start(body, z_e))
-        log_u = np.log(u)
         ratio = c.gauss / u
         dissipation = float(average(body.grid, ratio + 1.0 / ratio)) - 2.0
         trace.rows.append(
@@ -434,8 +434,8 @@ def run(body: ConvexBody, config: FlowConfig):
                 dt_used,
                 body.volume(),
                 e_val,
-                float(average(body.grid, log_u)),
-                float(average(body.grid, np.log(c.gauss))),
+                firey_entropy(body),
+                chow_entropy(body),
                 float(np.min(u)),
                 float(np.max(u)),
                 float(np.min(c.gauss)),
@@ -466,7 +466,7 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~ steps * eps * t_end, and an absolute epsilon would let a spurious
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
-    dt_next = cfg.fixed_dt or stable_dt(body, FIRST_STEP_SAFETY)
+    dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
     while t < t_done and trace.steps < cfg.max_steps:
         dt = min(dt_next, cfg.t_end - t)
         while True:
@@ -592,7 +592,6 @@ class MonitorCheck:
 @dataclass(frozen=True)
 class MonitorReport:
     checks: tuple
-    drift_constant: float
 
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks)
@@ -674,7 +673,7 @@ def monitor_bounds(trace: FlowTrace) -> MonitorReport:
     add("entropy-point-drift", True, drift_c,
         "fitted C in |e|^2 <= C (E - avg log u); reported, not asserted")
 
-    return MonitorReport(checks=tuple(checks), drift_constant=drift_c)
+    return MonitorReport(checks=tuple(checks))
 
 
 @dataclass(frozen=True)

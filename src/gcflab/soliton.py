@@ -45,7 +45,6 @@ __all__ = [
     "j1_value",
     "remove_first_harmonics",
     "solve_soliton",
-    "soliton_residual",
     "stability_form",
 ]
 

@@ -402,14 +402,17 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     """Build a collocation grid on S^1 (``n`` nodes) or S^2 (``n_theta x n_phi``).
 
     dim 1 requires even n >= 16; dim 2 requires n_theta >= 8 and even
-    n_phi >= 16.  Other dimensions are rejected: the tabulated transforms
-    below are what make the rest of the package dimension-agnostic.
+    n_phi >= 16; the other kind's sizes must be omitted.  Other dimensions
+    are rejected: the tabulated transforms below are what make the rest of
+    the package dimension-agnostic.
     """
     for name, v in (("dim", dim), ("n", n), ("n_theta", n_theta), ("n_phi", n_phi)):
         if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise ParameterError(f"{name} must be an integer, got {v!r}")
     n, n_theta, n_phi = (None if v is None else int(v) for v in (n, n_theta, n_phi))
     if dim == 1:
+        if n_theta is not None or n_phi is not None:
+            raise ParameterError("dim 1 grids take n, not n_theta or n_phi")
         if n is None or n < 16 or n % 2:
             raise ParameterError("dim 1 grids need an even node count n >= 16")
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -443,6 +446,8 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
 
     if dim != 2:
         raise ParameterError(f"only dim 1 and dim 2 grids are implemented (got {dim})")
+    if n is not None:
+        raise ParameterError("dim 2 grids take n_theta and n_phi, not n")
     if n_theta is None or n_phi is None:
         raise ParameterError("dim 2 grids need n_theta and n_phi")
     if n_theta < 8 or n_phi < 16 or n_phi % 2:

@@ -1,7 +1,10 @@
-"""The public API: every exported name resolves, and each spectral operation
-has one entry point (a ``SphereGrid`` method, not a method plus a wrapper)."""
+"""The public API: every exported name resolves and is listed by its home
+module, and each operation has one entry point (a ``SphereGrid`` method, not
+a method plus a wrapper; a function, not a function plus a forwarder)."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -32,6 +35,33 @@ def test_spectral_operations_have_one_entry_point(name):
     assert name not in gcflab.__all__ and not hasattr(gcflab, name)
     if name in ("derivative_bundle", "lowpass"):
         assert callable(getattr(gcflab.SphereGrid, name))
+
+
+def test_second_entries_are_gone():
+    # each of these operations keeps one public name: the one asserted last
+    entropy = importlib.import_module("gcflab.entropy")
+    for name in ("entropy", "entropy_mass_center_residual"):
+        assert not hasattr(entropy, name) and name not in gcflab.__all__
+    assert "soliton_residual" not in importlib.import_module("gcflab.soliton").__all__
+    assert gcflab.soliton_residual is importlib.import_module("gcflab.flow").soliton_residual
+    assert "diameter" not in {f.name for f in dataclasses.fields(gcflab.GeometrySummary)}
+    assert "drift_constant" not in {f.name for f in dataclasses.fields(gcflab.MonitorReport)}
+    assert list(inspect.signature(gcflab.stable_dt).parameters) == ["body"]
+
+
+def test_package_names_are_listed_in_their_home_module():
+    # a function's or class's home is its __module__; a constant's is the
+    # module that binds it
+    unlisted = []
+    for module in MODULES:
+        mod = importlib.import_module(f"gcflab.{module}")
+        for name in gcflab.__all__:
+            obj = getattr(mod, name, None)
+            defined = inspect.isfunction(obj) or inspect.isclass(obj)
+            home = obj.__module__ if defined else mod.__name__
+            if obj is getattr(gcflab, name) and home == mod.__name__ and name not in mod.__all__:
+                unlisted.append(f"{mod.__name__}.{name}")
+    assert not unlisted, f"exported by gcflab, missing from the home __all__: {unlisted}"
 
 
 def test_entropy_submodule_is_not_shadowed():

@@ -68,6 +68,13 @@ def test_snapshot_structural_errors(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(SnapshotError):
         read_snapshot(bad)
+    # sizes of the other grid kind are rejected, not dropped
+    for dim, grid, nodes in ((1, {"n": 16, "n_phi": 3}, 16),
+                             (2, {"n": 7, "n_theta": 8, "n_phi": 16}, 128)):
+        doc = {"schema_version": 1, "dim": dim, "grid": grid, "support": [1.0] * nodes}
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError):
+            read_snapshot(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,10 @@ def test_analyze_corrupted_file_exits_3(tmp_path, capsys):
     bad.write_text('{"schema_version": 1,')
     assert main(["analyze", str(bad)]) == 3
     assert main(["analyze", str(tmp_path / "missing.json")]) == 3
+    # a grid size of the other kind is a structural error, not silently dropped
+    bad.write_text(json.dumps({"schema_version": 1, "dim": 1, "grid": {"n": 16, "n_phi": 3},
+                               "support": [1.0] * 16}))
+    assert main(["analyze", str(bad)]) == 3
 
 
 def test_analyze_invalid_body_exits_2(tmp_path, capsys):

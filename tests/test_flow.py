@@ -119,12 +119,6 @@ def test_step_rejects_unknown_mode(g1, mode):
         step(make_shape(g1, "ball"), 1e-4, mode)
 
 
-@pytest.mark.parametrize("safety", [0.0, -1.0, float("nan"), float("inf")])
-def test_stable_dt_rejects_bad_safety(g1, safety):
-    with pytest.raises(ParameterError):
-        stable_dt(make_shape(g1, "ball"), safety)
-
-
 # ---------------------------------------------------------------------------
 # stage bodies from combined jets
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def test_stage_body_from_combined_jets_matches_rebuilt_curvature(flow_body):
     u_hat = grid.analyze(flow_body.support)
     vel = flow_body.support - flow_body.curvature.gauss
     k_hat = grid.analyze(vel) * grid.degree_mask(DEALIAS_FRAC, drop_degree_one=True)
-    dt = 0.5 * stable_dt(flow_body, 0.25)
+    dt = 0.125 * stable_dt(flow_body)
     jet = grid.synthesize(u_hat + dt * k_hat, jet=True)
     jet.rows[0] += flow_body.support - grid.synthesize(u_hat)
     stage = ConvexBody.from_jet(jet)
@@ -188,7 +182,7 @@ def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch
     calls = dict.fromkeys(("analyze", "synthesize", "derivative_bundle", "lowpass"), 0)
     for name in calls:
         _spy(monkeypatch, name, lambda *_, _name=name: calls.__setitem__(_name, calls[_name] + 1))
-    dt = stable_dt(flow_body, 0.25)
+    dt = 0.25 * stable_dt(flow_body)
     stepped = normalize_volume(step(flow_body, dt, "normalized", recenter=True))
     assert calls == {"analyze": 5, "synthesize": 5, "derivative_bundle": 0, "lowpass": 0}
     assert stepped.volume() == pytest.approx(ball_volume(flow_body.dim), abs=1e-12)
@@ -200,7 +194,7 @@ def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, 
     # analysis, remainder synthesis and velocity analysis: 13 analyses and
     # 15 syntheses (the extrapolated body's derivative_bundle makes one),
     # with the same body as three separate public steps
-    dt = stable_dt(flow_body, 0.25)
+    dt = 0.25 * stable_dt(flow_body)
     whole = step(flow_body, dt, "normalized", recenter)
     fine = step(step(flow_body, 0.5 * dt, "normalized", recenter), 0.5 * dt, "normalized",
                 recenter)
@@ -227,7 +221,7 @@ def test_step_leaves_masked_coefficients_bit_identical(flow_body, recenter, monk
     _spy(monkeypatch, "analyze", lambda args, kwargs, result: analyses.append(result))
     _spy(monkeypatch, "synthesize",
          lambda args, kwargs, result: jets.append(args[0].copy()) if kwargs.get("jet") else None)
-    step(body, stable_dt(body, 0.25), "normalized", recenter)
+    step(body, 0.25 * stable_dt(body), "normalized", recenter)
     np.testing.assert_array_equal(analyses[0], start)
     masked = grid.degree_mask(DEALIAS_FRAC, recenter) == 0.0
     assert np.abs(start[..., 1]).max() > 1e-3
@@ -255,7 +249,7 @@ def test_step_keeps_the_nodal_remainder(g2):
         return b.support - g2.synthesize(g2.analyze(b.support))
 
     assert np.abs(remainder(body)).max() > 9e-5
-    stepped = step(body, stable_dt(body, 0.25))
+    stepped = step(body, 0.25 * stable_dt(body))
     assert np.abs(remainder(stepped) - remainder(body)).max() <= 1e-14
 
 
@@ -397,13 +391,12 @@ def test_monitor_suite_on_generic_run():
     assert np.all(np.diff(trace.t) > 0.0)
 
 
-def test_monitor_suite_on_dim2_run(g2):
-    body = make_shape(g2, "random_valid", seed=7, amplitude=0.05, parity="even",
-                      normalize=True)
-    trace, _ = run(body, FlowConfig(mode="normalized", t_end=1.0,
-                                    output_stride=20, soliton_tol=0.0))
-    report = monitor_bounds(trace)
-    assert report.all_ok(), [c for c in report.checks if not c.ok]
+def test_monitor_suite_on_dim2_run():
+    # the gate's dim-2 corpus runs
+    runs = dict(corpus_runs())
+    for label in ("ellipsoid-2", "random-2-s21"):
+        report = monitor_bounds(runs[label])
+        assert report.all_ok(), (label, [c for c in report.checks if not c.ok])
 
 
 def test_comparison_principle_preserves_inclusion(g1):
@@ -515,7 +508,7 @@ def test_etd_weights_match_the_phi_series():
 def test_step_size_control_grows_after_rejections(g1, monkeypatch):
     # a first step far too long for STEP_TOL is rejected and shrunk; on a
     # smooth body the accepted steps then grow again, by at most 5x a step
-    monkeypatch.setattr(flow_module, "stable_dt", lambda body, safety: 0.5)
+    monkeypatch.setattr(flow_module, "stable_dt", lambda body: 2.0)  # first step 0.5
     trace, _ = run(bumpy(g1), FlowConfig(mode="normalized", t_end=1.0, output_stride=1,
                                          soliton_tol=0.0))
     dt = trace.column("dt")[1:-1]  # accepted steps, less the one cut short at t_end

@@ -12,12 +12,12 @@ from gcflab.body import ConvexBody, harmonic_field, make_shape, normalize_volume
 from gcflab.constants import ball_volume
 from gcflab.entropy import firey_entropy
 from gcflab.errors import ParameterError
+from gcflab.flow import soliton_residual
 from gcflab.soliton import (
     j1_first_variation,
     j1_value,
     remove_first_harmonics,
     solve_soliton,
-    soliton_residual,
     stability_form,
 )
 from gcflab.sphere import average, build_grid

@@ -45,6 +45,9 @@ def frame_hessian(grid, rows):
     (1, dict(n=16.0)),
     (2, dict(n_theta=8.5, n_phi=16)),
     (True, dict(n=16)),
+    (1, dict(n=256, n_theta=8)),
+    (1, dict(n=16, n_phi=3)),
+    (2, dict(n=7, n_theta=32, n_phi=64)),
 ])
 def test_grid_rejects_bad_parameters(dim, kwargs):
     with pytest.raises(ParameterError):
