@@ -20,10 +20,11 @@ up to 0.73-1.30x over minute-long phases, so only matched, alternating pairs
 are compared.  Per workload the file holds every pair's end-to-end metrics,
 each side's median and quartiles, the ratio of medians (change / parent), how
 many pairs the change won on each metric, and, per seed, both sides'
-fingerprints and headline numbers.  ``--traced`` adds one ``--trace 1`` run
-per side and workload at the first seed, for the per-layer counts.  Each side
-also runs ``gcflab verify --out`` once, and the file records the 11 check
-values.
+fingerprints and headline numbers.  Each side of a pair also keeps its run's
+workload metrics: oracle and report throughput, step counts and time per
+step.  ``--traced`` adds one ``--trace 1`` run per side and workload at the
+first seed, for the per-layer counts.  Each side also runs ``gcflab verify
+--out`` once, and the file records the 11 check values.
 """
 
 from __future__ import annotations
@@ -142,10 +143,16 @@ def summarize(pairs) -> dict:
     return out
 
 
+def values(metrics) -> dict:
+    """{name: value} of a perfbench metrics block {name: {"value", "unit"}}."""
+    return {k: v["value"] for k, v in metrics.items()}
+
+
 def side_summary(run) -> dict:
     result, report = run["result"], run["report"]
     return {
-        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "metrics": values(result["metrics"]),
+        "workload_metrics": values(report["workload_metrics"]),
         "attempted": result["attempted"],
         "failed": result["failed"],
         "fingerprint": report["fingerprint"]["sha256"],
@@ -222,9 +229,8 @@ def main(argv=None) -> int:
                     run = run_bench(trees[side], workload, SEEDS[0], 1)
                     entry["traced"][side] = {
                         "seed": SEEDS[0],
-                        "layers": {k: v["value"] for k, v in run["result"]["metrics"].items()},
-                        "workload_metrics": {k: v["value"] for k, v in
-                                             run["report"]["workload_metrics"].items()},
+                        "layers": values(run["result"]["metrics"]),
+                        "workload_metrics": values(run["report"]["workload_metrics"]),
                         "layer_errors": run["report"]["layer_errors"],
                     }
             doc["workloads"][workload] = entry

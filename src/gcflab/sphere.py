@@ -35,7 +35,13 @@ degree-1 modes when the flow recenters); the flow's ETDRK4 stage bodies
 are jets synthesized from masked coefficient states.
 
 Off-grid evaluation sums one azimuthal series on both grids, with G_m the
-rfft coefficient on S^1 and the streamed Legendre sum on S^2 (see ``eval``).
+rfft coefficient on S^1.  On S^2 each colatitude sum G_m(theta) is a
+trigonometric polynomial of degree <= L in theta (a cosine series for even m,
+a sine series for odd m), so its values at the n_theta colatitudes fix it:
+the grid keeps the pseudo-inverses of cos(k theta_i) and sin(k theta_i), and
+``eval`` turns the synthesized profiles into trig coefficients once, then
+gets every G_m of a block of directions from one real matmul against the
+powers of e^{i theta} (see ``eval``).
 
 The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
 jet rows and returns the invariants of A that callers read, so no caller
@@ -54,6 +60,7 @@ geometry code dimension-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +75,6 @@ __all__ = [
     "average",
     "degree_one",
 ]
-
-_EVAL_CHUNK = 8192  # off-grid evaluation block size (keeps temporaries small)
-
 
 @dataclass(frozen=True, eq=False)
 class SupportJet:
@@ -103,7 +107,8 @@ class SphereGrid:
     """Collocation grid on S^dim, a :class:`CircleGrid` (dim 1) or a
     :class:`Sphere2Grid` (dim 2).  The public methods are defined here and
     never overridden by a kind: a kind supplies ``_analyze``,
-    ``_synthesize_rows``, ``_eval_modes``, ``_grad`` and ``radii_invariants``.
+    ``_synthesize_rows``, ``_eval_modes``, ``_grad`` and ``radii_invariants``,
+    and may set its own ``_eval_block``.
 
     Attributes
     ----------
@@ -132,6 +137,8 @@ class SphereGrid:
     thetas: np.ndarray
     # private transform tables
     _tab: dict = field(default_factory=dict, repr=False)
+
+    _eval_block = 8192  # directions per off-grid evaluation block (a class constant)
 
     @property
     def n_nodes(self) -> int:
@@ -185,9 +192,12 @@ class SphereGrid:
         """Evaluate the spectral interpolant at arbitrary unit directions.
 
         Both kinds sum u = Re sum_m f_m G_m e^{im phi} (f_0 = 1, f = 1 on
-        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of ``_EVAL_CHUNK``
-        directions: one exp per block, powers by running products, and
-        (f_m, G_m) (the kind's ``_eval_modes``) streamed one order at a time.
+        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of the kind's
+        ``_eval_block`` directions: one exp per block and powers by running
+        products.  The kind's ``_eval_modes`` prepares the coefficients once
+        per call and gives, per block, (f_m, G_m) one order at a time: the
+        rfft coefficient on S^1, and on S^2 the rows of one matmul of the
+        trig coefficients of G_m(theta) against cos(k theta) and sin(k theta).
         A 1-D ``directions`` gives a float.
         """
         values = self.check_field(values)
@@ -202,17 +212,18 @@ class SphereGrid:
         if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
-        coeffs = self.analyze(values)
+        modes = self._eval_modes(self.analyze(values))
+        size = self._eval_block
         out = np.empty(pts.shape[0])
-        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            block = pts[lo : lo + _EVAL_CHUNK]
+        for lo in range(0, pts.shape[0], size):
+            block = pts[lo : lo + size]
             e_phi = np.exp(1j * np.arctan2(block[:, 1], block[:, 0]))
             power = np.ones_like(e_phi)  # e^{i m phi}
             acc = np.zeros(block.shape[0])
-            for f, g in self._eval_modes(coeffs, block):
+            for f, g in modes(block):
                 acc += f * (g * power).real
                 power *= e_phi
-            out[lo : lo + _EVAL_CHUNK] = acc
+            out[lo : lo + size] = acc
         return out[0] if single else out
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
@@ -251,11 +262,12 @@ class CircleGrid(SphereGrid):
         a = jet.rows[2] + jet.rows[0]
         return a, a, a, self._tab["ones"]
 
-    def _eval_modes(self, coeffs, pts):
-        """Yield (f_m, c_m) for :meth:`eval`, c_m the rfft coefficients."""
+    def _eval_modes(self, coeffs):
+        """For :meth:`eval`: a function of a block of directions giving
+        (f_m, c_m), c_m the rfft coefficients."""
         last = len(coeffs) - 1  # n is even: the last coefficient is the Nyquist mode
-        for m, c in enumerate(coeffs):
-            yield (1.0 if m in (0, last) else 2.0), c
+        weights = [1.0 if m in (0, last) else 2.0 for m in range(len(coeffs))]
+        return lambda pts: zip(weights, coeffs)
 
 
 class Sphere2Grid(SphereGrid):
@@ -314,15 +326,57 @@ class Sphere2Grid(SphereGrid):
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
         return a11 * a22 - a12_sq, trace, 0.5 * trace - disc, trace
 
-    def _eval_modes(self, coeffs, pts):
-        """Yield (f_m, G_m) for :meth:`eval`: the colatitude sum
-        G_m = sum_l c[m, l] P_lm(x) at the points' x = cos(theta), run by the
-        associated-Legendre recurrence."""
-        x = np.clip(pts[:, 2], -1.0, 1.0)
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-        for m, column in _legendre_columns(x, sin_t, self._tab["recurrence"]):
-            g = sum(coeffs[m, l] * p for l, p in enumerate(column, start=m))
-            yield (1.0 if m == 0 else 2.0), g
+    _eval_block = 1024  # keeps the per-block (block, 2(L+1)) tables near 0.5 MB at 32x64
+
+    @cached_property
+    def _trig_pinv(self):
+        """Trig coefficients of a colatitude profile from its n_theta values:
+        the pseudo-inverses (a^T a)^-1 a^T of a = cos(k theta_i), k = 0..L, for
+        even orders and a = sin(k theta_i), k = 1..L, for odd orders.
+
+        cond(a) stays near 3 (3.2 at 64x128), so the normal equations lose
+        nothing, and they touch less of LAPACK than an SVD.  Made on the
+        grid's first ``eval``, not in :func:`build_grid`: a flow never
+        evaluates off-grid, and the LAPACK pages the solve touches raised the
+        peak RSS of a perfbench ``flow-round-s2`` run by 0.3 MB.
+        """
+        k = np.arange(self.bandlimit + 1)
+        return tuple(_ro(np.linalg.solve(a.T @ a, a.T)) for a in (
+            np.cos(np.outer(self.thetas, k)), np.sin(np.outer(self.thetas, k[1:]))))
+
+    def _eval_modes(self, coeffs):
+        """For :meth:`eval`: a function of a block of directions giving
+        (f_m, G_m), G_m = sum_l c[m, l] P_lm(cos theta) at each direction.
+
+        G_m(theta) is a cosine series sum_k a_mk cos(k theta) for even m and a
+        sine series sum_k b_mk sin(k theta) for odd m, k <= L.  Its values at
+        the colatitudes (``_legendre_synth``) give the trig coefficients through
+        the pseudo-inverses ``_trig_pinv``, once per call.  Per block, the
+        powers e^{ik theta} come from e^{i theta} = (z + i hypot(x, y)) / |.|,
+        which keeps the offset of a direction near a pole from the axis, and
+        their real view (cos k theta, sin k theta per k) times the table of
+        (Re, Im) trig coefficients is the complex G_m, one real matmul.
+        """
+        orders = self.bandlimit + 1
+        # G_m(theta_i) as (Re, Im) pairs, (m, i, 2)
+        prof = self._legendre_synth(coeffs, self.shape[0]).view(float).reshape(orders, -1, 2)
+        pinv_cos, pinv_sin = self._trig_pinv
+        table = np.zeros((orders, 2, orders, 2))  # [k, cos/sin, m, Re/Im]
+        table[:, 0, 0::2] = (pinv_cos @ prof[0::2]).transpose(1, 0, 2)
+        table[1:, 1, 1::2] = (pinv_sin @ prof[1::2]).transpose(1, 0, 2)
+        table = table.reshape(2 * orders, 2 * orders)
+        weights = [1.0] + [2.0] * (orders - 1)
+
+        def modes(pts):
+            e_theta = pts[:, 2] + 1j * np.hypot(pts[:, 0], pts[:, 1])
+            e_theta /= np.abs(e_theta)
+            powers = np.ones((pts.shape[0], orders), dtype=complex)  # e^{ik theta}
+            np.cumprod(np.broadcast_to(e_theta[:, None], (pts.shape[0], orders - 1)),
+                       axis=1, out=powers[:, 1:])
+            g = (powers.view(float) @ table).view(complex)  # (block, m)
+            return zip(weights, g.T)
+
+        return modes
 
 
 # ---------------------------------------------------------------------------
@@ -345,49 +399,31 @@ def _recurrence_coefficients(L: int):
     return diag, a
 
 
-def _legendre_columns(x: np.ndarray, sin_t: np.ndarray, coefficients):
-    """Run the recurrence at the points x = cos(theta).
-
-    Yields (m, column) for each order m, where ``column`` lazily yields the
-    normalized P_lm(x) for l = m..L, so callers can stream over large point
-    sets without holding a table.
-    """
-    diag, a = coefficients
-    L = a.shape[0] - 1
-
-    def column(m, pmm):
-        p_prev, p_curr = 0.0, pmm
-        yield p_curr
-        for l in range(m + 1, L + 1):
-            p_prev, p_curr = p_curr, (x * p_curr - a[m, l - 1] * p_prev) / a[m, l]
-            yield p_curr
-
-    pmm = np.full(x.shape, 1.0 / np.sqrt(2.0))  # normalized P_00
-    for m in range(L + 1):
-        if m > 0:
-            pmm = diag[m] * sin_t * pmm
-        yield m, column(m, pmm)
-
-
 def _legendre_tables(x: np.ndarray, coefficients):
     """Tabulate orthonormal associated Legendre functions and their first two
-    theta-derivatives at the points x = cos(theta).
+    theta-derivatives at the points x = cos(theta), by the recurrence whose
+    ``coefficients`` come from :func:`_recurrence_coefficients`.
 
     Normalization: integral of P_lm^2 over [-1, 1] equals 1.  Returned arrays
     have shape (L+1, L+1, len(x)) indexed [m, l, i], zero for l < m.
     """
-    L = coefficients[1].shape[0] - 1
+    diag, a = coefficients
+    L = a.shape[0] - 1
     sin_t = np.sqrt(1.0 - x * x)
     P = np.zeros((L + 1, L + 1, x.size))
     dP = np.zeros_like(P)
-    for m, column in _legendre_columns(x, sin_t, coefficients):
-        prev = 0.0
-        for l, p in enumerate(column, start=m):
+    pmm = np.full(x.shape, 1.0 / np.sqrt(2.0))  # normalized P_00
+    for m in range(L + 1):
+        if m > 0:
+            pmm = diag[m] * sin_t * pmm
+        prev, p = 0.0, pmm
+        for l in range(m, L + 1):
+            if l > m:
+                prev, p = p, (x * p - a[m, l - 1] * prev) / a[m, l]
             P[m, l] = p
             if l > 0:  # dP_00 = 0
                 beta = np.sqrt((l**2 - m**2) * (2 * l + 1) / (2.0 * l - 1))
                 dP[m, l] = (l * x * p - beta * prev) / sin_t
-            prev = p
 
     l_arr = np.arange(L + 1)[None, :, None]
     m_arr = np.arange(L + 1)[:, None, None]
@@ -476,10 +512,8 @@ def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) 
     frames[:, 1, 1] = cp
     frames[:, 1, 2] = 0.0
 
-    recurrence = _recurrence_coefficients(L)
-    P, dP, d2P = _legendre_tables(x, recurrence)
+    P, dP, d2P = _legendre_tables(x, _recurrence_coefficients(L))
     tab = {
-        "recurrence": recurrence,
         # S[m, i, l]: rows i of P, then dP, then d2P, contiguous per order m
         "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
         "PWt": P * w_gl[None, None, :],

@@ -412,7 +412,8 @@ def test_eval_direction_circle_offgrid():
 
 
 def test_eval_direction_matches_scipy_synthesis():
-    """Off-grid evaluation agrees with direct scipy harmonic synthesis."""
+    """Off-grid evaluation agrees with direct scipy harmonic synthesis, also
+    at the poles and next to them, where cos(theta) alone rounds to +-1."""
     rng = np.random.default_rng(11)
     grid = build_grid(2, n_theta=16, n_phi=32)
     modes = [(0, 0, 0.9), (1, 1, 0.2), (3, -2, 0.15), (5, 0, 0.1), (6, 4, 0.05)]
@@ -427,14 +428,41 @@ def test_eval_direction_matches_scipy_synthesis():
     phi_g = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
     u = synth(theta_g, phi_g)
 
-    theta = np.arccos(rng.uniform(-0.99, 0.99, size=40))
-    phi = rng.uniform(0, 2 * np.pi, size=40)
+    near_poles = [0.0, 1e-9, 3e-8, 1e-6, np.pi - 1e-9, np.pi]
+    theta = np.concatenate([np.arccos(rng.uniform(-0.99, 0.99, size=40)), near_poles])
+    phi = rng.uniform(0, 2 * np.pi, size=theta.size)
     pts = np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
         axis=1,
     )
     got = grid.eval(u, pts)
-    assert np.max(np.abs(got - synth(theta, phi))) < 1e-8
+    assert np.max(np.abs(got - synth(theta, phi))) < 1e-13
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(32, 64), (40, 48)])
+def test_eval_matches_legendre_sum(n_theta, n_phi):
+    """eval against the direct sum Re sum_m f_m sum_l c[m, l] P_lm(x) e^{im phi}
+    over the recurrence's Legendre table at the points."""
+    grid = build_grid(2, n_theta=n_theta, n_phi=n_phi)
+    rng = np.random.default_rng(n_theta)
+    L = grid.bandlimit
+    m, l = np.arange(L + 1)[:, None], np.arange(L + 1)[None, :]
+    coeffs = rng.normal(size=(L + 1, L + 1)) + 1j * rng.normal(size=(L + 1, L + 1))
+    coeffs[0] = coeffs[0].real
+    u = grid.synthesize(np.where(l >= m, coeffs / (1.0 + l) ** 2, 0.0))
+    c = grid.analyze(u)
+    f = np.where(m == 0, 1.0, 2.0)
+    pts = rng.normal(size=(2000, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    expect = np.empty(len(pts))
+    for lo in range(0, len(pts), 500):  # keeps the (L+1, L+1, points) tables small
+        x, y, z = pts[lo : lo + 500].T
+        P = sphere._legendre_tables(z, sphere._recurrence_coefficients(L))[0]
+        g = np.einsum("ml,mli->mi", c, P)
+        expect[lo : lo + 500] = np.sum(f * (g * np.exp(1j * m * np.arctan2(y, x))).real, axis=0)
+    assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-13
+    # the interpolant depends on the direction alone, not on its length
+    assert np.max(np.abs(grid.eval(u, pts * (1.0 + 5e-11)) - expect)) < 1e-13
 
 
 def test_eval_direction_rejects_bad_directions():
@@ -461,13 +489,14 @@ def _random_bandlimited(grid, seed):
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
 def test_eval_crosses_block_boundary(kwargs):
+    # the kind's own block size, and the default that S^1 uses
     grid = build_grid(**kwargs)
     u = _random_bandlimited(grid, seed=5)
-    count = sphere._EVAL_CHUNK + 37
-    reps = -(-count // grid.n_nodes)
-    pts = np.tile(grid.nodes, (reps, 1))[:count]
-    expect = np.tile(u, reps)[:count]
-    assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
+    for count in (2 * grid._eval_block + 37, SphereGrid._eval_block + 37):
+        reps = -(-count // grid.n_nodes)
+        pts = np.tile(grid.nodes, (reps, 1))[:count]
+        expect = np.tile(u, reps)[:count]
+        assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
