@@ -196,8 +196,7 @@ class SphereGrid:
         ``_eval_block`` directions: one exp per block and powers by running
         products.  The kind's ``_eval_modes`` prepares the coefficients once
         per call and gives, per block, (f_m, G_m) one order at a time: the
-        rfft coefficient on S^1, and on S^2 the rows of one matmul of the
-        trig coefficients of G_m(theta) against cos(k theta) and sin(k theta).
+        rfft coefficient on S^1, a row of one matmul on S^2.
         A 1-D ``directions`` gives a float.
         """
         values = self.check_field(values)
