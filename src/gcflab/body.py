@@ -39,7 +39,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .constants import ball_volume
-from .errors import AliasingWarning, BodyValidityError, ParameterError, SolverError
+from .errors import AliasingWarning, BodyValidityError, ParameterError, SolverError, _check_integer
 from .sphere import SphereGrid, SupportJet, integrate
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
 MIN_SUPPORT = 1e-8  # positivity threshold for u
 MIN_CURVATURE_EIG = 1e-8  # definiteness threshold for A
 TAIL_WARN = 1e-7  # relative spectral-tail size that triggers AliasingWarning
+RANDOM_DECAY = 0.6  # ratio of successive degrees' amplitudes in random_valid
 
 
 @dataclass(frozen=True)
@@ -447,9 +448,9 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
     translated_ball : radius, center (interior point, |center| < radius)
     ellipsoid : semiaxes, tuple of dim+1 positive numbers
     harmonic : base (default 1.0) plus modes as in :func:`harmonic_field`
-    random_valid : seed, l_max, amplitude, translation — random band-limited
-        perturbation of the unit ball, amplitude shrunk until the body is
-        valid.
+    random_valid : seed (integer >= 0), l_max, amplitude, translation,
+        parity — random band-limited perturbation of the unit ball,
+        amplitude shrunk until the body is valid.
 
     With ``normalize=True`` the result is rescaled to unit-ball volume.
     Smooth non-polynomial shapes (the ellipsoid) are screened for spectral
@@ -509,15 +510,17 @@ def _random_valid(
     l_max: int = None,
     amplitude: float = 0.3,
     translation: float = 0.0,
-    decay: float = 0.6,
     parity: str = "any",
+    **extra,
 ) -> ConvexBody:
     """Random smooth perturbation of the unit ball, shrunk until valid.
 
-    ``parity="even"`` keeps only even-degree modes, giving a centrally
-    symmetric body (useful for flows, where odd content is a pure
-    translation mode).
+    ``seed`` must be an integer >= 0.  ``parity="even"`` keeps only
+    even-degree modes, giving a centrally symmetric body (useful for flows,
+    where odd content is a pure translation mode).
     """
+    _no_extra(extra)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     if l_max is None:
         l_max = min(8, max(2, grid.bandlimit // 3))
@@ -529,14 +532,14 @@ def _random_valid(
     modes = []
     if grid.dim == 1:
         for k in range(2, l_max + 1):
-            a, b = rng.normal(size=2) * decay ** (k - 2)
+            a, b = rng.normal(size=2) * RANDOM_DECAY ** (k - 2)
             if parity == "even" and k % 2:
                 continue
             modes.append((k, a, b))
     else:
         for l in range(2, l_max + 1):
             for m in range(-l, l + 1):
-                c = rng.normal() * decay ** (l - 2) / (2 * l + 1)
+                c = rng.normal() * RANDOM_DECAY ** (l - 2) / (2 * l + 1)
                 if parity == "even" and l % 2:
                     continue
                 modes.append((l, m, c))

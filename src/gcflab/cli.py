@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .body import ConvexBody, make_shape
-from .entropy import entropy_report, mc_log_integral
+from .entropy import _z_score, entropy_report, mc_log_integral
 from .errors import (
     BodyValidityError,
     GcflabError,
@@ -308,15 +308,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     body, _ = read_snapshot(args.snapshot)
-    z = _floats(args.z, body.dim + 1, "--z") if args.z else None
-    # raises ParameterError unless z is interior
+    z = _floats(args.z, body.dim + 1, "--z") if args.z else np.zeros(body.dim + 1)
+    # raises ParameterError unless z is interior and the seed and sample count valid
     estimate, stderr = mc_log_integral(body, z=z, samples=args.samples, seed=args.seed)
-    u_z = body.support_about(np.zeros(body.dim + 1) if z is None else np.asarray(z))
-    quadrature = float(average(body.grid, np.log(u_z))) * body.grid.area
-    if stderr > 0.0:
-        z_score = float(abs(estimate - quadrature) / stderr)
-    else:
-        z_score = 0.0 if abs(estimate - quadrature) <= 1e-12 else float("inf")
+    quadrature = float(average(body.grid, np.log(body.support_about(z)))) * body.grid.area
+    z_score = _z_score(estimate - quadrature, stderr)
     agree = bool(z_score <= 3.0)
     _dump({
         "quadrature": quadrature,

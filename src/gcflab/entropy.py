@@ -41,7 +41,7 @@ from .constants import (
     outer_scale_constant,
     santalo_support_constant,
 )
-from .errors import ConcavityError, ParameterError, SolverError
+from .errors import ConcavityError, ParameterError, SolverError, _check_integer
 from .sphere import average
 
 __all__ = [
@@ -302,9 +302,42 @@ def _sample_chunks(seed: int, n_samples: int):
         yield Generator(base.jumped(n_full)), rem
 
 
-def _uniform_directions(rng, count, dim_ambient):
-    v = rng.normal(size=(count, dim_ambient))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _mc_args(body: ConvexBody, z, samples, seed):
+    """The oracles' argument check: ``samples`` an integer >= 10^4, ``seed``
+    an integer >= 0 and z (default the origin) interior.  Returns (z, u_z)."""
+    _check_integer("samples", samples, 10_000)
+    _check_integer("seed", seed, 0)
+    z = np.zeros(body.dim + 1) if z is None else np.asarray(z, dtype=float)
+    u_z = body.support_about(z)
+    if np.min(u_z) <= 0.0:
+        raise ParameterError("z is not interior to the body")
+    return z, u_z
+
+
+def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
+    """The oracles' sampler: (mean, stderr) of ``integrand(dirs, r, inside)``,
+    summed along the sample axis.  Each chunk draws uniform directions, then
+    radii ``radius(uniform)``; ``inside`` is polar membership r u_z(dir) <= 1.
+    """
+    total = total_sq = 0.0
+    for rng, count in _sample_chunks(seed, samples):
+        v = rng.normal(size=(count, body.dim + 1))
+        dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+        r = radius(rng.random(count))
+        f = integrand(dirs, r, r * (body.grid.eval(body.support, dirs) - dirs @ z) <= 1.0)
+        total = total + np.sum(f, axis=0)
+        total_sq = total_sq + np.sum(f * f, axis=0)
+    mean = total / samples
+    return mean, np.sqrt(np.maximum(0.0, total_sq / samples - mean * mean) / samples)
+
+
+def _z_score(deviation, stderr) -> float:
+    """|deviation| / |stderr| by norms; a zero stderr scores 0 for a
+    deviation within 1e-12, else infinity."""
+    dev, se = float(np.linalg.norm(deviation)), float(np.linalg.norm(stderr))
+    if se == 0.0:
+        return 0.0 if dev <= 1e-12 else float("inf")
+    return dev / se
 
 
 def mc_log_integral(body: ConvexBody, z=None, samples: int = 100_000, seed: int = 0):
@@ -316,46 +349,24 @@ def mc_log_integral(body: ConvexBody, z=None, samples: int = 100_000, seed: int 
     it; both bodies contain the inner ball, which also keeps the weight
     |w|^-(n+1) bounded.  If the annulus is empty the integral is exactly 0.
     An infinite stderr flags the (pathological) case of no hits at all.
+    Raises ParameterError unless z (default the origin) is interior,
+    ``samples`` an integer >= 10^4 and ``seed`` an integer >= 0.
     """
-    if samples < 10_000:
-        raise ParameterError("need at least 10^4 samples")
-    n = body.dim
-    grid = body.grid
-    z = np.zeros(n + 1) if z is None else np.asarray(z, dtype=float)
-    u_z = body.support_about(z)
-    if np.min(u_z) <= 0.0:
-        raise ParameterError("z is not interior to the body")
-
+    z, u_z = _mc_args(body, z, samples, seed)
+    n1 = body.dim + 1
     r_lo = min(1.0, 1.0 / float(np.max(u_z)))
     r_hi = max(1.0, 1.0 / float(np.min(u_z)))
     if r_hi - r_lo <= 1e-15:
         return 0.0, 0.0
-    p_lo, p_hi = r_lo ** (n + 1), r_hi ** (n + 1)
-    vol_annulus = grid.area * (p_hi - p_lo) / (n + 1)
-
-    total = 0.0
-    total_sq = 0.0
-    hits = 0
-    for rng, count in _sample_chunks(seed, samples):
-        dirs = _uniform_directions(rng, count, n + 1)
-        r = (p_lo + rng.random(count) * (p_hi - p_lo)) ** (1.0 / (n + 1))
-        s = grid.eval(body.support, dirs) - dirs @ z
-        in_polar = r * s <= 1.0
-        in_ball = r <= 1.0
-        sign = np.where(in_ball & ~in_polar, 1.0, 0.0) - np.where(
-            in_polar & ~in_ball, 1.0, 0.0
-        )
-        f = vol_annulus * sign * r ** -(n + 1)
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-        hits += int(np.count_nonzero(sign))
-
-    mean = total / samples
-    var = max(0.0, total_sq / samples - mean * mean)
-    stderr = np.sqrt(var / samples)
-    if hits == 0:
+    p_lo, p_hi = r_lo ** n1, r_hi ** n1
+    vol_annulus = body.grid.area * (p_hi - p_lo) / n1
+    # the weight's sign is +1 in the ball but not the polar body, -1 the other way round
+    mean, stderr = _mc_mean(
+        body, z, samples, seed, lambda uniform: (p_lo + uniform * (p_hi - p_lo)) ** (1.0 / n1),
+        lambda dirs, r, inside: vol_annulus * ((r <= 1.0) - inside.astype(float)) * r ** -n1)
+    if mean == 0.0 and stderr == 0.0:  # every sample had weight 0
         return 0.0, float("inf")
-    return mean, stderr
+    return float(mean), float(stderr)
 
 
 def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed: int = 0):
@@ -365,31 +376,10 @@ def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed:
     point).  Sampling is uniform in (radius, direction) on the enclosing ball
     of the polar body — under the weight, the radial integrand is constant,
     so this importance choice keeps the variance finite.  Returns
-    (m, stderr) as vectors.
+    (m, stderr) as vectors; arguments are checked as in :func:`mc_log_integral`.
     """
-    if samples < 10_000:
-        raise ParameterError("need at least 10^4 samples")
-    n = body.dim
-    grid = body.grid
-    z = np.zeros(n + 1) if z is None else np.asarray(z, dtype=float)
-    u_z = body.support_about(z)
-    if np.min(u_z) <= 0.0:
-        raise ParameterError("z is not interior to the body")
+    z, u_z = _mc_args(body, z, samples, seed)
     r_max = 1.0 / float(np.min(u_z))
-    scale = grid.area * r_max
-
-    total = np.zeros(n + 1)
-    total_sq = np.zeros(n + 1)
-    for rng, count in _sample_chunks(seed, samples):
-        dirs = _uniform_directions(rng, count, n + 1)
-        r = r_max * rng.random(count)
-        s = grid.eval(body.support, dirs) - dirs @ z
-        inside = (r * s <= 1.0).astype(float)
-        v = scale * dirs * inside[:, None]
-        total += np.sum(v, axis=0)
-        total_sq += np.sum(v * v, axis=0)
-
-    mean = total / samples
-    var = np.maximum(0.0, total_sq / samples - mean * mean)
-    return mean, np.sqrt(var / samples)
-
+    scale = body.grid.area * r_max
+    return _mc_mean(body, z, samples, seed, lambda uniform: r_max * uniform,
+                    lambda dirs, r, inside: scale * dirs * inside[:, None])

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies.
 """
 
+from numbers import Integral
+
 
 class GcflabError(Exception):
     """Base class for all package errors."""
@@ -12,6 +14,12 @@ class GcflabError(Exception):
 class ParameterError(GcflabError):
     """An argument is outside its documented domain (bad grid size, z not
     interior, too few samples, ...)."""
+
+
+def _check_integer(name: str, value, low: int):
+    """Raise ParameterError unless ``value`` is a (non-bool) integer >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class FieldShapeError(ParameterError):

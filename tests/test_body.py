@@ -482,6 +482,15 @@ def test_make_shape_rejects_bad_input(g1, g2):
         make_shape(g1, "random_valid", l_max=500)
 
 
+@pytest.mark.parametrize("params", [dict(seed=-3), dict(seed=1.5), dict(seed=True),
+                                    dict(decay=0.5), dict(flavor="lime")])
+def test_random_valid_rejects_bad_parameters(g1, params):
+    # a seed must be an integer >= 0; unknown parameters (decay is a module
+    # constant) are rejected as for the other kinds
+    with pytest.raises(ParameterError):
+        make_shape(g1, "random_valid", **params)
+
+
 def test_harmonic_field_norms(g1, g2):
     f = harmonic_field(g1, [(3, 1.0, 0.0)])
     assert abs(integrate(g1, f * f) - pi) < 1e-12

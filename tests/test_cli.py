@@ -306,6 +306,18 @@ def test_oracle_non_interior_z_exits_2(tmp_path, capsys):
     assert "interior" in capsys.readouterr().err
 
 
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    snap = shape(tmp_path, "e.json", "--dim", "1", "--ellipsoid", "1.5,1.0")
+    assert main(["oracle", str(snap), "--seed", "-1"]) == 2
+    assert main(["shape", "--dim", "1", "--random-seed", "-3",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+    # the first mc-oracle body is a ball, which draws no sample: the suite
+    # rejects the seed up front
+    assert main(["verify", "--only", "mc-oracle", "--seed", "-2"]) == 2
+    assert capsys.readouterr().err.count("seed must be an integer >= 0") == 3
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

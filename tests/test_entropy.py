@@ -252,6 +252,17 @@ def test_mc_rejects_bad_input(g1):
         mc_log_integral(b, z=[2.0, 0.0], samples=10_000)
 
 
+@pytest.mark.parametrize("oracle", [mc_log_integral, mc_polar_mass_center])
+@pytest.mark.parametrize("kw", [dict(samples=2e4), dict(samples=True), dict(seed=-1),
+                                dict(seed=1.5), dict(seed=True), dict(z=[0.0, 1.5])])
+def test_mc_oracles_check_their_arguments(g1, oracle, kw):
+    # samples an integer >= 10^4, seed an integer >= 0, z interior; checked
+    # before anything is sampled, so the empty-annulus ball is no exception
+    b = make_shape(g1, "ball")
+    with pytest.raises(ParameterError):
+        oracle(b, **{"samples": 10_000, **kw})
+
+
 def _mass_center_norms(body, z, seed):
     m, se = mc_polar_mass_center(body, z, samples=100_000, seed=seed)
     return np.linalg.norm(m), np.linalg.norm(se)

@@ -28,7 +28,7 @@ from gcflab.flow import (
     step,
 )
 from gcflab.sphere import SphereGrid, build_grid, degree_one
-from gcflab.verify import (corpus_runs, dissipation_run, fixed_point_run,
+from gcflab.verify import (corpus_runs, desk_grid, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
 
@@ -354,6 +354,27 @@ def test_ellipsoid_relaxes_to_the_ball():
     assert trace.rejections == 0
 
 
+@pytest.mark.parametrize("semiaxes, t_end", [((1.2, 1 / 1.2), 6.2), ((1.2, 1.0, 1 / 1.2), 4.2)])
+def test_late_decay_rate_is_n_plus_one(semiaxes, t_end):
+    # linearized about the unit sphere, degree l decays at rate
+    # l(l+n-1) - (n+1); the volume projection fixes l = 0 and l = 1 is the
+    # translation gauge, so l = 2 sets the late rate n+1.  The window
+    # sup |u - 1| in [1e-6, 1e-3] ends by t = 6.0 on S^1 and 4.0 on S^2.
+    dim = len(semiaxes) - 1
+    body = make_shape(desk_grid(dim), "ellipsoid", semiaxes=semiaxes, normalize=True)
+    trace, _ = run(body, FlowConfig(mode="normalized", t_end=t_end, output_stride=1,
+                                    soliton_tol=0.0))
+
+    def decay_rate(lo, hi):
+        sup = np.maximum(trace.column("u_max") - 1.0, 1.0 - trace.column("u_min"))
+        window = (sup >= lo) & (sup <= hi)
+        assert np.count_nonzero(window) >= 20 and sup[-1] < lo
+        return -np.polyfit(trace.t[window], np.log(sup[window]), 1)[0]
+
+    # measured 2.000068 and 2.999872
+    assert abs(decay_rate(1e-6, 1e-3) - (dim + 1)) <= 1e-3
+
+
 def test_converged_start_returns_immediately(g1):
     trace, final = run(make_shape(g1, "ball"), FlowConfig(t_end=1.0))
     assert trace.converged
@@ -439,16 +460,16 @@ def test_finished_trace_holds_no_body_or_node_array(shrinking_ellipse):
 
 def test_dissipation_identity_and_step_halving():
     # d/dt avg log u = -D along the projected normalized flow; the recorded
-    # residual is dominated by the O(dt_record^2) differencing error and must
+    # residual is dominated by the O(spacing^2) differencing error and must
     # drop fourfold when the record spacing is halved (the gate check's runs).
     res = {}
-    for dt in (4e-5, 2e-5):
-        trace = dissipation_run(dt)
+    for spacing in (1e-3, 5e-4):
+        trace = dissipation_run(spacing)
         assert trace.rejections == 0
-        res[dt] = dissipation_identity_residual(trace, t_min=0.05)
-    assert res[4e-5] <= 1e-6
+        res[spacing] = dissipation_identity_residual(trace, t_min=0.05)
+    assert res[1e-3] <= 1e-6
     # measured reduction factor is 4.000; 3.99 guards round-off portability
-    assert res[2e-5] <= res[4e-5] / 3.99
+    assert res[5e-4] <= res[1e-3] / 3.99
 
 
 def test_dissipation_residual_needs_three_rows(g1):
