@@ -309,7 +309,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     body, _ = read_snapshot(args.snapshot)
     z = _floats(args.z, body.dim + 1, "--z") if args.z else np.zeros(body.dim + 1)
-    # raises ParameterError unless z is interior and the seed and sample count valid
+    # raises ParameterError unless z is interior and the seed and sample count are valid
     estimate, stderr = mc_log_integral(body, z=z, samples=args.samples, seed=args.seed)
     quadrature = float(average(body.grid, np.log(body.support_about(z)))) * body.grid.area
     z_score = _z_score(estimate - quadrature, stderr)

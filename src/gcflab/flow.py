@@ -94,6 +94,7 @@ from .errors import (
     SolverError,
     StepRejected,
     StiffnessError,
+    _check_integer,
 )
 from .sphere import average, degree_one
 
@@ -174,9 +175,7 @@ class FlowConfig:
         if not 0.0 <= self.soliton_tol < np.inf:
             raise ParameterError("soliton_tol must be non-negative and finite")
         for name in ("output_stride", "max_steps"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-                raise ParameterError(f"{name} must be an integer >= 1")
+            _check_integer(name, getattr(self, name), 1)
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ParameterError("fixed_dt must be positive and finite")
         if self.project_volume and self.mode == "unnormalized":

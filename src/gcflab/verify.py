@@ -400,9 +400,9 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_checks(only=None, seed: int = 0, k_scale: float = 1.0):
     """Run the named checks (all by default); returns a list of CheckResult.
 
-    ``only`` is an iterable of names from CHECK_NAMES.  ``seed`` feeds every
-    stochastic ingredient; two runs with the same seed produce identical
-    numbers.  ``k_scale`` is the injected-bug control (see module docstring).
+    ``only`` is an iterable of names from CHECK_NAMES.  ``seed`` (an integer
+    >= 0) feeds every stochastic ingredient; two runs with the same seed
+    produce identical numbers.  ``k_scale`` is the injected-bug control (see module docstring).
     """
     _check_integer("seed", seed, 0)
     if only is None:

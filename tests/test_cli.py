@@ -312,10 +312,10 @@ def test_negative_seeds_exit_2(tmp_path, capsys):
     assert main(["shape", "--dim", "1", "--random-seed", "-3",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
-    # the first mc-oracle body is a ball, which draws no sample: the suite
-    # rejects the seed up front
+    # the suite rejects the seed up front, also for checks that draw nothing
     assert main(["verify", "--only", "mc-oracle", "--seed", "-2"]) == 2
-    assert capsys.readouterr().err.count("seed must be an integer >= 0") == 3
+    assert main(["verify", "--only", "entropy-chain", "--seed", "-2"]) == 2
+    assert capsys.readouterr().err.count("seed must be an integer >= 0") == 4
 
 
 # ---------------------------------------------------------------------------
