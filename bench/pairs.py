@@ -19,7 +19,10 @@ first alternates from pair to pair: the speed of a shared machine drifts by
 up to 0.73-1.30x over minute-long phases, so only matched, alternating pairs
 are compared.  Per workload the file holds every pair's end-to-end metrics,
 each side's median and quartiles, the ratio of medians (change / parent), how
-many pairs the change won on each metric, and, per seed, both sides'
+many pairs the change won on each metric, whether a gain on it would hold
+(``gain_rule``: the change wins at least 9 of 10 pairs, ties counting for
+neither side, and the parent's median exceeds the change's by more than the
+parent's interquartile range), and, per seed, both sides'
 fingerprints and headline numbers.  Each side of a pair also keeps its run's
 workload metrics: oracle and report throughput, step counts and time per
 step.  ``--traced`` adds one ``--trace 1`` run per side and workload at the
@@ -50,6 +53,7 @@ RUN_TIMEOUT_S = 1800
 PAIRS = 10
 SEEDS = (0, 3)
 SECONDS = 30
+GAIN_WIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 
 
 def parse_args(argv):
@@ -130,16 +134,24 @@ def quartiles(values):
 
 
 def summarize(pairs) -> dict:
-    """Medians, quartiles, ratio of medians and wins of the change."""
-    out = {"median": {}, "quartiles": {}, "ratio_of_medians": {}, "change_wins": {}}
+    """Medians, quartiles, ratio of medians, wins of the change and, per
+    metric, whether a gain would hold by the gain rule."""
+    out = {"median": {}, "quartiles": {}, "ratio_of_medians": {}, "change_wins": {},
+           "gain_rule": {}}
     for metric in END_TO_END:
         side = {s: [p[s]["metrics"][metric] for p in pairs] for s in ("parent", "change")}
         out["median"][metric] = {s: statistics.median(v) for s, v in side.items()}
         out["quartiles"][metric] = {s: quartiles(v) for s, v in side.items()}
         med = out["median"][metric]
         out["ratio_of_medians"][metric] = med["change"] / med["parent"]
-        wins = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        wins = sum(c < p for p, c in zip(side["parent"], side["change"]))  # a tie is no win
         out["change_wins"][metric] = f"{wins}/{len(pairs)}"
+        low, high = out["quartiles"][metric]["parent"]
+        rule = {"wins_enough": wins >= GAIN_WIN_SHARE * len(pairs),
+                "median_gap": med["parent"] - med["change"], "parent_iqr": high - low}
+        rule["gap_exceeds_iqr"] = rule["median_gap"] > rule["parent_iqr"]
+        rule["holds"] = rule["wins_enough"] and rule["gap_exceeds_iqr"]
+        out["gain_rule"][metric] = rule
     return out
 
 

@@ -34,14 +34,18 @@ multiplier along it (:meth:`~SphereGrid.degree_mask`: the 2/3 cut, and the
 degree-1 modes when the flow recenters); the flow's ETDRK4 stage bodies
 are jets synthesized from masked coefficient states.
 
-Off-grid evaluation sums one azimuthal series on both grids, with G_m the
-rfft coefficient on S^1.  On S^2 each colatitude sum G_m(theta) is a
-trigonometric polynomial of degree <= L in theta (a cosine series for even m,
-a sine series for odd m), so its values at the n_theta colatitudes fix it:
-the grid keeps the pseudo-inverses of cos(k theta_i) and sin(k theta_i), and
-``eval`` turns the synthesized profiles into trig coefficients once, then
-gets every G_m of a block of directions from one real matmul against the
-powers of e^{i theta} (see ``eval``).
+Off-grid evaluation sums u = Re sum_j G_j w^j over blocks of directions on
+both grids, with no loop over the orders: G = T @ R is one real matmul of a
+per-call table T against the block's rows R of cos(k alpha) and sin(k alpha),
+and those rows and the powers w^j come from repeated doubling.  On S^1 the
+rfft coefficients split into baby steps k < B in phi, B about sqrt(n/2), and
+giant steps w = e^{iB phi}.  On S^2, w = e^{i phi}, and each colatitude sum
+G_m(theta) is a trigonometric polynomial of degree <= L in theta (a cosine
+series for even m, a sine series for odd m), so its values at the n_theta
+colatitudes fix it: the grid keeps the pseudo-inverses of cos(k theta_i) and
+sin(k theta_i), and ``eval`` turns the synthesized profiles into two
+half-size tables once per call, one on the cos rows in theta and one on the
+sin rows (see ``eval``).
 
 The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
 jet rows and returns the invariants of A that callers read, so no caller
@@ -107,8 +111,7 @@ class SphereGrid:
     """Collocation grid on S^dim, a :class:`CircleGrid` (dim 1) or a
     :class:`Sphere2Grid` (dim 2).  The public methods are defined here and
     never overridden by a kind: a kind supplies ``_analyze``,
-    ``_synthesize_rows``, ``_eval_modes``, ``_grad`` and ``radii_invariants``,
-    and may set its own ``_eval_block``.
+    ``_synthesize_rows``, ``_eval_kernel``, ``_grad`` and ``radii_invariants``.
 
     Attributes
     ----------
@@ -138,7 +141,7 @@ class SphereGrid:
     # private transform tables
     _tab: dict = field(default_factory=dict, repr=False)
 
-    _eval_block = 8192  # directions per off-grid evaluation block (a class constant)
+    _eval_block = 1024  # directions per off-grid eval block; its trig rows take ~1 MB at 32x64
 
     @property
     def n_nodes(self) -> int:
@@ -191,13 +194,14 @@ class SphereGrid:
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Evaluate the spectral interpolant at arbitrary unit directions.
 
-        Both kinds sum u = Re sum_m f_m G_m e^{im phi} (f_0 = 1, f = 1 on
-        the S^1 Nyquist mode, f_m = 2 otherwise) over blocks of the kind's
-        ``_eval_block`` directions: one exp per block and powers by running
-        products.  The kind's ``_eval_modes`` prepares the coefficients once
-        per call and gives, per block, (f_m, G_m) one order at a time: the
-        rfft coefficient on S^1, a row of one matmul on S^2.
-        A 1-D ``directions`` gives a float.
+        Both kinds sum u = Re sum_j G_j w^j over blocks of ``_eval_block``
+        directions, with no loop over the orders.  The kind's ``_eval_kernel``
+        turns the coefficients into real tables T once per call and gives a
+        function of a block: G = T @ R is one real matmul against the block's
+        trig rows R (cos k alpha and sin k alpha), and :func:`_trig_rows`
+        makes both R and the powers w^j by doubling.  On S^1, alpha = phi with
+        baby steps k < B and w = e^{iB phi}; on S^2, alpha = theta and
+        w = e^{i phi}.  A 1-D ``directions`` gives a float.
         """
         values = self.check_field(values)
         directions = np.asarray(directions, dtype=float)
@@ -211,18 +215,11 @@ class SphereGrid:
         if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
-        modes = self._eval_modes(self.analyze(values))
+        kernel = self._eval_kernel(self.analyze(values))
         size = self._eval_block
         out = np.empty(pts.shape[0])
         for lo in range(0, pts.shape[0], size):
-            block = pts[lo : lo + size]
-            e_phi = np.exp(1j * np.arctan2(block[:, 1], block[:, 0]))
-            power = np.ones_like(e_phi)  # e^{i m phi}
-            acc = np.zeros(block.shape[0])
-            for f, g in modes(block):
-                acc += f * (g * power).real
-                power *= e_phi
-            out[lo : lo + size] = acc
+            out[lo : lo + size] = kernel(pts[lo : lo + size])
         return out[0] if single else out
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
@@ -261,12 +258,28 @@ class CircleGrid(SphereGrid):
         a = jet.rows[2] + jet.rows[0]
         return a, a, a, self._tab["ones"]
 
-    def _eval_modes(self, coeffs):
-        """For :meth:`eval`: a function of a block of directions giving
-        (f_m, c_m), c_m the rfft coefficients."""
-        last = len(coeffs) - 1  # n is even: the last coefficient is the Nyquist mode
-        weights = [1.0 if m in (0, last) else 2.0 for m in range(len(coeffs))]
-        return lambda pts: zip(weights, coeffs)
+    def _eval_kernel(self, coeffs):
+        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi} by baby and giant
+        steps, m = jB + k with B the least power of two >= sqrt(len(c)).  The
+        f_m c_m, zero-padded and reshaped to (J, B), give the table, so
+        G_j = sum_k a_jk e^{ik phi} and w = e^{iB phi}, the turn at which the
+        doubling of the baby rows stops."""
+        count = len(coeffs)
+        baby = 1 << int(np.ceil(np.log2(count) / 2))
+        giant = -(-count // baby)
+        a = np.zeros(giant * baby, dtype=complex)
+        a[:count] = 2.0 * coeffs
+        a[[0, count - 1]] /= 2.0  # n is even: the last coefficient is the Nyquist mode
+        a = a.reshape(giant, baby)
+        # (Re G; -Im G) of every giant step from the (cos; sin) baby rows
+        table = np.block([[a.real, -a.imag], [-a.imag, -a.real]])
+
+        def kernel(pts):
+            x, y = pts.T
+            rows, w = _trig_rows((x + 1j * y) / np.hypot(x, y), baby)
+            return _re_series(table @ rows.reshape(2 * baby, -1), _trig_rows(w, giant)[0])
+
+        return kernel
 
 
 class Sphere2Grid(SphereGrid):
@@ -325,8 +338,6 @@ class Sphere2Grid(SphereGrid):
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0
         return a11 * a22 - a12_sq, trace, 0.5 * trace - disc, trace
 
-    _eval_block = 1024  # keeps the per-block (block, 2(L+1)) tables near 0.5 MB at 32x64
-
     @cached_property
     def _trig_pinv(self):
         """Trig coefficients of a colatitude profile from its n_theta values:
@@ -343,39 +354,61 @@ class Sphere2Grid(SphereGrid):
         return tuple(_ro(np.linalg.solve(a.T @ a, a.T)) for a in (
             np.cos(np.outer(self.thetas, k)), np.sin(np.outer(self.thetas, k[1:]))))
 
-    def _eval_modes(self, coeffs):
-        """For :meth:`eval`: a function of a block of directions giving
-        (f_m, G_m), G_m = sum_l c[m, l] P_lm(cos theta) at each direction.
+    def _eval_kernel(self, coeffs):
+        """For :meth:`eval`: u = Re sum_m f_m G_m(theta) e^{im phi}, with
+        G_m = sum_l c[m, l] P_lm(cos theta).
 
         G_m(theta) is a cosine series sum_k a_mk cos(k theta) for even m and a
         sine series sum_k b_mk sin(k theta) for odd m, k <= L.  Its values at
         the colatitudes (``_legendre_synth``) give the trig coefficients through
-        the pseudo-inverses ``_trig_pinv``, once per call.  Per block, the
-        powers e^{ik theta} come from e^{i theta} = (z + i hypot(x, y)) / |.|,
-        which keeps the offset of a direction near a pole from the axis, and
-        their real view (cos k theta, sin k theta per k) times the table of
-        (Re, Im) trig coefficients is the complex G_m, one real matmul.
+        the pseudo-inverses ``_trig_pinv``, once per call: two half-size
+        tables, one on the cos rows and one on the sin rows.  Per block,
+        e^{i theta} = (z + i hypot(x, y)) / |.| keeps the offset of a direction
+        near a pole from the axis, and e^{i phi} = (x + iy) / hypot(x, y) is 1
+        on the axis.
         """
-        orders = self.bandlimit + 1
-        # G_m(theta_i) as (Re, Im) pairs, (m, i, 2)
-        prof = self._legendre_synth(coeffs, self.shape[0]).view(float).reshape(orders, -1, 2)
+        prof = self._legendre_synth(coeffs, self.shape[0])  # G_m(theta_i), (m, i)
+        prof[1:] *= 2.0  # f_m
         pinv_cos, pinv_sin = self._trig_pinv
-        table = np.zeros((orders, 2, orders, 2))  # [k, cos/sin, m, Re/Im]
-        table[:, 0, 0::2] = (pinv_cos @ prof[0::2]).transpose(1, 0, 2)
-        table[1:, 1, 1::2] = (pinv_sin @ prof[1::2]).transpose(1, 0, 2)
-        table = table.reshape(2 * orders, 2 * orders)
-        weights = [1.0] + [2.0] * (orders - 1)
+        # (Re G; -Im G) of the even and of the odd orders
+        tables = [np.concatenate([a.real, -a.imag]) for a in
+                  (prof[0::2] @ pinv_cos.T, prof[1::2] @ pinv_sin.T)]
+        orders = len(pinv_cos)
 
-        def modes(pts):
-            e_theta = pts[:, 2] + 1j * np.hypot(pts[:, 0], pts[:, 1])
-            e_theta /= np.abs(e_theta)
-            powers = np.ones((pts.shape[0], orders), dtype=complex)  # e^{ik theta}
-            np.cumprod(np.broadcast_to(e_theta[:, None], (pts.shape[0], orders - 1)),
-                       axis=1, out=powers[:, 1:])
-            g = (powers.view(float) @ table).view(complex)  # (block, m)
-            return zip(weights, g.T)
+        def kernel(pts):
+            x, y, z = pts.T
+            rho = np.hypot(x, y)
+            theta, _ = _trig_rows((z + 1j * rho) / np.hypot(z, rho), orders)
+            e_phi = np.divide(x + 1j * y, rho, out=np.ones(len(pts), dtype=complex), where=rho > 0)
+            phi, _ = _trig_rows(e_phi, orders)
+            return (_re_series(tables[0] @ theta[0], phi[:, 0::2])
+                    + _re_series(tables[1] @ theta[1, 1:], phi[:, 1::2]))
 
-        return modes
+        return kernel
+
+
+def _trig_rows(e: np.ndarray, k: int):
+    """The rows cos(j a) and sin(j a), j < k, as a (2, k, n) array, from
+    e = e^{ia} (n,), and the turn e^{ipa}, p the least power of two >= k.
+
+    By doubling: powers p..2p-1 are powers 0..p-1 times the turn, which then
+    squares, so the rows take log2 k vector passes instead of k; the phase
+    error of row j grows like j eps, as under a running product.
+    """
+    powers = np.empty((k, e.size), dtype=complex)
+    powers[0] = 1.0
+    p, turn = 1, e
+    while p < k:
+        q = min(p, k - p)
+        np.multiply(powers[:q], turn, out=powers[p : p + q])
+        p, turn = 2 * p, turn * turn
+    return np.stack([powers.real, powers.imag]), turn
+
+
+def _re_series(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_j G_j w^j from g = (Re G; -Im G), (2J, n), and the (cos, sin)
+    rows of the powers w^j, (2, J, n)."""
+    return np.einsum("rjb,rjb->b", g.reshape(w.shape), w)
 
 
 # ---------------------------------------------------------------------------

@@ -516,3 +516,40 @@ def test_eval_circle_weights_the_nyquist_mode_once():
     u = np.random.default_rng(7).standard_normal(32)
     assert abs(np.fft.rfft(u)[-1]) > 1e-3
     assert np.max(np.abs(grid.eval(u, grid.nodes) - u)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 18, 256])
+def test_circle_eval_matches_direct_sum(n):
+    """eval against the direct sum sum_m f_m Re(c_m e^{im phi}) (f = 1 at
+    m = 0 and on the Nyquist mode, 2 otherwise).  On these sizes the
+    coefficient count n/2 + 1 is not a multiple of eval's baby-step count."""
+    grid = build_grid(1, n=n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n)  # not band-limited: it carries a Nyquist coefficient
+    c = grid.analyze(u)
+    assert abs(c[-1]) > 1e-3
+    f = np.where((np.arange(c.size) == 0) | (np.arange(c.size) == c.size - 1), 1.0, 2.0)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=2000)
+    pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    m = np.arange(c.size)[:, None]
+    expect = np.sum(f[:, None] * (c[:, None] * np.exp(1j * m * phi)).real, axis=0)
+    assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-13
+    assert np.max(np.abs(grid.eval(u, pts * (1.0 + 5e-11)) - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(12, 24), (32, 64)])
+def test_eval_on_the_axis_is_the_zonal_sum(n_theta, n_phi):
+    """At the poles only the order m = 0 survives: u = sum_l c[0, l] P_l0(+-1),
+    with P_l0(+-1) = (+-1)^l sqrt((2l + 1)/2).  The directions lie exactly on
+    the axis (x = y = 0, also a signed zero, also 5e-11 off unit length), where
+    e^{i phi} = (x + iy)/hypot(x, y) is 0/0."""
+    grid = build_grid(2, n_theta=n_theta, n_phi=n_phi)
+    u = grid.synthesize(grid.analyze(np.random.default_rng(n_theta).standard_normal(grid.n_nodes)))
+    c0 = grid.analyze(u)[0].real
+    l = np.arange(c0.size)
+    north, south = np.sum(c0 * np.sqrt(l + 0.5)), np.sum(c0 * (-1.0) ** l * np.sqrt(l + 0.5))
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0],
+                    [0.0, 0.0, 1.0 + 5e-11], [0.0, 0.0, -1.0 - 5e-11]])
+    got = grid.eval(u, pts)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - [north, south, north, north, south])) < 1e-13
