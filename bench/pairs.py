@@ -53,7 +53,6 @@ RUN_TIMEOUT_S = 1800
 PAIRS = 10
 SEEDS = (0, 3)
 SECONDS = 30
-GAIN_WIN_SHARE = 0.9  # share of the pairs a claimed gain must win
 
 
 def parse_args(argv):
@@ -147,7 +146,7 @@ def summarize(pairs) -> dict:
         wins = sum(c < p for p, c in zip(side["parent"], side["change"]))  # a tie is no win
         out["change_wins"][metric] = f"{wins}/{len(pairs)}"
         low, high = out["quartiles"][metric]["parent"]
-        rule = {"wins_enough": wins >= GAIN_WIN_SHARE * len(pairs),
+        rule = {"wins_enough": 10 * wins >= 9 * len(pairs),  # at least 9 of every 10 pairs
                 "median_gap": med["parent"] - med["change"], "parent_iqr": high - low}
         rule["gap_exceeds_iqr"] = rule["median_gap"] > rule["parent_iqr"]
         rule["holds"] = rule["wins_enough"] and rule["gap_exceeds_iqr"]

@@ -528,7 +528,8 @@ def test_circle_eval_matches_direct_sum(n):
     u = rng.standard_normal(n)  # not band-limited: it carries a Nyquist coefficient
     c = grid.analyze(u)
     assert abs(c[-1]) > 1e-3
-    f = np.where((np.arange(c.size) == 0) | (np.arange(c.size) == c.size - 1), 1.0, 2.0)
+    f = np.full(c.size, 2.0)
+    f[[0, -1]] = 1.0
     phi = rng.uniform(0.0, 2.0 * np.pi, size=2000)
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
     m = np.arange(c.size)[:, None]
