@@ -391,29 +391,7 @@ def harmonic_field(grid: SphereGrid, modes) -> np.ndarray:
     dim 2: entries (l, m, a) contribute a times the unit-norm real harmonic
     of degree l and order m (m > 0 cosine-type, m < 0 sine-type).
     """
-    if grid.dim == 1:
-        th = grid.thetas
-        out = np.zeros(grid.n_nodes)
-        for k, a, b in modes:
-            k = int(k)
-            if not 0 <= k <= grid.bandlimit:
-                raise ParameterError(f"mode k={k} outside bandlimit {grid.bandlimit}")
-            out += a * np.cos(k * th) + b * np.sin(k * th)
-        return out
-
-    L = grid.bandlimit
-    coeffs = np.zeros((L + 1, L + 1), dtype=complex)
-    for l, m, a in modes:
-        l, m = int(l), int(m)
-        if not 0 <= l <= L or abs(m) > l:
-            raise ParameterError(f"mode (l={l}, m={m}) outside bandlimit {L}")
-        if m == 0:
-            coeffs[0, l] += a / np.sqrt(2.0 * np.pi)
-        elif m > 0:
-            coeffs[m, l] += a / (2.0 * np.sqrt(np.pi))
-        else:
-            coeffs[-m, l] += -1j * a / (2.0 * np.sqrt(np.pi))
-    return grid.synthesize(coeffs)
+    return grid._harmonic_field(modes)
 
 
 def spectral_tail(grid: SphereGrid, u: np.ndarray) -> float:
@@ -529,20 +507,8 @@ def _random_valid(
     if parity not in ("any", "even"):
         raise ParameterError("parity must be 'any' or 'even'")
 
-    modes = []
-    if grid.dim == 1:
-        for k in range(2, l_max + 1):
-            a, b = rng.normal(size=2) * RANDOM_DECAY ** (k - 2)
-            if parity == "even" and k % 2:
-                continue
-            modes.append((k, a, b))
-    else:
-        for l in range(2, l_max + 1):
-            for m in range(-l, l + 1):
-                c = rng.normal() * RANDOM_DECAY ** (l - 2) / (2 * l + 1)
-                if parity == "even" and l % 2:
-                    continue
-                modes.append((l, m, c))
+    modes = [mode for mode in grid._random_modes(rng, l_max, RANDOM_DECAY)
+             if parity == "any" or mode[0] % 2 == 0]  # the degree comes first
     bump = harmonic_field(grid, modes)
     peak = float(np.max(np.abs(bump)))
     if peak > 0:

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .flow import FlowConfig, harnack_monitor, run
 from .soliton import solve_soliton
-from .sphere import average, build_grid
+from .sphere import _KINDS, average, build_grid
 from .verify import CHECK_NAMES, run_checks, suite_report
 
 SNAPSHOT_SCHEMA = 1
@@ -69,14 +69,10 @@ def _timestamp() -> str:
 
 def snapshot_dict(body: ConvexBody, metadata: dict = None) -> dict:
     grid = body.grid
-    if grid.dim == 1:
-        resolution = {"n": grid.shape[0]}
-    else:
-        resolution = {"n_theta": grid.shape[0], "n_phi": grid.shape[1]}
     return {
         "schema_version": SNAPSHOT_SCHEMA,
         "dim": grid.dim,
-        "grid": resolution,
+        "grid": dict(zip(grid._desk, grid.shape)),
         "support": [float(v) for v in body.support],
         "metadata": dict(metadata or {}),
     }
@@ -175,27 +171,21 @@ def _floats(text: str, count: int, what: str):
     return values
 
 
-def _parse_harmonic(dim: int, entry: str):
-    """One --harmonic entry: 'k:amp[:amp_sin]' on S^1, 'l,m:amp' on S^2."""
-    head, sep, tail = entry.partition(":")
-    if not sep:
-        raise ParameterError(f"--harmonic {entry!r}: expected 'degree:amplitude'")
+def _parse_harmonic(grid, entry: str):
+    """One --harmonic entry, in the grid kind's form ``grid._spec``."""
     try:
-        if dim == 1:
-            amps = [float(a) for a in tail.split(":")]
-            if len(amps) not in (1, 2):
-                raise ValueError("one or two amplitudes")
-            return (int(head), amps[0], amps[1] if len(amps) == 2 else 0.0)
-        l_deg, m_ord = (int(p) for p in head.split(","))
-        return (l_deg, m_ord, float(tail))
+        return grid._parse_spec(entry)
     except ValueError as exc:
-        raise ParameterError(f"--harmonic {entry!r}: {exc}") from exc
+        raise ParameterError(f"--harmonic {entry!r}: expected {grid._spec!r} ({exc})") from exc
 
 
 def _make_grid(args):
-    if args.dim == 1:
-        return build_grid(1, n=args.n)
-    return build_grid(2, n_theta=args.n_theta, n_phi=args.n_phi)
+    """The --dim grid: a size flag left unset takes the kind's desk size, and a
+    size of another kind reaches build_grid, which rejects it."""
+    sizes = dict(_KINDS[args.dim]._desk)
+    for kind in _KINDS.values():
+        sizes.update({s: getattr(args, s) for s in kind._desk if getattr(args, s) is not None})
+    return build_grid(args.dim, **sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ def cmd_shape(args) -> int:
         body = make_shape(grid, "ellipsoid", semiaxes=semiaxes, normalize=args.normalize)
         label = f"ellipsoid{semiaxes}"
     elif args.harmonic:
-        modes = [_parse_harmonic(args.dim, s) for s in args.harmonic]
+        modes = [_parse_harmonic(grid, s) for s in args.harmonic]
         body = make_shape(grid, "harmonic", base=args.base, modes=modes,
                           normalize=args.normalize)
         label = f"harmonic{modes}"
@@ -332,10 +322,11 @@ def cmd_oracle(args) -> int:
 
 
 def _add_grid_flags(p):
-    p.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=int, default=256, help="node count on S^1")
-    p.add_argument("--n-theta", type=int, default=32, help="colatitude nodes on S^2")
-    p.add_argument("--n-phi", type=int, default=64, help="longitude nodes on S^2")
+    p.add_argument("--dim", type=int, choices=tuple(_KINDS), required=True)
+    for dim, kind in _KINDS.items():
+        for size, desk in kind._desk.items():
+            p.add_argument(f"--{size.replace('_', '-')}", type=int,
+                           help=f"S^{dim} grid size (default {desk})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--ellipsoid", metavar="A,B[,C]", help="semiaxes")
     kind.add_argument("--harmonic", action="append", metavar="SPEC",
-                      help="'k:amp[:amp_sin]' on S^1, 'l,m:amp' on S^2; repeatable")
+                      help=", ".join(f"{k._spec!r} on S^{d}" for d, k in _KINDS.items())
+                      + "; repeatable")
     kind.add_argument("--random-seed", type=int, metavar="SEED",
                       help="seeded random valid body")
     p.add_argument("--ball", type=float, default=1.0, metavar="R",

@@ -2,8 +2,8 @@
 
 A grid couples quadrature nodes/weights with tabulated basis data so scalar
 fields sampled at the nodes can be differentiated, integrated and evaluated
-off-grid with spectral accuracy.  :func:`build_grid` returns one of two
-kinds of :class:`SphereGrid`, each supplying only its kernels:
+off-grid with spectral accuracy.  :func:`build_grid` looks the dimension up
+in ``_KINDS``, the table of the two kinds of :class:`SphereGrid`:
 
 * :class:`CircleGrid`: uniform angles on S^1, trigonometric (FFT)
   differentiation;
@@ -58,7 +58,9 @@ The public entry points are :func:`build_grid`, the grid's spectral methods
 :meth:`~SphereGrid.lowpass`) and the quadrature
 helpers :func:`integrate`, :func:`average` and :func:`degree_one`.
 Everything downstream treats the grid as an opaque handle, which keeps the
-geometry code dimension-agnostic.
+geometry code dimension-agnostic; the shape generators and the command line
+ask the kind for its sizes, mode tuples and ``--harmonic`` entries, so a new
+dimension is a new kind in ``_KINDS``.
 """
 
 from __future__ import annotations
@@ -110,8 +112,14 @@ class SupportJet:
 class SphereGrid:
     """Collocation grid on S^dim, a :class:`CircleGrid` (dim 1) or a
     :class:`Sphere2Grid` (dim 2).  The public methods are defined here and
-    never overridden by a kind: a kind supplies ``_analyze``,
-    ``_synthesize_rows``, ``_eval_kernel``, ``_grad`` and ``radii_invariants``.
+    never overridden by a kind (perfbench's tracer and the tests' spies patch
+    them on this class).  A kind supplies its constructor from sizes
+    ``_build``; its sizes in ``shape`` order with their desk-scale values,
+    ``_desk``; the kernels ``_analyze``, ``_synthesize_rows``,
+    ``_eval_kernel``, ``_grad`` and ``radii_invariants``; its reader of
+    harmonic mode tuples ``_harmonic_field``; the modes, degree first, that
+    a random body draws, ``_random_modes``; and its ``--harmonic`` entry
+    ``_spec`` with the parser ``_parse_spec``.
 
     Attributes
     ----------
@@ -211,8 +219,8 @@ class SphereGrid:
             raise ParameterError(
                 f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
             )
-        norms = np.linalg.norm(pts, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
+        sq = np.einsum("ij,ij->i", pts, pts)  # |x|^2 against (1 -/+ 1e-10)^2: no sqrt
+        if not np.all(((1.0 - 1e-10) ** 2 <= sq) & (sq <= (1.0 + 1e-10) ** 2)):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
         kernel = self._eval_kernel(self.analyze(values))
@@ -242,6 +250,32 @@ class SphereGrid:
 
 class CircleGrid(SphereGrid):
     """Uniform grid on S^1: FFT transforms, jet rows (u, u', u'')."""
+
+    _desk = {"n": 256}  # the sizes the kind takes, at desk scale
+    _spec = "k:amp[:amp_sin]"  # a --harmonic entry, read by _parse_spec
+
+    @classmethod
+    def _build(cls, n):
+        if n < 16 or n % 2:
+            raise ParameterError("dim 1 grids need an even node count n >= 16")
+        theta = 2.0 * np.pi * np.arange(n) / n
+        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        weights = np.full(n, 2.0 * np.pi / n)
+        frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
+        bandlimit = n // 2 - 1
+        k = np.arange(n // 2 + 1)
+        ik = 1j * k
+        ik[-1] = 0.0  # n is even: the Nyquist mode has no well-defined odd derivative
+        tab = {
+            # rfft multipliers of the jet rows (u, u', u''), times n for the irfft
+            "jet": _ro(n * np.stack([np.ones(k.size), ik, -(k**2)])),
+            "ones": _ro(np.ones(n)),  # sigma_0(A), shared by every body
+            "degrees": _ro(k),
+        }
+        return cls(dim=1, shape=(n,), nodes=_ro(nodes), weights=_ro(weights), frames=_ro(frames),
+                   area=sphere_area(1), bandlimit=bandlimit, quad_degree=n - 1,
+                   h_min=np.pi / (bandlimit + 1), antipodes=_ro(np.roll(np.arange(n), n // 2)),
+                   thetas=_ro(theta), _tab=tab)
 
     def _analyze(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfft(values) / self.shape[0]
@@ -281,10 +315,78 @@ class CircleGrid(SphereGrid):
 
         return kernel
 
+    @staticmethod
+    def _parse_spec(entry: str):
+        head, _, tail = entry.partition(":")
+        amps = [float(a) for a in tail.split(":")]
+        if len(amps) not in (1, 2):
+            raise ValueError("one or two amplitudes")
+        return (int(head), amps[0], amps[1] if len(amps) == 2 else 0.0)
+
+    def _harmonic_field(self, modes) -> np.ndarray:
+        out = np.zeros(self.n_nodes)
+        for k, a, b in _mode_tuples(modes, "(k, a, b)"):
+            k = int(k)
+            if not 0 <= k <= self.bandlimit:
+                raise ParameterError(f"mode k={k} outside bandlimit {self.bandlimit}")
+            out += a * np.cos(k * self.thetas) + b * np.sin(k * self.thetas)
+        return out
+
+    @staticmethod
+    def _random_modes(rng, l_max: int, decay: float) -> list:
+        return [(k, *rng.normal(size=2) * decay ** (k - 2)) for k in range(2, l_max + 1)]
+
 
 class Sphere2Grid(SphereGrid):
     """Gauss-Legendre x uniform grid on S^2: Legendre matmuls and FFTs, jet
     rows (u, u_theta, u_thetatheta, u_phi, u_thetaphi, u_phiphi)."""
+
+    _desk = {"n_theta": 32, "n_phi": 64}
+    _spec = "l,m:amp"
+
+    @classmethod
+    def _build(cls, n_theta, n_phi):
+        if n_theta < 8 or n_phi < 16 or n_phi % 2:
+            raise ParameterError("dim 2 grids need n_theta >= 8 and even n_phi >= 16")
+
+        x_asc, w_gl = np.polynomial.legendre.leggauss(n_theta)
+        x = x_asc[::-1].copy()  # descending x <=> ascending colatitude
+        w_gl = w_gl[::-1].copy()
+        thetas = np.arccos(x)
+        phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        L = min(n_theta - 1, n_phi // 2 - 1)
+
+        sin_t, cos_t = np.sin(thetas), np.cos(thetas)
+        st = np.repeat(sin_t, n_phi)
+        ct = np.repeat(cos_t, n_phi)
+        cp = np.tile(np.cos(phis), n_theta)
+        sp = np.tile(np.sin(phis), n_theta)
+        nodes = np.stack([st * cp, st * sp, ct], axis=1)
+        weights = np.repeat(w_gl, n_phi) * (2.0 * np.pi / n_phi)
+
+        frames = np.stack([np.stack([ct * cp, ct * sp, -st], axis=1),  # e_theta, e_phi
+                           np.stack([-sp, cp, np.zeros_like(sp)], axis=1)], axis=1)
+
+        P, dP, d2P = _legendre_tables(x, _recurrence_coefficients(L))
+        tab = {
+            # S[m, i, l]: rows i of P, then dP, then d2P, contiguous per order m
+            "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
+            "PWt": P * w_gl[None, None, :],
+            "sin_flat": st,
+            "sin2_flat": st**2,
+            "cot_flat": ct / st,
+            # per-order multipliers of the longitude derivatives
+            "im": 1j * np.arange(L + 1),
+            "m2": -(np.arange(L + 1) ** 2),
+            "degrees": _ro(np.arange(L + 1)),
+        }
+        # Gauss-Legendre colatitudes come in +/- pairs, longitudes shift by pi
+        antipodes = np.roll(np.arange(n_theta * n_phi).reshape(n_theta, n_phi)[::-1],
+                            n_phi // 2, axis=1).ravel()
+        return cls(dim=2, shape=(n_theta, n_phi), nodes=_ro(nodes), weights=_ro(weights),
+                   frames=_ro(frames), area=sphere_area(2), bandlimit=L,
+                   quad_degree=min(2 * n_theta - 1, n_phi - 1), h_min=np.pi / (L + 1),
+                   antipodes=_ro(antipodes), thetas=_ro(thetas), _tab=tab)
 
     def _analyze(self, values: np.ndarray) -> np.ndarray:
         n_theta, n_phi = self.shape
@@ -386,6 +488,42 @@ class Sphere2Grid(SphereGrid):
 
         return kernel
 
+    @staticmethod
+    def _parse_spec(entry: str):
+        head, _, tail = entry.partition(":")
+        l_deg, m_ord = (int(p) for p in head.split(","))
+        return (l_deg, m_ord, float(tail))
+
+    def _harmonic_field(self, modes) -> np.ndarray:
+        L = self.bandlimit
+        coeffs = np.zeros((L + 1, L + 1), dtype=complex)
+        for l, m, a in _mode_tuples(modes, "(l, m, a)"):
+            l, m = int(l), int(m)
+            if not 0 <= l <= L or abs(m) > l:
+                raise ParameterError(f"mode (l={l}, m={m}) outside bandlimit {L}")
+            if m == 0:
+                coeffs[0, l] += a / np.sqrt(2.0 * np.pi)
+            elif m > 0:
+                coeffs[m, l] += a / (2.0 * np.sqrt(np.pi))
+            else:
+                coeffs[-m, l] += -1j * a / (2.0 * np.sqrt(np.pi))
+        return self.synthesize(coeffs)
+
+    @staticmethod
+    def _random_modes(rng, l_max: int, decay: float) -> list:
+        return [(l, m, rng.normal() * decay ** (l - 2) / (2 * l + 1))
+                for l in range(2, l_max + 1) for m in range(-l, l + 1)]
+
+
+def _mode_tuples(modes, form: str):
+    """The harmonic modes, each a 3-tuple of the kind's ``form``."""
+    for mode in modes:
+        try:
+            a, b, c = mode
+        except (TypeError, ValueError):
+            raise ParameterError(f"harmonic modes on this grid are {form}, got {mode!r}") from None
+        yield a, b, c
+
 
 def _trig_rows(e: np.ndarray, k: int):
     """The rows cos(j a) and sin(j a), j < k, as a (2, k, n) array, from
@@ -466,113 +604,28 @@ def _legendre_tables(x: np.ndarray, coefficients):
     return P * mask, dP * mask, d2P * mask
 
 
+_KINDS = {1: CircleGrid, 2: Sphere2Grid}  # dim -> grid kind
+
+
 def build_grid(dim: int, n: int = None, n_theta: int = None, n_phi: int = None) -> SphereGrid:
     """Build a collocation grid on S^1 (``n`` nodes) or S^2 (``n_theta x n_phi``).
 
     dim 1 requires even n >= 16; dim 2 requires n_theta >= 8 and even
     n_phi >= 16; the other kind's sizes must be omitted.  Other dimensions
-    are rejected: the tabulated transforms below are what make the rest of
-    the package dimension-agnostic.
+    are rejected: the kinds' tables are what make the rest of the package
+    dimension-agnostic.
     """
-    for name, v in (("dim", dim), ("n", n), ("n_theta", n_theta), ("n_phi", n_phi)):
+    sizes = {"n": n, "n_theta": n_theta, "n_phi": n_phi}
+    for name, v in (("dim", dim), *sizes.items()):
         if v is not None and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
             raise ParameterError(f"{name} must be an integer, got {v!r}")
-    n, n_theta, n_phi = (None if v is None else int(v) for v in (n, n_theta, n_phi))
-    if dim == 1:
-        if n_theta is not None or n_phi is not None:
-            raise ParameterError("dim 1 grids take n, not n_theta or n_phi")
-        if n is None or n < 16 or n % 2:
-            raise ParameterError("dim 1 grids need an even node count n >= 16")
-        theta = 2.0 * np.pi * np.arange(n) / n
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(n, 2.0 * np.pi / n)
-        frames = np.stack([-np.sin(theta), np.cos(theta)], axis=1)[:, None, :]
-        bandlimit = n // 2 - 1
-        k = np.arange(n // 2 + 1)
-        ik = 1j * k
-        ik[-1] = 0.0  # n is even: the Nyquist mode has no well-defined odd derivative
-        tab = {
-            # rfft multipliers of the jet rows (u, u', u''), times n for the irfft
-            "jet": _ro(n * np.stack([np.ones(k.size), ik, -(k**2)])),
-            "ones": _ro(np.ones(n)),  # sigma_0(A), shared by every body
-            "degrees": _ro(k),
-        }
-        return CircleGrid(
-            dim=1,
-            shape=(n,),
-            nodes=_ro(nodes),
-            weights=_ro(weights),
-            frames=_ro(frames),
-            area=sphere_area(1),
-            bandlimit=bandlimit,
-            quad_degree=n - 1,
-            h_min=np.pi / (bandlimit + 1),
-            antipodes=_ro(np.roll(np.arange(n), n // 2)),
-            thetas=_ro(theta),
-            _tab=tab,
-        )
-
-    if dim != 2:
-        raise ParameterError(f"only dim 1 and dim 2 grids are implemented (got {dim})")
-    if n is not None:
-        raise ParameterError("dim 2 grids take n_theta and n_phi, not n")
-    if n_theta is None or n_phi is None:
-        raise ParameterError("dim 2 grids need n_theta and n_phi")
-    if n_theta < 8 or n_phi < 16 or n_phi % 2:
-        raise ParameterError("dim 2 grids need n_theta >= 8 and even n_phi >= 16")
-
-    x_asc, w_gl = np.polynomial.legendre.leggauss(n_theta)
-    x = x_asc[::-1].copy()  # descending x <=> ascending colatitude
-    w_gl = w_gl[::-1].copy()
-    thetas = np.arccos(x)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    L = min(n_theta - 1, n_phi // 2 - 1)
-
-    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
-    st = np.repeat(sin_t, n_phi)
-    ct = np.repeat(cos_t, n_phi)
-    cp = np.tile(np.cos(phis), n_theta)
-    sp = np.tile(np.sin(phis), n_theta)
-    nodes = np.stack([st * cp, st * sp, ct], axis=1)
-    weights = np.repeat(w_gl, n_phi) * (2.0 * np.pi / n_phi)
-
-    frames = np.empty((n_theta * n_phi, 2, 3))
-    frames[:, 0, 0] = ct * cp
-    frames[:, 0, 1] = ct * sp
-    frames[:, 0, 2] = -st
-    frames[:, 1, 0] = -sp
-    frames[:, 1, 1] = cp
-    frames[:, 1, 2] = 0.0
-
-    P, dP, d2P = _legendre_tables(x, _recurrence_coefficients(L))
-    tab = {
-        # S[m, i, l]: rows i of P, then dP, then d2P, contiguous per order m
-        "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
-        "PWt": P * w_gl[None, None, :],
-        "sin_flat": st,
-        "sin2_flat": st**2,
-        "cot_flat": ct / st,
-        # per-order multipliers of the longitude derivatives
-        "im": 1j * np.arange(L + 1),
-        "m2": -(np.arange(L + 1) ** 2),
-        "degrees": _ro(np.arange(L + 1)),
-    }
-    return Sphere2Grid(
-        dim=2,
-        shape=(n_theta, n_phi),
-        nodes=_ro(nodes),
-        weights=_ro(weights),
-        frames=_ro(frames),
-        area=sphere_area(2),
-        bandlimit=L,
-        quad_degree=min(2 * n_theta - 1, n_phi - 1),
-        h_min=np.pi / (L + 1),
-        # Gauss-Legendre colatitudes come in +/- pairs, longitudes shift by pi
-        antipodes=_ro(np.roll(np.arange(n_theta * n_phi).reshape(n_theta, n_phi)[::-1],
-                              n_phi // 2, axis=1).ravel()),
-        thetas=_ro(thetas),
-        _tab=tab,
-    )
+    kind = _KINDS.get(dim)
+    if kind is None:
+        raise ParameterError(f"only dims {list(_KINDS)} have a grid kind (got {dim})")
+    sizes = {name: int(v) for name, v in sizes.items() if v is not None}
+    if sizes.keys() != kind._desk.keys():
+        raise ParameterError(f"dim {dim} grids take sizes {list(kind._desk)}, got {list(sizes)}")
+    return kind._build(**sizes)
 
 
 def _ro(a: np.ndarray) -> np.ndarray:

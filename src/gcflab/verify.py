@@ -51,9 +51,7 @@ from .soliton import (
     solve_soliton,
     stability_form,
 )
-from .sphere import average, build_grid
-
-DESK_SCALE = {1: dict(n=256), 2: dict(n_theta=32, n_phi=64)}
+from .sphere import _KINDS, average, build_grid
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class CheckResult:
 @lru_cache(maxsize=None)
 def desk_grid(dim: int):
     """The fixed desk-scale grid for each dimension."""
-    return build_grid(dim, **DESK_SCALE[dim])
+    return build_grid(dim, **_KINDS[dim]._desk)
 
 
 def corpus():

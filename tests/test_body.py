@@ -491,6 +491,15 @@ def test_random_valid_rejects_bad_parameters(g1, params):
         make_shape(g1, "random_valid", **params)
 
 
+@pytest.mark.parametrize("dim,mode", [(1, (2, 0.1)), (1, (2, 0.1, 0.0, 0.0)), (1, 3),
+                                      (2, (2, 1)), (2, (2, 1, 0.1, 0.0))])
+def test_harmonic_rejects_malformed_mode_tuples(g1, g2, dim, mode):
+    # each kind names its tuple form instead of a bare unpacking error
+    form = r"\(k, a, b\)" if dim == 1 else r"\(l, m, a\)"
+    with pytest.raises(ParameterError, match=form):
+        make_shape(g1 if dim == 1 else g2, "harmonic", modes=[mode])
+
+
 def test_harmonic_field_norms(g1, g2):
     f = harmonic_field(g1, [(3, 1.0, 0.0)])
     assert abs(integrate(g1, f * f) - pi) < 1e-12

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from gcflab.body import make_shape
-from gcflab.cli import main, read_snapshot, write_snapshot
+from gcflab.body import harmonic_field, make_shape
+from gcflab.cli import main, read_snapshot, snapshot_dict, write_snapshot
 from gcflab.constants import ball_volume
 from gcflab.errors import AliasingWarning, SnapshotError
 from gcflab.flow import TRACE_COLUMNS
@@ -57,6 +57,14 @@ def test_snapshot_of_a_grid_built_from_numpy_integers(tmp_path):
     assert loaded.grid.shape == (16, 32)
 
 
+def test_snapshot_grid_sizes_in_shape_order():
+    # the kind's size names, zipped with grid.shape: the key order is part of
+    # the snapshot bytes
+    for grid, sizes in ((build_grid(1, n=64), [("n", 64)]),
+                        (build_grid(2, n_theta=16, n_phi=32), [("n_theta", 16), ("n_phi", 32)])):
+        assert list(snapshot_dict(make_shape(grid, "ball"))["grid"].items()) == sizes
+
+
 def test_snapshot_structural_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 99, "dim": 1, "grid": {"n": 64}, "support": []}')
@@ -94,6 +102,36 @@ def test_shape_harmonic_circle(tmp_path):
     body, _ = read_snapshot(out)
     assert body.dim == 1
     assert float(np.min(body.curvature.det_a)) > 0.0
+
+
+def test_shape_harmonic_sphere(tmp_path):
+    out = shape(tmp_path, "h.json", "--dim", "2",
+                "--harmonic", "2,1:0.1", "--harmonic", "3,-2:0.05")
+    body, meta = read_snapshot(out)
+    modes = [(2, 1, 0.1), (3, -2, 0.05)]
+    assert np.array_equal(body.support, 1.0 + harmonic_field(body.grid, modes))
+    assert meta["shape"] == f"harmonic{modes}"
+
+
+@pytest.mark.parametrize("dim,spec", [("1", "2,1:0.1"), ("2", "3:0.1")])
+def test_shape_harmonic_spec_of_the_other_kind_exits_2(tmp_path, capsys, dim, spec):
+    # each kind reads its own entry form, so the entry fails as a bad spec,
+    # not later as an invalid body
+    out = tmp_path / "x.json"
+    assert main(["shape", "--dim", dim, "--harmonic", spec, "--out", str(out)]) == 2
+    assert f"--harmonic {spec!r}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "1", "--n-theta", "8", "--n-phi", "7"],
+                                   ["--dim", "2", "--n", "17"]])
+def test_shape_sizes_of_the_other_kind_exit_2(tmp_path, capsys, flags):
+    # unset sizes take the kind's desk sizes; a size of the other kind is an
+    # error, not silently dropped
+    out = tmp_path / "x.json"
+    assert main(["shape", *flags, "--out", str(out)]) == 2
+    assert "grids take" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shape_extreme_ellipsoid_fails_validity(tmp_path, capsys):

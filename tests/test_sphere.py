@@ -480,6 +480,17 @@ def test_eval_direction_rejects_bad_directions():
                 g.eval(ones, np.array(bad))
 
 
+def test_eval_unit_length_boundary():
+    # |x| = 1 within 1e-10, tested on the squared length
+    for g in (build_grid(1, n=32), build_grid(2, n_theta=8, n_phi=16)):
+        ones, x = np.ones(g.n_nodes), g.nodes[:5]
+        for scale in (1.0 - 0.9e-10, 1.0 + 0.9e-10):
+            assert np.max(np.abs(g.eval(ones, x * scale) - 1.0)) < 1e-12
+        for scale in (1.0 - 1.1e-10, 1.0 + 1.1e-10):
+            with pytest.raises(ParameterError):
+                g.eval(ones, x * scale)
+
+
 def _random_bandlimited(grid, seed):
     """A random nodal field that the grid's interpolant reproduces at the nodes
     (on S^1 every field is; on S^2 project onto the resolved harmonics)."""
