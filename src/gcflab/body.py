@@ -203,21 +203,17 @@ class ConvexBody:
         return ConvexBody(self.grid, self.support_about(z))
 
     def support_about(self, z) -> np.ndarray:
-        """Nodal support samples relative to origin z (no validity check)."""
+        """Nodal support samples relative to a finite origin z (no validity check)."""
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim + 1,):
             raise ParameterError(f"z must have shape ({self.dim + 1},), got {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ParameterError(f"z must be finite, got {z}")
         return self.support - self.grid.nodes @ z
 
-    def dual_volume(self, z=None) -> float:
-        """Volume of the polar body about z, (1/(dim+1)) * int u_z^-(dim+1).
-
-        Requires z strictly interior (u_z > 0 at every node).
-        """
-        u_z = self.support if z is None else self.support_about(z)
-        if np.min(u_z) <= 0.0:
-            raise ParameterError("z is not interior to the body (u_z <= 0 somewhere)")
-        return integrate(self.grid, u_z ** -(self.dim + 1)) / (self.dim + 1)
+    def dual_volume(self) -> float:
+        """Volume of the polar body about the origin, (1/(dim+1)) * int u^-(dim+1)."""
+        return integrate(self.grid, self.support ** -(self.dim + 1)) / (self.dim + 1)
 
     def scale(self, factor: float) -> "ConvexBody":
         """The body dilated by ``factor`` about the origin, its curvature
@@ -387,9 +383,9 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
 def harmonic_field(grid: SphereGrid, modes) -> np.ndarray:
     """Nodal field from a list of harmonic modes.
 
-    dim 1: entries (k, a, b) contribute a*cos(k t) + b*sin(k t).
-    dim 2: entries (l, m, a) contribute a times the unit-norm real harmonic
-    of degree l and order m (m > 0 cosine-type, m < 0 sine-type).
+    dim 1: entries (k, a, b), k an integer, contribute a*cos(k t) + b*sin(k t).
+    dim 2: entries (l, m, a), l and m integers, contribute a times the unit-norm
+    real harmonic of degree l and order m (m > 0 cosine-type, m < 0 sine-type).
     """
     return grid._harmonic_field(modes)
 
@@ -426,9 +422,9 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
     translated_ball : radius, center (interior point, |center| < radius)
     ellipsoid : semiaxes, tuple of dim+1 positive numbers
     harmonic : base (default 1.0) plus modes as in :func:`harmonic_field`
-    random_valid : seed (integer >= 0), l_max, amplitude, translation,
-        parity — random band-limited perturbation of the unit ball,
-        amplitude shrunk until the body is valid.
+    random_valid : seed (integer >= 0), amplitude, translation, parity —
+        random perturbation of the unit ball in degrees 2 to min(8, max(2,
+        bandlimit // 3)), amplitude shrunk until the body is valid.
 
     With ``normalize=True`` the result is rescaled to unit-ball volume.
     Smooth non-polynomial shapes (the ellipsoid) are screened for spectral
@@ -485,7 +481,6 @@ def _no_extra(params):
 def _random_valid(
     grid: SphereGrid,
     seed: int = 0,
-    l_max: int = None,
     amplitude: float = 0.3,
     translation: float = 0.0,
     parity: str = "any",
@@ -500,10 +495,8 @@ def _random_valid(
     _no_extra(extra)
     _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    if l_max is None:
-        l_max = min(8, max(2, grid.bandlimit // 3))
-    if l_max > grid.bandlimit:
-        raise ParameterError(f"l_max {l_max} exceeds grid bandlimit {grid.bandlimit}")
+    # at most the bandlimit of every grid build_grid accepts
+    l_max = min(8, max(2, grid.bandlimit // 3))
     if parity not in ("any", "even"):
         raise ParameterError("parity must be 'any' or 'even'")
 

@@ -91,9 +91,7 @@ def _newton_minimize(body: ConvexBody, z0, value, gradient, hessian, name: str):
     u, x = body.support, body.grid.nodes
     floor = 1e-6 * float(np.max(u))
     z = np.zeros(body.dim + 1) if z0 is None else np.asarray(z0, dtype=float)
-    if z.shape != (body.dim + 1,):
-        raise ParameterError(f"z0 must have shape ({body.dim + 1},)")
-    u_z = u - x @ z
+    u_z = body.support_about(z)
     if np.min(u_z) <= floor:
         raise ParameterError("z0 is not sufficiently interior")
     f_val = value(u_z)
@@ -159,7 +157,7 @@ def entropy_point(body: ConvexBody, z0=None):
     return z, -f_val, float(np.max(np.abs(grad)))
 
 
-def santalo_point(body: ConvexBody, z0=None):
+def santalo_point(body: ConvexBody):
     """Minimize the polar volume over the reference point; return (z_s, Vstar).
 
     The objective V*(z) = (1/(dim+1)) int u_z^-(dim+1) is strictly convex;
@@ -179,7 +177,7 @@ def santalo_point(body: ConvexBody, z0=None):
     def hessian(u_z):
         return (n + 2) * (x.T * (w * u_z ** -(n + 3))) @ x
 
-    z, v_star, _ = _newton_minimize(body, z0, value, gradient, hessian, "Santalo point")
+    z, v_star, _ = _newton_minimize(body, None, value, gradient, hessian, "Santalo point")
     return z, v_star
 
 
@@ -304,7 +302,8 @@ def _sample_chunks(seed: int, n_samples: int):
 
 def _mc_args(body: ConvexBody, z, samples, seed):
     """The oracles' argument check: ``samples`` an integer >= 10^4, ``seed``
-    an integer >= 0 and z (default the origin) interior.  Returns (z, u_z)."""
+    an integer >= 0 and z (default the origin) interior; a z of the wrong
+    shape or not finite is rejected by ``support_about``.  Returns (z, u_z)."""
     _check_integer("samples", samples, 10_000)
     _check_integer("seed", seed, 0)
     z = np.zeros(body.dim + 1) if z is None else np.asarray(z, dtype=float)

@@ -118,6 +118,7 @@ DT_FLOOR = 1e-12
 DEALIAS_FRAC = 2.0 / 3.0
 STEP_TOL = 1e-12  # bound on a step's Richardson error estimate (area-RMS, relative to u)
 FIRST_STEP_SAFETY = 0.25  # the first step of a run is FIRST_STEP_SAFETY * stable_dt(body)
+MAX_STEPS = 2_000_000  # a run that has not reached t_end after this many steps fails
 MODES = ("normalized", "unnormalized")
 
 TRACE_COLUMNS = (
@@ -160,7 +161,6 @@ class FlowConfig:
     soliton_tol: float = 1e-6
     fixed_dt: float = None
     recenter: bool = False
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -170,12 +170,15 @@ class FlowConfig:
         if not isinstance(self.project_volume, (bool, np.bool_, type(None))):
             raise ParameterError(
                 f"project_volume must be a bool or None, got {self.project_volume!r}")
+        for name in ("t_end", "soliton_tol", "fixed_dt"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.t_end < np.inf:
             raise ParameterError("t_end must be positive and finite")
         if not 0.0 <= self.soliton_tol < np.inf:
             raise ParameterError("soliton_tol must be non-negative and finite")
-        for name in ("output_stride", "max_steps"):
-            _check_integer(name, getattr(self, name), 1)
+        _check_integer("output_stride", self.output_stride, 1)
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < np.inf:
             raise ParameterError("fixed_dt must be positive and finite")
         if self.project_volume and self.mode == "unnormalized":
@@ -399,7 +402,7 @@ def run(body: ConvexBody, config: FlowConfig):
     the end.  In normalized mode the run also stops early once the soliton
     residual max|u det A - 1| falls below ``soliton_tol``.  A run that
     converges on its last permitted step returns; one that runs out of
-    ``max_steps`` before ``t_end`` raises SolverError.
+    ``MAX_STEPS`` before ``t_end`` raises SolverError.
 
     The recorded curvature columns, the residual and the final body's
     curvature are those of the stepped bodies: with volume projection they
@@ -466,7 +469,7 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
     dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
-    while t < t_done and trace.steps < cfg.max_steps:
+    while t < t_done and trace.steps < MAX_STEPS:
         dt = min(dt_next, cfg.t_end - t)
         while True:
             if dt < DT_FLOOR:
@@ -502,7 +505,7 @@ def run(body: ConvexBody, config: FlowConfig):
             break
 
     if t < t_done and not trace.converged:
-        raise SolverError(f"step budget {cfg.max_steps} exhausted at t={t:.6g}")
+        raise SolverError(f"step budget {MAX_STEPS} exhausted at t={t:.6g}")
     return trace, body
 
 
@@ -549,18 +552,19 @@ def _safe_start(body: ConvexBody, z: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def dissipation_identity_residual(trace: FlowTrace, t_min: float = None) -> float:
-    """Max over interior rows of |d(avg log u)/dt + D(t)|.
+def dissipation_identity_residual(trace: FlowTrace) -> float:
+    """Max over interior rows with t >= 0.05 of |d(avg log u)/dt + D(t)|.
 
     Three-point nonuniform centered differences on the recorded times.  The
     identity d/dt avg log u = -D holds exactly for the normalized flow while
     avg(u det A) = 1, so the residual is O(dt_record^2) + quadrature error.
-    ``t_min`` restricts the reported max to rows with t >= t_min (transients
-    at the first record can otherwise dominate); the difference stencil
-    always uses the full row sequence, so the set of differenced times does
-    not shift with the record spacing and residuals at different spacings
-    stay comparable row by row.
+    The max skips the rows before t = 0.05, where transients at the first
+    record can otherwise dominate; the difference stencil always uses the
+    full row sequence, so the set of differenced times does not shift with
+    the record spacing and residuals at different spacings stay comparable
+    row by row.
     """
+    t_min = 0.05
     t = trace.t
     e_f = trace.column("firey")
     d = trace.column("dissipation")
@@ -571,11 +575,9 @@ def dissipation_identity_residual(trace: FlowTrace, t_min: float = None) -> floa
     deriv = (
         h1**2 * e_f[2:] + (h2**2 - h1**2) * e_f[1:-1] - h2**2 * e_f[:-2]
     ) / (h1 * h2 * (h1 + h2))
-    resid = np.abs(deriv + d[1:-1])
-    if t_min is not None:
-        resid = resid[t[1:-1] >= t_min - 1e-14]
-        if resid.size == 0:
-            raise ParameterError("t_min excludes every interior row")
+    resid = np.abs(deriv + d[1:-1])[t[1:-1] >= t_min - 1e-14]
+    if resid.size == 0:
+        raise ParameterError(f"no interior row at t >= {t_min}")
     return float(np.max(resid))
 
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -325,8 +326,7 @@ class CircleGrid(SphereGrid):
 
     def _harmonic_field(self, modes) -> np.ndarray:
         out = np.zeros(self.n_nodes)
-        for k, a, b in _mode_tuples(modes, "(k, a, b)"):
-            k = int(k)
+        for k, a, b in _mode_tuples(modes, "(k, a, b) with an integer k", 1):
             if not 0 <= k <= self.bandlimit:
                 raise ParameterError(f"mode k={k} outside bandlimit {self.bandlimit}")
             out += a * np.cos(k * self.thetas) + b * np.sin(k * self.thetas)
@@ -497,8 +497,7 @@ class Sphere2Grid(SphereGrid):
     def _harmonic_field(self, modes) -> np.ndarray:
         L = self.bandlimit
         coeffs = np.zeros((L + 1, L + 1), dtype=complex)
-        for l, m, a in _mode_tuples(modes, "(l, m, a)"):
-            l, m = int(l), int(m)
+        for l, m, a in _mode_tuples(modes, "(l, m, a) with integers l and m", 2):
             if not 0 <= l <= L or abs(m) > l:
                 raise ParameterError(f"mode (l={l}, m={m}) outside bandlimit {L}")
             if m == 0:
@@ -515,14 +514,17 @@ class Sphere2Grid(SphereGrid):
                 for l in range(2, l_max + 1) for m in range(-l, l + 1)]
 
 
-def _mode_tuples(modes, form: str):
-    """The harmonic modes, each a 3-tuple of the kind's ``form``."""
+def _mode_tuples(modes, form: str, n_int: int):
+    """The harmonic modes, each a 3-tuple of the kind's ``form`` whose first
+    ``n_int`` entries (the degree, and the order on S^2) are integral
+    numbers; yields each with those entries as ints."""
     for mode in modes:
-        try:
-            a, b, c = mode
-        except (TypeError, ValueError):
-            raise ParameterError(f"harmonic modes on this grid are {form}, got {mode!r}") from None
-        yield a, b, c
+        entries = tuple(mode) if np.iterable(mode) else ()
+        if len(entries) != 3 or not all(
+                isinstance(v, Real) and not isinstance(v, bool) and float(v).is_integer()
+                for v in entries[:n_int]):
+            raise ParameterError(f"harmonic modes on this grid are {form}, got {mode!r}")
+        yield *(int(v) for v in entries[:n_int]), *entries[n_int:]
 
 
 def _trig_rows(e: np.ndarray, k: int):

@@ -7,6 +7,7 @@ Commands are driven through main() in-process; the exit-code contract
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gcflab.body import harmonic_field, make_shape
 from gcflab.cli import main, read_snapshot, snapshot_dict, write_snapshot
 from gcflab.constants import ball_volume
 from gcflab.errors import AliasingWarning, SnapshotError
-from gcflab.flow import TRACE_COLUMNS
+from gcflab.flow import TRACE_COLUMNS, FlowConfig
 from gcflab.sphere import build_grid
 
 
@@ -234,7 +235,10 @@ def test_flow_ball_trace_and_manifest(tmp_path, capsys):
     assert meta["flow_time"] == pytest.approx(0.3)
     man = json.loads(manifest.read_text())
     assert man["config"]["t_end"] == 0.3
-    assert "dt_safety" not in man["config"]  # the step safety factor is a constant
+    # exactly the FlowConfig fields; the first-step safety factor and the
+    # step budget are module constants
+    assert list(man["config"]) == [f.name for f in fields(FlowConfig)]
+    assert not {"dt_safety", "max_steps"} & set(man["config"])
     assert set(man["outputs"]) == {str(trace), str(final)}
 
 

@@ -16,17 +16,7 @@ from gcflab.entropy import (
     santalo_point,
 )
 from gcflab.errors import ParameterError
-from gcflab.sphere import average, build_grid
-
-
-@pytest.fixture(scope="module")
-def g1():
-    return build_grid(1, n=256)
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return build_grid(2, n_theta=32, n_phi=64)
+from gcflab.sphere import average
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +97,8 @@ def test_entropy_point_rejects_bad_start(g1):
         entropy_point(b, z0=[0.9999999, 0.0])
     with pytest.raises(ParameterError):
         entropy_point(b, z0=[0.0, 0.0, 0.0])
+    with pytest.raises(ParameterError):
+        entropy_point(b, z0=[float("nan"), 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +246,10 @@ def test_mc_rejects_bad_input(g1):
 
 @pytest.mark.parametrize("oracle", [mc_log_integral, mc_polar_mass_center])
 @pytest.mark.parametrize("kw", [dict(samples=2e4), dict(samples=True), dict(seed=-1),
-                                dict(seed=1.5), dict(seed=True), dict(z=[0.0, 1.5])])
+                                dict(seed=1.5), dict(seed=True), dict(z=[0.0, 1.5]),
+                                dict(z=[float("nan"), 0.0]), dict(z=[0.0, float("inf")])])
 def test_mc_oracles_check_their_arguments(g1, oracle, kw):
-    # samples an integer >= 10^4, seed an integer >= 0, z interior; checked
+    # samples an integer >= 10^4, seed an integer >= 0, z finite and interior; checked
     # before anything is sampled, so the empty-annulus ball is no exception
     b = make_shape(g1, "ball")
     with pytest.raises(ParameterError):

@@ -32,16 +32,6 @@ from gcflab.verify import (corpus_runs, desk_grid, dissipation_run, fixed_point_
                            round_convergence_run, shrinking_ball_run)
 
 
-@pytest.fixture(scope="module")
-def g1():
-    return build_grid(1, n=256)
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return build_grid(2, n_theta=32, n_phi=64)
-
-
 def bumpy(g1):
     return make_shape(g1, "harmonic", modes=[(2, 0.1, 0.05), (3, 0.0, 0.04)],
                       normalize=True)
@@ -68,10 +58,10 @@ def bumpy(g1):
         dict(fixed_dt=0.0),
         dict(fixed_dt=-1e-3),
         dict(fixed_dt=float("inf")),
-        dict(max_steps=0),
-        dict(max_steps=float("nan")),
-        dict(max_steps=100.0),
-        dict(max_steps=True),
+        dict(t_end=True),
+        dict(soliton_tol=True),
+        dict(soliton_tol=np.bool_(False)),
+        dict(fixed_dt=True),
         dict(output_stride=float("nan")),
         dict(output_stride=2.5),
         dict(recenter="no"),
@@ -92,8 +82,7 @@ def test_config_accepts_numpy_bools():
 
 
 def test_config_accepts_numpy_integer_counts():
-    cfg = FlowConfig(output_stride=np.int64(7), max_steps=np.int32(100))
-    assert (cfg.output_stride, cfg.max_steps) == (7, 100)
+    assert FlowConfig(output_stride=np.int64(7)).output_stride == 7
 
 
 def test_projection_default_tracks_mode():
@@ -463,7 +452,7 @@ def test_dissipation_identity_and_step_halving():
     for spacing in (1e-3, 5e-4):
         trace = dissipation_run(spacing)
         assert trace.rejections == 0
-        res[spacing] = dissipation_identity_residual(trace, t_min=0.05)
+        res[spacing] = dissipation_identity_residual(trace)
     assert res[1e-3] <= 1e-6
     # measured reduction factor is 4.000; 3.99 guards round-off portability
     assert res[5e-4] <= res[1e-3] / 3.99
@@ -558,20 +547,21 @@ def test_adaptive_run_collapses_at_extinction():
     assert info.value.dt < flow_module.DT_FLOOR
 
 
-def test_step_budget_exhaustion_raises(g1):
+def test_step_budget_exhaustion_raises(g1, monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 5)
     with pytest.raises(SolverError):
-        run(bumpy(g1), FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0,
-                                  max_steps=5))
+        run(bumpy(g1), FlowConfig(mode="normalized", t_end=5.0, soliton_tol=0.0))
 
 
-def test_convergence_on_the_last_permitted_step_returns():
-    # a run that converges on its max_steps-th step has not run out of steps
+def test_convergence_on_the_last_permitted_step_returns(monkeypatch):
+    # a run that converges on its MAX_STEPS-th step has not run out of steps
     g = build_grid(1, n=32)
     body = make_shape(g, "harmonic", modes=[(2, 0.05, 0.0)], normalize=True)
-    cfg = dict(mode="normalized", t_end=50.0, soliton_tol=1e-3)
-    trace, final = run(body, FlowConfig(**cfg))
+    cfg = FlowConfig(mode="normalized", t_end=50.0, soliton_tol=1e-3)
+    trace, final = run(body, cfg)
     assert trace.converged
-    again, final_again = run(body, FlowConfig(max_steps=trace.steps, **cfg))
+    monkeypatch.setattr(flow_module, "MAX_STEPS", trace.steps)
+    again, final_again = run(body, cfg)
     assert again.converged and again.steps == trace.steps
     np.testing.assert_array_equal(final_again.support, final.support)
 

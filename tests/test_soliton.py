@@ -20,18 +20,8 @@ from gcflab.soliton import (
     solve_soliton,
     stability_form,
 )
-from gcflab.sphere import average, build_grid
+from gcflab.sphere import average
 from gcflab.verify import soliton_solves
-
-
-@pytest.fixture(scope="module")
-def g1():
-    return build_grid(1, n=256)
-
-
-@pytest.fixture(scope="module")
-def g2():
-    return build_grid(2, n_theta=32, n_phi=64)
 
 
 # ---------------------------------------------------------------------------
