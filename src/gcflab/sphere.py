@@ -45,7 +45,12 @@ series for even m, a sine series for odd m), so its values at the n_theta
 colatitudes fix it: the grid keeps the pseudo-inverses of cos(k theta_i) and
 sin(k theta_i), and ``eval`` turns the synthesized profiles into two
 half-size tables once per call, one on the cos rows in theta and one on the
-sin rows (see ``eval``).
+sin rows (see ``eval``).  A kind's kernel can also take only the part u_<=d
+of degree <= d (on S^2, orders and trig degrees <= d too), and its
+``_tail_bounds`` bound sup |u - u_<=d| for every d by the coefficients'
+moduli times the sup of their basis functions; the Monte Carlo oracles screen
+polar membership on u_<=d and evaluate u in full only where the bound cannot
+decide.
 
 The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
 jet rows and returns the invariants of A that callers read, so no caller
@@ -117,7 +122,8 @@ class SphereGrid:
     them on this class).  A kind supplies its constructor from sizes
     ``_build``; its sizes in ``shape`` order with their desk-scale values,
     ``_desk``; the kernels ``_analyze``, ``_synthesize_rows``,
-    ``_eval_kernel``, ``_grad`` and ``radii_invariants``; its reader of
+    ``_eval_kernel``, ``_grad`` and ``radii_invariants``; the tail bounds of
+    its truncated off-grid kernel, ``_tail_bounds``; its reader of
     harmonic mode tuples ``_harmonic_field``; the modes, degree first, that
     a random body draws, ``_random_modes``; and its ``--harmonic`` entry
     ``_spec`` with the parser ``_parse_spec``.
@@ -216,20 +222,29 @@ class SphereGrid:
         directions = np.asarray(directions, dtype=float)
         single = directions.ndim == 1
         pts = np.atleast_2d(directions)
+        self._check_directions(pts)
+        out = np.empty(pts.shape[0])
+        for blk, u in self._eval_blocks(self._eval_kernel(self.analyze(values)), pts):
+            out[blk] = u
+        return out[0] if single else out
+
+    def _check_directions(self, pts: np.ndarray) -> None:
+        """The rule for off-grid directions, (count, dim+1) rows of unit
+        length within 1e-10, tested on |x|^2 so that no sqrt is taken."""
         if pts.shape[1] != self.dim + 1:
             raise ParameterError(
                 f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
             )
-        sq = np.einsum("ij,ij->i", pts, pts)  # |x|^2 against (1 -/+ 1e-10)^2: no sqrt
+        sq = np.einsum("ij,ij->i", pts, pts)
         if not np.all(((1.0 - 1e-10) ** 2 <= sq) & (sq <= (1.0 + 1e-10) ** 2)):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
-        kernel = self._eval_kernel(self.analyze(values))
-        size = self._eval_block
-        out = np.empty(pts.shape[0])
-        for lo in range(0, pts.shape[0], size):
-            out[lo : lo + size] = kernel(pts[lo : lo + size])
-        return out[0] if single else out
+    def _eval_blocks(self, kernel, pts: np.ndarray):
+        """Yields (slice, kernel values) over blocks of ``_eval_block`` rows
+        of ``pts``, so no array of trig rows spans more than one block."""
+        for lo in range(0, pts.shape[0], self._eval_block):
+            blk = slice(lo, lo + self._eval_block)
+            yield blk, kernel(pts[blk])
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
@@ -293,18 +308,21 @@ class CircleGrid(SphereGrid):
         a = jet.rows[2] + jet.rows[0]
         return a, a, a, self._tab["ones"]
 
-    def _eval_kernel(self, coeffs):
-        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi} by baby and giant
-        steps, m = jB + k with B the least power of two >= sqrt(len(c)).  The
-        f_m c_m, zero-padded and reshaped to (J, B), give the table, so
+    def _eval_kernel(self, coeffs, degree=None):
+        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi}, m <= ``degree``
+        (default: every coefficient), by baby and giant steps, m = jB + k with
+        B the least power of two >= sqrt(degree + 1).  The f_m c_m,
+        zero-padded and reshaped to (J, B), give the table, so
         G_j = sum_k a_jk e^{ik phi} and w = e^{iB phi}, the turn at which the
         doubling of the baby rows stops."""
-        count = len(coeffs)
+        count = len(coeffs) if degree is None else degree + 1
         baby = 1 << int(np.ceil(np.log2(count) / 2))
         giant = -(-count // baby)
         a = np.zeros(giant * baby, dtype=complex)
-        a[:count] = 2.0 * coeffs
-        a[[0, count - 1]] /= 2.0  # n is even: the last coefficient is the Nyquist mode
+        a[:count] = 2.0 * coeffs[:count]
+        a[0] /= 2.0
+        if count == len(coeffs):  # n is even: the last coefficient is the Nyquist mode
+            a[count - 1] /= 2.0
         a = a.reshape(giant, baby)
         # (Re G; -Im G) of every giant step from the (cos; sin) baby rows
         table = np.block([[a.real, -a.imag], [-a.imag, -a.real]])
@@ -315,6 +333,13 @@ class CircleGrid(SphereGrid):
             return _re_series(table @ rows.reshape(2 * baby, -1), _trig_rows(w, giant)[0])
 
         return kernel
+
+    def _tail_bounds(self, coeffs):
+        """(B, S): B[d] = sum_{k > d} f_k |c_k| >= sup |u - u_<=d|, with the
+        weights f_k of ``_eval_kernel``, and S = sum_k f_k |c_k| >= sup |u|."""
+        terms = 2.0 * np.abs(coeffs)
+        terms[[0, -1]] /= 2.0
+        return _tail_sums(terms)
 
     @staticmethod
     def _parse_spec(entry: str):
@@ -419,7 +444,8 @@ class Sphere2Grid(SphereGrid):
         batched matmul (a complex operand would upcast the table every call).
         """
         c = np.ascontiguousarray(coeffs, dtype=complex)
-        prof = self._tab["S"][:, :rows] @ c.view(float).reshape(*c.shape, 2)
+        orders, degrees = c.shape  # a leading part of the triangle, or all of it
+        prof = self._tab["S"][:orders, :rows, :degrees] @ c.view(float).reshape(*c.shape, 2)
         return prof.view(complex)[..., 0]
 
     def _grad(self, rows: np.ndarray) -> np.ndarray:
@@ -456,26 +482,26 @@ class Sphere2Grid(SphereGrid):
         return tuple(_ro(np.linalg.solve(a.T @ a, a.T)) for a in (
             np.cos(np.outer(self.thetas, k)), np.sin(np.outer(self.thetas, k[1:]))))
 
-    def _eval_kernel(self, coeffs):
+    def _eval_kernel(self, coeffs, degree=None):
         """For :meth:`eval`: u = Re sum_m f_m G_m(theta) e^{im phi}, with
-        G_m = sum_l c[m, l] P_lm(cos theta).
+        G_m = sum_l c[m, l] P_lm(cos theta), l and m <= ``degree`` (default L).
 
         G_m(theta) is a cosine series sum_k a_mk cos(k theta) for even m and a
-        sine series sum_k b_mk sin(k theta) for odd m, k <= L.  Its values at
-        the colatitudes (``_legendre_synth``) give the trig coefficients through
-        the pseudo-inverses ``_trig_pinv``, once per call: two half-size
-        tables, one on the cos rows and one on the sin rows.  Per block,
-        e^{i theta} = (z + i hypot(x, y)) / |.| keeps the offset of a direction
-        near a pole from the axis, and e^{i phi} = (x + iy) / hypot(x, y) is 1
-        on the axis.
+        sine series sum_k b_mk sin(k theta) for odd m, k <= degree.  Its values
+        at the colatitudes (``_legendre_synth``) give the trig coefficients
+        through the rows k <= degree of the pseudo-inverses ``_trig_pinv``,
+        once per call: two half-size tables, one on the cos rows and one on
+        the sin rows.  Per block, e^{i theta} = (z + i hypot(x, y)) / |.| keeps
+        the offset of a direction near a pole from the axis, and
+        e^{i phi} = (x + iy) / hypot(x, y) is 1 on the axis.
         """
-        prof = self._legendre_synth(coeffs, self.shape[0])  # G_m(theta_i), (m, i)
+        orders = self.bandlimit + 1 if degree is None else degree + 1
+        prof = self._legendre_synth(coeffs[:orders, :orders], self.shape[0])  # G_m(theta_i)
         prof[1:] *= 2.0  # f_m
         pinv_cos, pinv_sin = self._trig_pinv
         # (Re G; -Im G) of the even and of the odd orders
         tables = [np.concatenate([a.real, -a.imag]) for a in
-                  (prof[0::2] @ pinv_cos.T, prof[1::2] @ pinv_sin.T)]
-        orders = len(pinv_cos)
+                  (prof[0::2] @ pinv_cos[:orders].T, prof[1::2] @ pinv_sin[: orders - 1].T)]
 
         def kernel(pts):
             x, y, z = pts.T
@@ -487,6 +513,15 @@ class Sphere2Grid(SphereGrid):
                     + _re_series(tables[1] @ theta[1, 1:], phi[:, 1::2]))
 
         return kernel
+
+    def _tail_bounds(self, coeffs):
+        """(B, S): B[d] = sum_m f_m sum_{l > d} |c[m, l]| sqrt((2l + 1)/2)
+        >= sup |u - u_<=d|, and S, the same sum over every l, >= sup |u|.
+        Unsold's theorem, sum_m |Y_lm|^2 = (2l + 1)/4 pi, bounds
+        |P_lm| <= sqrt((2l + 1)/2) in this normalization."""
+        f = np.full(len(coeffs), 2.0)
+        f[0] = 1.0
+        return _tail_sums((f @ np.abs(coeffs)) * np.sqrt(self._tab["degrees"] + 0.5))
 
     @staticmethod
     def _parse_spec(entry: str):
@@ -543,6 +578,13 @@ def _trig_rows(e: np.ndarray, k: int):
         np.multiply(powers[:q], turn, out=powers[p : p + q])
         p, turn = 2 * p, turn * turn
     return np.stack([powers.real, powers.imag]), turn
+
+
+def _tail_sums(terms: np.ndarray):
+    """(B, S) of a kind's ``_tail_bounds``: B[d] = sum of terms[d + 1:], summed
+    from the top degree down, and S = the sum of every term."""
+    suffix = np.cumsum(terms[::-1])[::-1]
+    return np.append(suffix[1:], 0.0), float(suffix[0])
 
 
 def _re_series(g: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflab import verify
+from gcflab import entropy, verify
 from gcflab.body import ConvexBody, geometry_summary, make_shape, normalize_volume
 from gcflab.constants import ball_volume, sphere_area
 from gcflab.entropy import (
@@ -16,7 +16,7 @@ from gcflab.entropy import (
     santalo_point,
 )
 from gcflab.errors import ParameterError
-from gcflab.sphere import average
+from gcflab.sphere import SphereGrid, average
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +254,107 @@ def test_mc_oracles_check_their_arguments(g1, oracle, kw):
     b = make_shape(g1, "ball")
     with pytest.raises(ParameterError):
         oracle(b, **{"samples": 10_000, **kw})
+
+
+def _reference_mc_mean(body, z, samples, seed, radius, integrand):
+    """The oracles' sampler with ``grid.eval`` at every direction: the
+    reference for the screened membership of ``entropy._mc_mean``."""
+    total = total_sq = 0.0
+    for rng, count in entropy._sample_chunks(seed, samples):
+        v = rng.normal(size=(count, body.dim + 1))
+        dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+        r = radius(rng.random(count))
+        f = integrand(dirs, r, r * (body.grid.eval(body.support, dirs) - dirs @ z) <= 1.0)
+        total = total + np.sum(f, axis=0)
+        total_sq = total_sq + np.sum(f * f, axis=0)
+    mean = total / samples
+    return mean, np.sqrt(np.maximum(0.0, total_sq / samples - mean * mean) / samples)
+
+
+def _screened_and_reference(monkeypatch, body, z, samples=70_000):
+    """Both oracles about z, screened and by the reference sampler, with the
+    degrees of the two screens and the number of directions ``eval`` took."""
+    grid = body.grid
+    degrees, points = [], []
+    kernel, evaluate = type(grid)._eval_kernel, SphereGrid.eval
+
+    def spy_kernel(self, coeffs, degree=None):
+        if degree is not None:  # eval's own kernel takes every degree
+            degrees.append(degree)
+        return kernel(self, coeffs, degree)
+
+    def spy_eval(self, values, directions):
+        points.append(len(directions))
+        return evaluate(self, values, directions)
+
+    def both():
+        return (mc_log_integral(body, z, samples=samples, seed=5),
+                mc_polar_mass_center(body, z, samples=samples, seed=6))
+
+    with monkeypatch.context() as m:
+        m.setattr(type(grid), "_eval_kernel", spy_kernel)
+        m.setattr(SphereGrid, "eval", spy_eval)
+        screened = both()
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_mc_mean", _reference_mc_mean)
+        reference = both()
+    return screened, reference, degrees, sum(points)
+
+
+def _assert_same_estimates(screened, reference):
+    (log_s, mass_s), (log_r, mass_r) = screened, reference
+    assert log_s == log_r
+    assert all(np.array_equal(a, b) for a, b in zip(mass_s, mass_r))
+
+
+def _full_band_body(grid):
+    noise = np.random.default_rng(1).standard_normal(grid.n_nodes)
+    return ConvexBody(grid, 1.0 + 1e-4 * grid.lowpass(noise, 1.0))
+
+
+@pytest.mark.parametrize("dim,kind,params", [
+    (1, "ball", dict(radius=1.2)),
+    (2, "ball", dict(radius=1.2)),
+    (1, "random_valid", dict(seed=4, normalize=True)),
+    (1, "random_valid", dict(seed=4, normalize=True, parity="even")),
+    (2, "random_valid", dict(seed=4, normalize=True)),
+    (2, "random_valid", dict(seed=4, normalize=True, parity="even")),
+    (1, "ellipsoid", dict(semiaxes=(1.3, 1 / 1.3))),
+    (2, "ellipsoid", dict(semiaxes=(1.2, 1.0, 0.85), normalize=True)),
+    (2, "full-band", {}),
+])
+@pytest.mark.parametrize("off_centre", [False, True])
+def test_screened_oracles_are_bit_identical(monkeypatch, g1, g2, dim, kind, params, off_centre):
+    """The oracles read u only through polar membership, which the screen
+    decides exactly: every estimate equals the reference's bit for bit, from
+    a ball (degree 0) to a body with its whole band in use (degree L), about
+    the entropy point and off-centre."""
+    grid = g1 if dim == 1 else g2
+    body = _full_band_body(grid) if kind == "full-band" else make_shape(grid, kind, **params)
+    z = entropy_point(body)[0]
+    if off_centre:
+        z = z + 0.1 * np.eye(dim + 1)[0] - 0.05 * np.eye(dim + 1)[-1]
+    screened, reference, degrees, fallback = _screened_and_reference(monkeypatch, body, z)
+    _assert_same_estimates(screened, reference)
+    assert len(degrees) == 2 and degrees[0] == degrees[1]
+    if kind == "ball":
+        assert degrees[0] == 0
+    if kind == "full-band":
+        assert degrees[0] == grid.bandlimit
+    assert fallback == 0  # a sample within ~1e-10 of the polar boundary is rare
+
+
+def test_screen_falls_back_near_the_boundary(monkeypatch, g2):
+    """With a tail tolerance that stops the screen below the field's degree,
+    many samples are left undecided and their eval blocks take the full
+    evaluation; the estimates stay bit-identical to the reference."""
+    body = make_shape(g2, "random_valid", seed=4, normalize=True)
+    monkeypatch.setattr(entropy, "MC_TAIL_TOL", 0.05)
+    screened, reference, degrees, fallback = _screened_and_reference(
+        monkeypatch, body, entropy_point(body)[0])
+    _assert_same_estimates(screened, reference)
+    assert degrees == [5, 5]  # random_valid draws degrees 2 to 8
+    assert fallback > 10_000
 
 
 def _mass_center_norms(body, z, seed):

@@ -498,16 +498,71 @@ def _random_bandlimited(grid, seed):
     return u if grid.dim == 1 else grid.synthesize(grid.analyze(u))
 
 
+def _kernel_values(grid, kernel, pts):
+    """A kernel of ``_eval_kernel`` applied over ``eval``'s blocks."""
+    out = np.empty(len(pts))
+    for blk, u in grid._eval_blocks(kernel, pts):
+        out[blk] = u
+    return out
+
+
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
 def test_eval_crosses_block_boundary(kwargs):
-    # the kind's own block size, and the default that S^1 uses
+    # the kind's own block size, and the default that S^1 uses; the kernel
+    # truncated at degree d gives the nodal values of the part of degree <= d
     grid = build_grid(**kwargs)
     u = _random_bandlimited(grid, seed=5)
+    c = grid.analyze(u)
+    degrees = grid._tab["degrees"]
     for count in (2 * grid._eval_block + 37, SphereGrid._eval_block + 37):
         reps = -(-count // grid.n_nodes)
         pts = np.tile(grid.nodes, (reps, 1))[:count]
         expect = np.tile(u, reps)[:count]
         assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
+        for d in (0, 3, grid.bandlimit - 1):
+            low = np.tile(grid.synthesize(c * (degrees <= d)), reps)[:count]
+            got = _kernel_values(grid, grid._eval_kernel(c, d), pts)
+            assert np.max(np.abs(got - low)) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [dict(dim=1, n=16), dict(dim=1, n=256),
+                                    dict(dim=2, n_theta=8, n_phi=16),
+                                    dict(dim=2, n_theta=32, n_phi=64),
+                                    dict(dim=2, n_theta=40, n_phi=48)])
+def test_tail_bound_holds(kwargs):
+    """B[d] of ``_tail_bounds`` bounds |u - u_<=d| at 20k random directions
+    for every d (on 40x48, n_phi sets the bandlimit), S bounds |u|, and the
+    kernel at the top degree is ``eval`` bit for bit.  The bound is sharp:
+    positive coefficients (on S^2 of the order m = 0 alone) attain it at
+    phi = 0 on S^1 and at the north pole on S^2."""
+    grid = build_grid(**kwargs)
+    u = _random_bandlimited(grid, seed=sum(grid.shape))
+    c = grid.analyze(u)
+    tail, bound = grid._tail_bounds(c)
+    assert len(tail) == len(grid._tab["degrees"]) and tail[-1] == 0.0
+    assert np.all(np.diff(tail) <= 0.0)
+    pts = np.random.default_rng(len(tail)).normal(size=(20_000, grid.dim + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    full = grid.eval(u, pts)
+    assert np.max(np.abs(full)) <= bound
+    for d in range(len(tail)):
+        low = _kernel_values(grid, grid._eval_kernel(c, d), pts)
+        assert np.max(np.abs(full - low)) <= tail[d] + 1e-13, d
+    assert np.array_equal(low, full)
+    assert np.array_equal(_kernel_values(grid, grid._eval_kernel(c), pts), full)
+
+    peak = np.abs(c)
+    if grid.dim == 2:
+        peak[1:] = 0.0
+    apex = np.eye(grid.dim + 1)[0 if grid.dim == 1 else -1]
+    u = grid.synthesize(peak)
+    c = grid.analyze(u)  # the round trip moves the coefficients by ~1e-14
+    tail, bound = grid._tail_bounds(c)
+    top = grid.eval(u, apex)
+    assert top == pytest.approx(bound, rel=1e-13)
+    for d in range(len(tail)):
+        assert top - grid._eval_kernel(c, d)(apex[None])[0] == pytest.approx(
+            tail[d], abs=1e-13 * bound), d
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
