@@ -27,11 +27,12 @@ how the sample range is partitioned.
 
 The estimates read u only through that membership test, and most samples lie
 far from the polar boundary.  So the sampler first evaluates the low-degree
-part u_<=d, with d the least degree whose rigorous tail bound is a 1e-8 share
-of sup |u|, and decides a sample from it wherever the bound plus a round-off
+part u_<=d in the grid's Cartesian screen kernel, with d the least degree
+whose tail bound plus the kernel's round-off bound is a 1e-8 share of
+sup |u|, and decides a sample from it wherever those bounds plus a round-off
 margin cannot change the answer; the few undecided samples get the full
-off-grid evaluation.  Every estimate is bit-identical to evaluating u in full
-at every direction.
+off-grid evaluation, and so does every sample when no degree qualifies.
+Every estimate is bit-identical to evaluating u in full at every direction.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ MAX_NEWTON_STEPS = 100
 GRAD_TOL = 1e-11
 MC_CHUNK = 1 << 16
 # The oracles' membership screen (see _mc_mean): the relative size of the tail
-# that the low-degree part may leave out, and a relative margin for round-off,
-# 7e3 to 3e4 times that of an off-grid evaluation (4e-15 to 1.4e-14 of the
-# bound S on grids from 24x48 to 64x128).
+# and screen round-off that the low-degree part may leave out, and a relative
+# margin for the round-off of the full evaluation and of the membership
+# expression, 7e3 to 3e4 times that of an off-grid evaluation (4e-15 to
+# 1.4e-14 of the bound S on grids from 24x48 to 64x128).
 MC_TAIL_TOL = 1e-8
 MC_ROUNDOFF = 1e-10
+MC_SLAB = 4096  # directions per call of the screen kernel
 
 
 def firey_entropy(body: ConvexBody) -> float:
@@ -333,37 +336,52 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     radii ``radius(uniform)``; ``inside`` is polar membership
     r (u(dir) - <dir, z>) <= 1, with u the grid's spectral interpolant.
 
-    Membership is screened on the part u_<=d of u of degree <= d, d the least
-    degree whose tail bound B[d] >= sup |u - u_<=d| (the grid's
-    ``_tail_bounds``) is at most ``MC_TAIL_TOL`` times the bound S >= sup |u|.
-    Per eval block, s = r (u_<=d - <dir, z>) decides a sample where
-    |s - 1| > r (B[d] + ``MC_ROUNDOFF`` (S + |z|)), which is at least the gap
-    to the full expression plus its round-off.  The eval blocks that hold an
-    undecided sample get the full expression, through one ``grid.eval`` per
-    chunk.  ``inside`` is thus the same array as with ``grid.eval`` at every
-    direction, bit for bit.
+    Membership is screened on the part u_<=d of u of degree <= d, summed by
+    the grid's ``_screen_kernel``, which also returns a bound R_d on its
+    round-off.  d is the least degree with B[d] + R_d <= ``MC_TAIL_TOL`` S,
+    where B[d] >= sup |u - u_<=d| and S >= sup |u| come from the grid's
+    ``_tail_bounds``.  Per slab of ``MC_SLAB`` directions,
+    s = r (u_<=d - <dir, z>) decides a sample where
+    |s - 1| > r (B[d] + R_d + ``MC_ROUNDOFF`` (S + |z|)), which is at least
+    the gap to the full expression plus its round-off; chunk-length
+    temporaries instead moved the peak RSS of a perfbench run by up to
+    0.7 MB with their allocation order.  The eval blocks that hold an
+    undecided sample, found over the whole chunk, get the full expression
+    through one ``grid.eval`` per chunk.  If no degree qualifies
+    (on 64x128 a body with its whole band in use), the screen is skipped and
+    every block takes that path.  ``inside`` is thus the same array as with
+    ``grid.eval`` at every direction, bit for bit.
     """
-    grid = body.grid
+    grid, block = body.grid, body.grid._eval_block
     coeffs = grid.analyze(body.support)
     tail, bound = grid._tail_bounds(coeffs)
-    degree = int(np.argmax(tail <= MC_TAIL_TOL * bound))
-    low = grid._eval_kernel(coeffs, degree)
-    margin = tail[degree] + MC_ROUNDOFF * (bound + float(np.linalg.norm(z)))
+    screen = None
+    for degree in np.flatnonzero(tail <= MC_TAIL_TOL * bound):
+        kernel, roundoff = grid._screen_kernel(coeffs, int(degree))
+        if tail[degree] + roundoff <= MC_TAIL_TOL * bound:
+            screen = kernel
+            margin = tail[degree] + roundoff + MC_ROUNDOFF * (bound + float(np.linalg.norm(z)))
+            break
 
     def membership(dirs, r):
+        count = len(r)
         dz = dirs @ z
-        inside = np.empty(len(r), dtype=bool)
-        near = []
-        for blk, u_low in grid._eval_blocks(low, dirs):
-            s = r[blk] * (u_low - dz[blk])
-            inside[blk] = s <= 1.0
-            if np.any(np.abs(s - 1.0) <= r[blk] * margin):
-                near.append(np.arange(blk.start, blk.start + len(s)))
-        if near:
-            # whole blocks, in order: eval then sees each block as it would in
-            # the whole chunk, and its BLAS products round a column the same
+        inside = np.empty(count, dtype=bool)
+        padded = np.ones(-(-count // block) * block, dtype=bool)  # to whole eval blocks
+        undecided = padded[:count]
+        if screen is not None:
+            padded[count:] = False
+            for lo in range(0, count, MC_SLAB):
+                slab = slice(lo, lo + MC_SLAB)
+                s = r[slab] * (screen(dirs[slab]) - dz[slab])
+                inside[slab] = s <= 1.0
+                undecided[slab] = np.abs(s - 1.0) <= r[slab] * margin
+        blocks = padded.reshape(-1, block).any(axis=1)
+        if blocks.any():
+            # whole eval blocks, in order: eval then sees each block as it would
+            # in the whole chunk, and its BLAS products round a column the same
             # way only when the block is the same
-            near = np.concatenate(near)
+            near = np.repeat(blocks, block)[:count]
             inside[near] = r[near] * (grid.eval(body.support, dirs[near]) - dz[near]) <= 1.0
         return inside
 

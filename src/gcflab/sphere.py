@@ -45,12 +45,17 @@ series for even m, a sine series for odd m), so its values at the n_theta
 colatitudes fix it: the grid keeps the pseudo-inverses of cos(k theta_i) and
 sin(k theta_i), and ``eval`` turns the synthesized profiles into two
 half-size tables once per call, one on the cos rows in theta and one on the
-sin rows (see ``eval``).  A kind's kernel can also take only the part u_<=d
-of degree <= d (on S^2, orders and trig degrees <= d too), and its
+sin rows (see ``eval``).
+
+The Monte Carlo oracles screen polar membership on the part u_<=d of degree
+<= d and evaluate u in full only where the screen cannot decide.  A kind's
 ``_tail_bounds`` bound sup |u - u_<=d| for every d by the coefficients'
-moduli times the sup of their basis functions; the Monte Carlo oracles screen
-polar membership on u_<=d and evaluate u in full only where the bound cannot
-decide.
+moduli times the sup of their basis functions, and its ``_screen_kernel``
+sums u_<=d in Cartesian form, Re sum_{m <= d} (x + iy)^m q_m(z), with a
+bound on its own round-off: q_m = f_m c_m is a constant on S^1, and a
+Chebyshev series in z on S^2, so the kernel takes no angle and no trig
+rows.  That form is ill-conditioned at high degree (its bound
+reaches 1e-2 of sup |u| at d = 63 on hard fields), so it is a screen only.
 
 The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
 jet rows and returns the invariants of A that callers read, so no caller
@@ -78,6 +83,8 @@ import numpy as np
 
 from .constants import sphere_area
 from .errors import FieldShapeError, ParameterError
+
+_UNIT_ROUNDOFF = 2.0**-53  # u, half the spacing of doubles at 1
 
 __all__ = [
     "SphereGrid",
@@ -122,11 +129,11 @@ class SphereGrid:
     them on this class).  A kind supplies its constructor from sizes
     ``_build``; its sizes in ``shape`` order with their desk-scale values,
     ``_desk``; the kernels ``_analyze``, ``_synthesize_rows``,
-    ``_eval_kernel``, ``_grad`` and ``radii_invariants``; the tail bounds of
-    its truncated off-grid kernel, ``_tail_bounds``; its reader of
-    harmonic mode tuples ``_harmonic_field``; the modes, degree first, that
-    a random body draws, ``_random_modes``; and its ``--harmonic`` entry
-    ``_spec`` with the parser ``_parse_spec``.
+    ``_eval_kernel``, ``_grad`` and ``radii_invariants``; the Monte Carlo
+    screen's kernel ``_screen_kernel`` and tail bounds ``_tail_bounds``;
+    its reader of harmonic mode tuples ``_harmonic_field``; the modes,
+    degree first, that a random body draws, ``_random_modes``; and its
+    ``--harmonic`` entry ``_spec`` with the parser ``_parse_spec``.
 
     Attributes
     ----------
@@ -156,7 +163,9 @@ class SphereGrid:
     # private transform tables
     _tab: dict = field(default_factory=dict, repr=False)
 
-    _eval_block = 1024  # directions per off-grid eval block; its trig rows take ~1 MB at 32x64
+    # directions per block of eval's kernel, whose trig rows take ~1 MB at
+    # 32x64; the oracles' fallback passes whole blocks to eval
+    _eval_block = 1024
 
     @property
     def n_nodes(self) -> int:
@@ -217,6 +226,11 @@ class SphereGrid:
         makes both R and the powers w^j by doubling.  On S^1, alpha = phi with
         baby steps k < B and w = e^{iB phi}; on S^2, alpha = theta and
         w = e^{i phi}.  A 1-D ``directions`` gives a float.
+
+        A direction's value can move by 1-4 ulp with the other directions of
+        its block, because the BLAS product rounds a column by the block's
+        width.  A caller that needs repeatable values passes whole arrays in a
+        fixed order, as the Monte Carlo oracles' fallback does.
         """
         values = self.check_field(values)
         directions = np.asarray(directions, dtype=float)
@@ -224,8 +238,9 @@ class SphereGrid:
         pts = np.atleast_2d(directions)
         self._check_directions(pts)
         out = np.empty(pts.shape[0])
-        for blk, u in self._eval_blocks(self._eval_kernel(self.analyze(values)), pts):
-            out[blk] = u
+        kernel = self._eval_kernel(self.analyze(values))
+        for lo in range(0, pts.shape[0], self._eval_block):
+            out[lo : lo + self._eval_block] = kernel(pts[lo : lo + self._eval_block])
         return out[0] if single else out
 
     def _check_directions(self, pts: np.ndarray) -> None:
@@ -238,13 +253,6 @@ class SphereGrid:
         sq = np.einsum("ij,ij->i", pts, pts)
         if not np.all(((1.0 - 1e-10) ** 2 <= sq) & (sq <= (1.0 + 1e-10) ** 2)):  # NaN fails too
             raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
-
-    def _eval_blocks(self, kernel, pts: np.ndarray):
-        """Yields (slice, kernel values) over blocks of ``_eval_block`` rows
-        of ``pts``, so no array of trig rows spans more than one block."""
-        for lo in range(0, pts.shape[0], self._eval_block):
-            blk = slice(lo, lo + self._eval_block)
-            yield blk, kernel(pts[blk])
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
@@ -308,21 +316,19 @@ class CircleGrid(SphereGrid):
         a = jet.rows[2] + jet.rows[0]
         return a, a, a, self._tab["ones"]
 
-    def _eval_kernel(self, coeffs, degree=None):
-        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi}, m <= ``degree``
-        (default: every coefficient), by baby and giant steps, m = jB + k with
-        B the least power of two >= sqrt(degree + 1).  The f_m c_m,
-        zero-padded and reshaped to (J, B), give the table, so
+    def _eval_kernel(self, coeffs):
+        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi} by baby and giant
+        steps, m = jB + k with B the least power of two >= sqrt(n/2 + 1).
+        The f_m c_m, zero-padded and reshaped to (J, B), give the table, so
         G_j = sum_k a_jk e^{ik phi} and w = e^{iB phi}, the turn at which the
         doubling of the baby rows stops."""
-        count = len(coeffs) if degree is None else degree + 1
+        count = len(coeffs)
         baby = 1 << int(np.ceil(np.log2(count) / 2))
         giant = -(-count // baby)
         a = np.zeros(giant * baby, dtype=complex)
-        a[:count] = 2.0 * coeffs[:count]
+        a[:count] = 2.0 * coeffs
         a[0] /= 2.0
-        if count == len(coeffs):  # n is even: the last coefficient is the Nyquist mode
-            a[count - 1] /= 2.0
+        a[count - 1] /= 2.0  # n is even: the last coefficient is the Nyquist mode
         a = a.reshape(giant, baby)
         # (Re G; -Im G) of every giant step from the (cos; sin) baby rows
         table = np.block([[a.real, -a.imag], [-a.imag, -a.real]])
@@ -333,6 +339,27 @@ class CircleGrid(SphereGrid):
             return _re_series(table @ rows.reshape(2 * baby, -1), _trig_rows(w, giant)[0])
 
         return kernel
+
+    def _screen_kernel(self, coeffs, degree: int):
+        """(kernel, R) for the Monte Carlo screen: u_<=d = Re sum_{m <= d}
+        a_m w^m, a_m = f_m c_m, by Horner's rule in w = (x + iy)/|x + iy|,
+        and a bound R on the kernel's round-off at any direction.
+
+        Normalizing w costs 2u and Horner's step (a complex product and sum)
+        3.3u per power, so |error| <= 2u sum_m |a_m| (3m + 1) (u = 2^-53).
+        """
+        a = 2.0 * coeffs[: degree + 1]
+        a[0] /= 2.0
+        if degree == len(coeffs) - 1:  # the Nyquist mode
+            a[-1] /= 2.0
+
+        def kernel(pts):
+            w = pts[:, 0] + 1j * pts[:, 1]
+            w /= np.hypot(pts[:, 0], pts[:, 1])
+            return _horner(a, w)
+
+        roundoff = 2.0 * _UNIT_ROUNDOFF * float(np.abs(a) @ (3.0 * np.arange(degree + 1) + 1.0))
+        return kernel, roundoff
 
     def _tail_bounds(self, coeffs):
         """(B, S): B[d] = sum_{k > d} f_k |c_k| >= sup |u - u_<=d|, with the
@@ -444,8 +471,7 @@ class Sphere2Grid(SphereGrid):
         batched matmul (a complex operand would upcast the table every call).
         """
         c = np.ascontiguousarray(coeffs, dtype=complex)
-        orders, degrees = c.shape  # a leading part of the triangle, or all of it
-        prof = self._tab["S"][:orders, :rows, :degrees] @ c.view(float).reshape(*c.shape, 2)
+        prof = self._tab["S"][:, :rows] @ c.view(float).reshape(*c.shape, 2)
         return prof.view(complex)[..., 0]
 
     def _grad(self, rows: np.ndarray) -> np.ndarray:
@@ -482,26 +508,26 @@ class Sphere2Grid(SphereGrid):
         return tuple(_ro(np.linalg.solve(a.T @ a, a.T)) for a in (
             np.cos(np.outer(self.thetas, k)), np.sin(np.outer(self.thetas, k[1:]))))
 
-    def _eval_kernel(self, coeffs, degree=None):
+    def _eval_kernel(self, coeffs):
         """For :meth:`eval`: u = Re sum_m f_m G_m(theta) e^{im phi}, with
-        G_m = sum_l c[m, l] P_lm(cos theta), l and m <= ``degree`` (default L).
+        G_m = sum_l c[m, l] P_lm(cos theta).
 
         G_m(theta) is a cosine series sum_k a_mk cos(k theta) for even m and a
-        sine series sum_k b_mk sin(k theta) for odd m, k <= degree.  Its values
-        at the colatitudes (``_legendre_synth``) give the trig coefficients
-        through the rows k <= degree of the pseudo-inverses ``_trig_pinv``,
-        once per call: two half-size tables, one on the cos rows and one on
-        the sin rows.  Per block, e^{i theta} = (z + i hypot(x, y)) / |.| keeps
-        the offset of a direction near a pole from the axis, and
-        e^{i phi} = (x + iy) / hypot(x, y) is 1 on the axis.
+        sine series sum_k b_mk sin(k theta) for odd m, k <= L.  Its values at
+        the colatitudes (``_legendre_synth``) give the trig coefficients
+        through the pseudo-inverses ``_trig_pinv``, once per call: two
+        half-size tables, one on the cos rows and one on the sin rows.  Per
+        block, e^{i theta} = (z + i hypot(x, y)) / |.| keeps the offset of a
+        direction near a pole from the axis, and e^{i phi} = (x + iy) /
+        hypot(x, y) is 1 on the axis.
         """
-        orders = self.bandlimit + 1 if degree is None else degree + 1
-        prof = self._legendre_synth(coeffs[:orders, :orders], self.shape[0])  # G_m(theta_i)
+        orders = self.bandlimit + 1
+        prof = self._legendre_synth(coeffs, self.shape[0])  # G_m(theta_i)
         prof[1:] *= 2.0  # f_m
         pinv_cos, pinv_sin = self._trig_pinv
         # (Re G; -Im G) of the even and of the odd orders
         tables = [np.concatenate([a.real, -a.imag]) for a in
-                  (prof[0::2] @ pinv_cos[:orders].T, prof[1::2] @ pinv_sin[: orders - 1].T)]
+                  (prof[0::2] @ pinv_cos.T, prof[1::2] @ pinv_sin.T)]
 
         def kernel(pts):
             x, y, z = pts.T
@@ -513,6 +539,53 @@ class Sphere2Grid(SphereGrid):
                     + _re_series(tables[1] @ theta[1, 1:], phi[:, 1::2]))
 
         return kernel
+
+    def _screen_kernel(self, coeffs, degree: int):
+        """(kernel, R) for the Monte Carlo screen: u_<=d = Re sum_{m <= d}
+        w^m q_m(z) in Cartesian form, w = x + iy, with q_m = sum_k C[m, k] T_k
+        and C[m, k] = f_m sum_{l <= d} c[m, l] tab[m, l, k]
+        (:func:`_chebyshev_table`), and a bound R on its round-off at any
+        direction.
+
+        Per call the kernel normalizes each direction (the value depends on
+        the direction alone, and the bound needs |w|^2 + z^2 = 1), makes the
+        rows T_k(z) by the three-term recurrence, takes q = T^T @ (Re C,
+        Im C) and sums by Horner's rule in w.  R sums, with u = 2^-53, over
+        every term |C[m, k]|:
+        - the rows, 1.5 k^2 u from the recurrence and 3 k^2 u from the 3u
+          error in z (|T_k'| <= k^2);
+        - the product, (d + 1) sqrt 2 u;
+        - Horner's rule, 3.3 m u, and 3 m u from the error in w;
+        and over every term f_m |c[m, l]| norms[m, l]:
+        - the sum that makes C, (d + 1) sqrt 2 u;
+        - the table's own round-off, taken as 4 (l + 2)^2 u: 2 (l + 2) times
+          the measured bound in :func:`_chebyshev_table`.
+        Each weight is then rounded up.  |C| grows fast with d, since
+        p_lm = P_lm / sin^m theta is large near the poles for large m, and so
+        does R: on fields with every (m, l) in use it is about 3e-14 of the
+        bound S >= sup |u| at d = 8, 2e-12 at d = 16, 4e-9 at d = 31 and
+        1e-2 at d = 63: a screen only.
+        """
+        size = degree + 1
+        tab, norms = _chebyshev_table(size)
+        f = np.full((size, 1), 2.0)
+        f[0] = 1.0
+        c = coeffs[:size, :size]
+        table = f * np.einsum("ml,mlk->mk", c, tab)
+        m, j = np.arange(size)[:, None], np.arange(size)  # j is k in C, l in c
+        roundoff = 2.0 * _UNIT_ROUNDOFF * float(
+            np.sum(np.abs(table) * (3.0 * j**2 + 4.0 * m + size + 2.0))
+            + np.sum(f * np.abs(c) * norms * (2.0 * (j + 2.0) ** 2 + 2.0 * size)))
+        pairs = np.ascontiguousarray(table.T).view(float)  # [k, (Re C, Im C) of each m]
+
+        def kernel(pts):
+            inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", pts, pts))
+            w = pts[:, 0] + 1j * pts[:, 1]
+            w *= inv
+            q = _chebyshev_rows(pts[:, 2] * inv, size).T @ pairs  # q_m(z) as (n, d+1) pairs
+            return _horner(q.view(complex), w)
+
+        return kernel, roundoff
 
     def _tail_bounds(self, coeffs):
         """(B, S): B[d] = sum_m f_m sum_{l > d} |c[m, l]| sqrt((2l + 1)/2)
@@ -580,6 +653,30 @@ def _trig_rows(e: np.ndarray, k: int):
     return np.stack([powers.real, powers.imag]), turn
 
 
+def _chebyshev_rows(z: np.ndarray, k: int) -> np.ndarray:
+    """The rows T_j(z), j < k, as a (k, n) array, by T_{j+1} = 2z T_j - T_{j-1}."""
+    rows = np.empty((k, z.size))
+    rows[0] = 1.0
+    if k > 1:
+        rows[1] = z
+    two_z = 2.0 * z
+    for j in range(1, k - 1):
+        np.multiply(two_z, rows[j], out=rows[j + 1])
+        rows[j + 1] -= rows[j - 1]
+    return rows
+
+
+def _horner(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re sum_m q_m w^m by Horner's rule in place; the power m is the last
+    axis of q, (d+1,) or (n, d+1), and w is (n,) complex."""
+    h = np.empty_like(w)
+    h[...] = q[..., -1]
+    for m in range(q.shape[-1] - 2, -1, -1):
+        h *= w
+        h += q[..., m]
+    return h.real
+
+
 def _tail_sums(terms: np.ndarray):
     """(B, S) of a kind's ``_tail_bounds``: B[d] = sum of terms[d + 1:], summed
     from the top degree down, and S = the sum of every term."""
@@ -611,6 +708,35 @@ def _recurrence_coefficients(L: int):
     ratio = (l**2 - mm**2) / (4.0 * l**2 - 1.0)
     a = np.where(l > mm, np.sqrt(np.maximum(ratio, 0.0)), 0.0)
     return diag, a
+
+
+def _chebyshev_table(size: int):
+    """(tab, norms) for ``Sphere2Grid._screen_kernel``, for m, l < size:
+    P_lm(cos theta) = sin^m theta p_lm(cos theta), with p_lm a polynomial of
+    degree l - m, and tab[m, l, k] its coefficient on the Chebyshev
+    polynomial T_k; norms[m, l] = sum_k |tab[m, l, k]|.
+
+    The p_lm follow the grid's own recurrence from p_mm = (1/sqrt 2)
+    prod_{j <= m} diag[j], run on coefficient vectors with z T_0 = T_1 and
+    z T_k = (T_{k+1} + T_{k-1})/2.  Measured against the same recurrence in
+    64-bit extended precision, with exact recurrence coefficients, the l1
+    norm of its round-off stays below 2 (l + 2) u norms[m, l] (u = 2^-53)
+    for every size <= 80.  Made per call, not kept on the grid: a few KB at
+    the degrees the screen takes, and a table kept for the whole band
+    (256 KB at 32x64) raised the peak RSS of a perfbench ``analyze-corpus``
+    run by 1 MB.
+    """
+    diag, a = _recurrence_coefficients(size - 1)
+    tab = np.zeros((size, size, size))
+    tab[np.arange(size), np.arange(size), 0] = np.cumprod(diag) / np.sqrt(2.0)
+    for l in range(1, size):
+        prev, last = tab[:l, l - 2] if l > 1 else 0.0, tab[:l, l - 1]
+        z_last = np.zeros((l, size))  # z p_(l-1)m on the T_k
+        z_last[:, 1] = last[:, 0]
+        z_last[:, 2:] = 0.5 * last[:, 1:-1]
+        z_last[:, :-1] += 0.5 * last[:, 1:]
+        tab[:l, l] = (z_last - a[:l, l - 1, None] * prev) / a[:l, l, None]
+    return tab, np.abs(tab).sum(axis=2)
 
 
 def _legendre_tables(x: np.ndarray, coefficients):

@@ -498,18 +498,10 @@ def _random_bandlimited(grid, seed):
     return u if grid.dim == 1 else grid.synthesize(grid.analyze(u))
 
 
-def _kernel_values(grid, kernel, pts):
-    """A kernel of ``_eval_kernel`` applied over ``eval``'s blocks."""
-    out = np.empty(len(pts))
-    for blk, u in grid._eval_blocks(kernel, pts):
-        out[blk] = u
-    return out
-
-
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
 def test_eval_crosses_block_boundary(kwargs):
-    # the kind's own block size, and the default that S^1 uses; the kernel
-    # truncated at degree d gives the nodal values of the part of degree <= d
+    # the kind's own block size, and the default that S^1 uses; the screen
+    # kernel at degree d gives the nodal values of the part of degree <= d
     grid = build_grid(**kwargs)
     u = _random_bandlimited(grid, seed=5)
     c = grid.analyze(u)
@@ -521,8 +513,17 @@ def test_eval_crosses_block_boundary(kwargs):
         assert np.max(np.abs(grid.eval(u, pts) - expect)) < 1e-12
         for d in (0, 3, grid.bandlimit - 1):
             low = np.tile(grid.synthesize(c * (degrees <= d)), reps)[:count]
-            got = _kernel_values(grid, grid._eval_kernel(c, d), pts)
+            got = grid._screen_kernel(c, d)[0](pts)
             assert np.max(np.abs(got - low)) < 1e-12
+
+
+def _truncated_eval(grid, c, d, pts):
+    """u_<=d at pts: ``eval``'s kernel on the coefficients with those above d
+    zeroed.  (``eval`` of the synthesized truncated field would add the
+    round trip synthesize -> analyze, which moves the value at the pole on
+    40x48 by 8e-13, more than the tolerance 1e-13 S.)"""
+    kernel, block = grid._eval_kernel(c * (grid._tab["degrees"] <= d)), grid._eval_block
+    return np.concatenate([kernel(pts[lo : lo + block]) for lo in range(0, len(pts), block)])
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=16), dict(dim=1, n=256),
@@ -546,10 +547,9 @@ def test_tail_bound_holds(kwargs):
     full = grid.eval(u, pts)
     assert np.max(np.abs(full)) <= bound
     for d in range(len(tail)):
-        low = _kernel_values(grid, grid._eval_kernel(c, d), pts)
+        low = _truncated_eval(grid, c, d, pts)
         assert np.max(np.abs(full - low)) <= tail[d] + 1e-13, d
     assert np.array_equal(low, full)
-    assert np.array_equal(_kernel_values(grid, grid._eval_kernel(c), pts), full)
 
     peak = np.abs(c)
     if grid.dim == 2:
@@ -561,8 +561,83 @@ def test_tail_bound_holds(kwargs):
     top = grid.eval(u, apex)
     assert top == pytest.approx(bound, rel=1e-13)
     for d in range(len(tail)):
-        assert top - grid._eval_kernel(c, d)(apex[None])[0] == pytest.approx(
+        assert top - _truncated_eval(grid, c, d, apex[None])[0] == pytest.approx(
             tail[d], abs=1e-13 * bound), d
+
+
+def _hard_coefficients(grid, seed):
+    """Random coefficients in every (m, l) (every k on S^1), decaying like
+    1/(1 + l)^2: the worst conditioning the screen kernel meets."""
+    rng = np.random.default_rng(seed)
+    size = len(grid._tab["degrees"])
+    shape = (size,) if grid.dim == 1 else (size, size)
+    c = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / (1.0 + np.arange(size)) ** 2
+    c[0] = c[0].real  # real field: the constant (S^1) or the order m = 0 (S^2)
+    if grid.dim == 1:
+        c[-1] = c[-1].real  # the Nyquist mode
+        return c
+    return np.triu(c)  # zero for l < m
+
+
+def _partial_sums(grid, c, pts):
+    """u_<=d at pts for every d, as (degrees, n), summed directly in 64-bit
+    extended precision: on S^1 f_k Re c_k e^{ik phi}, on S^2
+    f_m Re c[m, l] e^{im phi} P_lm(cos theta), with P_lm from the
+    associated-Legendre recurrence at each point and its coefficients
+    computed in extended precision too."""
+    ext = np.longdouble
+    p = pts.astype(ext)
+    p /= np.sqrt(np.sum(p * p, axis=1))[:, None]
+    phi = np.arctan2(p[:, 1], p[:, 0])
+    m = np.arange(c.shape[0])
+    f = np.where(m == 0, 1, 2).astype(ext)
+    if grid.dim == 1:
+        f[-1] = 1  # the Nyquist mode
+        turns = np.cumprod(np.tile(np.cos(phi) + 1j * np.sin(phi), (len(m) - 1, 1)), axis=0)
+        cos = np.concatenate([np.ones((1, len(pts)), dtype=ext), turns.real])
+        sin = np.concatenate([np.zeros((1, len(pts)), dtype=ext), turns.imag])
+        re, im = c.real.astype(ext)[:, None], c.imag.astype(ext)[:, None]
+        return np.cumsum(f[:, None] * (re * cos - im * sin), axis=0)
+    z, rho = p[:, 2], np.hypot(p[:, 0], p[:, 1])
+    per_degree = np.zeros((len(m), len(pts)), dtype=ext)
+    p_mm = np.full(len(pts), 1 / np.sqrt(ext(2)))
+    for order in m:
+        if order:
+            p_mm = p_mm * rho * np.sqrt(ext(2 * order + 1) / ext(2 * order))
+        cos, sin = np.cos(order * phi), np.sin(order * phi)
+        prev, p_lm, a_prev = 0, p_mm, ext(0)
+        for l in range(order, len(m)):
+            if l > order:
+                a_l = np.sqrt(ext(l * l - order * order) / ext(4 * l * l - 1))
+                prev, p_lm, a_prev = p_lm, (z * p_lm - a_prev * prev) / a_l, a_l
+            cml = c[order, l]
+            per_degree[l] += f[order] * (ext(cml.real) * cos - ext(cml.imag) * sin) * p_lm
+    return np.cumsum(per_degree, axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60, reason="needs 64-bit extended precision")
+@pytest.mark.parametrize("kwargs", [dict(dim=1, n=16), dict(dim=1, n=256),
+                                    dict(dim=2, n_theta=8, n_phi=16),
+                                    dict(dim=2, n_theta=24, n_phi=48),
+                                    dict(dim=2, n_theta=32, n_phi=64),
+                                    dict(dim=2, n_theta=40, n_phi=48),
+                                    dict(dim=2, n_theta=64, n_phi=128)])
+def test_screen_kernel_round_off_bound_holds(kwargs):
+    """The screen kernel's R_d bounds its distance from u_<=d for every d on
+    hard random fields, at 20k random directions and at directions within
+    1e-12 of the poles, against a direct sum in extended precision."""
+    grid = build_grid(**kwargs)
+    c = _hard_coefficients(grid, seed=sum(grid.shape))
+    rng = np.random.default_rng(len(c))
+    pts = rng.normal(size=(20_000, grid.dim + 1))
+    poles = np.zeros((200, grid.dim + 1))
+    poles[:, :-1] = rng.uniform(-1e-12, 1e-12, size=(200, grid.dim))
+    poles[:, -1] = np.where(np.arange(200) % 2, 1.0, -1.0)
+    pts = np.concatenate([pts / np.linalg.norm(pts, axis=1, keepdims=True), poles])
+    exact = _partial_sums(grid, c, pts)
+    for d in range(len(exact)):
+        kernel, roundoff = grid._screen_kernel(c, d)
+        assert np.max(np.abs(kernel(pts) - exact[d])) <= roundoff, d
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
