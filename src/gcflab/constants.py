@@ -84,7 +84,8 @@ def outer_scale_constant(dim: int) -> float:
 
 
 def inner_scale_constant(dim: int) -> float:
-    """C' with  min(inradius, min width) >= C' * V * exp(-dim * entropy).
+    """C' with  inradius >= C' * V * exp(-dim * entropy);  the least width,
+    at least twice the inradius, obeys the bound too.
 
     Sketch: the body fits in a cylinder (slab over a dim-ball) of radius
     rho+ and height 2 w-, so  V <= dim * area(S^{dim-1}) * rho+^dim * 2 w-

@@ -30,9 +30,10 @@ far from the polar boundary.  So the sampler first evaluates the low-degree
 part u_<=d in the grid's Cartesian screen kernel, with d the least degree
 whose tail bound plus the kernel's round-off bound is a 1e-8 share of
 sup |u|, and decides a sample from it wherever those bounds plus a round-off
-margin cannot change the answer; the few undecided samples get the full
-off-grid evaluation, and so does every sample when no degree qualifies.
-Every estimate is bit-identical to evaluating u in full at every direction.
+margin cannot change the answer.  A chunk that holds an undecided sample
+gets the full off-grid evaluation at all its directions, and so does every
+chunk when no degree qualifies.  Every estimate is bit-identical to
+evaluating u in full at every direction.
 """
 
 from __future__ import annotations
@@ -246,7 +247,10 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
     for every valid body; at unit-ball volume they reduce to the plain chain
     E_C >= E >= E_F together with the radius, width, and polar bounds.
     The outer bound's rhs is the largest width w+: rho+ <= w+/sqrt(2) never
-    sets max(w+, rho+), so the circumradius is not computed.
+    sets max(w+, rho+), so the circumradius is not computed.  The inner
+    bound's lhs is the inradius rho-: about the incenter z,
+    u(x) + u(x') >= 2 rho- + <z, x + x'> at each antipodal node pair, so
+    rho- <= w-/2 up to round-off and never sets min(rho-, w-).
     """
     n = body.dim
     vol = body.volume()
@@ -273,7 +277,7 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
         ),
         mk(
             "inner-radius-bound",
-            min(rho_minus, float(np.min(widths))),
+            rho_minus,
             inner_scale_constant(n) * vol * np.exp(-n * e_val),
         ),
         mk(
@@ -345,14 +349,14 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     |s - 1| > r (B[d] + R_d + ``MC_ROUNDOFF`` (S + |z|)), which is at least
     the gap to the full expression plus its round-off; chunk-length
     temporaries instead moved the peak RSS of a perfbench run by up to
-    0.7 MB with their allocation order.  The eval blocks that hold an
-    undecided sample, found over the whole chunk, get the full expression
-    through one ``grid.eval`` per chunk.  If no degree qualifies
-    (on 64x128 a body with its whole band in use), the screen is skipped and
-    every block takes that path.  ``inside`` is thus the same array as with
+    0.7 MB with their allocation order.  A chunk with an undecided sample
+    (the screen stops at its slab), and every chunk if no degree qualifies
+    (on 64x128 a body with its whole band in use), takes the full expression
+    at all its directions through one ``grid.eval``, the call that a sampler
+    without the screen makes.  ``inside`` is thus the same array as with
     ``grid.eval`` at every direction, bit for bit.
     """
-    grid, block = body.grid, body.grid._eval_block
+    grid = body.grid
     coeffs = grid.analyze(body.support)
     tail, bound = grid._tail_bounds(coeffs)
     screen = None
@@ -364,26 +368,18 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
             break
 
     def membership(dirs, r):
-        count = len(r)
         dz = dirs @ z
-        inside = np.empty(count, dtype=bool)
-        padded = np.ones(-(-count // block) * block, dtype=bool)  # to whole eval blocks
-        undecided = padded[:count]
         if screen is not None:
-            padded[count:] = False
-            for lo in range(0, count, MC_SLAB):
+            inside = np.empty(len(r), dtype=bool)
+            for lo in range(0, len(r), MC_SLAB):
                 slab = slice(lo, lo + MC_SLAB)
                 s = r[slab] * (screen(dirs[slab]) - dz[slab])
+                if np.any(np.abs(s - 1.0) <= r[slab] * margin):
+                    break
                 inside[slab] = s <= 1.0
-                undecided[slab] = np.abs(s - 1.0) <= r[slab] * margin
-        blocks = padded.reshape(-1, block).any(axis=1)
-        if blocks.any():
-            # whole eval blocks, in order: eval then sees each block as it would
-            # in the whole chunk, and its BLAS products round a column the same
-            # way only when the block is the same
-            near = np.repeat(blocks, block)[:count]
-            inside[near] = r[near] * (grid.eval(body.support, dirs[near]) - dz[near]) <= 1.0
-        return inside
+            else:
+                return inside
+        return r * (grid.eval(body.support, dirs) - dz) <= 1.0
 
     total = total_sq = 0.0
     for rng, count in _sample_chunks(seed, samples):

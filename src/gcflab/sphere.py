@@ -34,28 +34,28 @@ multiplier along it (:meth:`~SphereGrid.degree_mask`: the 2/3 cut, and the
 degree-1 modes when the flow recenters); the flow's ETDRK4 stage bodies
 are jets synthesized from masked coefficient states.
 
-Off-grid evaluation sums u = Re sum_j G_j w^j over blocks of directions on
-both grids, with no loop over the orders: G = T @ R is one real matmul of a
-per-call table T against the block's rows R of cos(k alpha) and sin(k alpha),
-and those rows and the powers w^j come from repeated doubling.  On S^1 the
-rfft coefficients split into baby steps k < B in phi, B about sqrt(n/2), and
-giant steps w = e^{iB phi}.  On S^2, w = e^{i phi}, and each colatitude sum
-G_m(theta) is a trigonometric polynomial of degree <= L in theta (a cosine
-series for even m, a sine series for odd m), so its values at the n_theta
-colatitudes fix it: the grid keeps the pseudo-inverses of cos(k theta_i) and
-sin(k theta_i), and ``eval`` turns the synthesized profiles into two
-half-size tables once per call, one on the cos rows in theta and one on the
-sin rows (see ``eval``).
+Off-grid evaluation sums u = Re sum_m G_m w^m over blocks of directions.
+On S^1 it is Horner in w: G_m = f_m c_m, w = (x + iy)/|x + iy|, the Monte
+Carlo screen's sum at the top degree.  On S^2, w = e^{i phi}, and each
+colatitude sum G_m(theta) is a trigonometric polynomial of degree <= L in
+theta (a cosine series for even m, a sine series for odd m), so its values
+at the n_theta colatitudes fix it: the grid keeps the pseudo-inverses of
+cos(k theta_i) and sin(k theta_i), and ``eval`` turns the synthesized
+profiles into two half-size tables once per call, one on the cos rows in
+theta and one on the sin rows.  G = T @ R is then one real matmul per block
+against the rows R of cos(k theta) and sin(k theta), and those rows and the
+powers w^m come from repeated doubling (see ``eval``).
 
 The Monte Carlo oracles screen polar membership on the part u_<=d of degree
 <= d and evaluate u in full only where the screen cannot decide.  A kind's
 ``_tail_bounds`` bound sup |u - u_<=d| for every d by the coefficients'
 moduli times the sup of their basis functions, and its ``_screen_kernel``
 sums u_<=d in Cartesian form, Re sum_{m <= d} (x + iy)^m q_m(z), with a
-bound on its own round-off: q_m = f_m c_m is a constant on S^1, and a
-Chebyshev series in z on S^2, so the kernel takes no angle and no trig
-rows.  That form is ill-conditioned at high degree (its bound
-reaches 1e-2 of sup |u| at d = 63 on hard fields), so it is a screen only.
+bound on its own round-off: q_m = f_m c_m is a constant on S^1, where
+``eval`` is the same sum at the top degree, and a Chebyshev series in z on
+S^2, so the kernel takes no angle and no trig rows.  On S^2 that form is
+ill-conditioned at high degree (its bound reaches 1e-2 of sup |u| at d = 63
+on hard fields), so it is a screen only.
 
 The grid owns the form of A = Hess u + u I: ``radii_invariants`` reads the
 jet rows and returns the invariants of A that callers read, so no caller
@@ -164,7 +164,7 @@ class SphereGrid:
     _tab: dict = field(default_factory=dict, repr=False)
 
     # directions per block of eval's kernel, whose trig rows take ~1 MB at
-    # 32x64; the oracles' fallback passes whole blocks to eval
+    # 32x64
     _eval_block = 1024
 
     @property
@@ -218,19 +218,21 @@ class SphereGrid:
     def eval(self, values: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Evaluate the spectral interpolant at arbitrary unit directions.
 
-        Both kinds sum u = Re sum_j G_j w^j over blocks of ``_eval_block``
-        directions, with no loop over the orders.  The kind's ``_eval_kernel``
-        turns the coefficients into real tables T once per call and gives a
-        function of a block: G = T @ R is one real matmul against the block's
-        trig rows R (cos k alpha and sin k alpha), and :func:`_trig_rows`
-        makes both R and the powers w^j by doubling.  On S^1, alpha = phi with
-        baby steps k < B and w = e^{iB phi}; on S^2, alpha = theta and
-        w = e^{i phi}.  A 1-D ``directions`` gives a float.
+        Both kinds sum u = Re sum_m G_m w^m over blocks of ``_eval_block``
+        directions; the kind's ``_eval_kernel`` prepares the coefficients
+        once per call and gives a function of a block.  On S^1 it is Horner
+        in w = (x + iy)/|x + iy| with G_m = f_m c_m.  On S^2, w = e^{i phi}
+        and G = T @ R is one real matmul of a per-call table T against the
+        block's rows R of cos(k theta) and sin(k theta), which
+        :func:`_trig_rows` makes, like the powers w^m, by doubling.  A 1-D
+        ``directions`` gives a float.
 
         A direction's value can move by 1-4 ulp with the other directions of
-        its block, because the BLAS product rounds a column by the block's
-        width.  A caller that needs repeatable values passes whole arrays in a
-        fixed order, as the Monte Carlo oracles' fallback does.
+        its call.  On S^2 the BLAS product rounds a column by the block's
+        width; on S^1 only a block of one direction moves, since numpy's
+        in-place complex product rounds otherwise on a one-element array.
+        A caller that needs repeatable values passes whole arrays in a fixed
+        order, as the Monte Carlo oracles' fallback does with a whole chunk.
         """
         values = self.check_field(values)
         directions = np.asarray(directions, dtype=float)
@@ -277,6 +279,9 @@ class CircleGrid(SphereGrid):
 
     _desk = {"n": 256}  # the sizes the kind takes, at desk scale
     _spec = "k:amp[:amp_sin]"  # a --harmonic entry, read by _parse_spec
+    # Horner's rule makes two numpy calls per degree, whatever the block's
+    # length: 1024-direction blocks made eval 1.5x slower than these
+    _eval_block = 8192
 
     @classmethod
     def _build(cls, n):
@@ -316,57 +321,36 @@ class CircleGrid(SphereGrid):
         a = jet.rows[2] + jet.rows[0]
         return a, a, a, self._tab["ones"]
 
+    @staticmethod
+    def _weighted(coeffs):
+        """a_m = f_m c_m, so that u = Re sum_m a_m e^{im phi}: f_m = 1 at m = 0
+        and on the last coefficient, the Nyquist mode (n is even), else 2."""
+        a = 2.0 * coeffs
+        a[[0, -1]] /= 2.0
+        return a
+
     def _eval_kernel(self, coeffs):
-        """For :meth:`eval`: u = Re sum_m f_m c_m e^{im phi} by baby and giant
-        steps, m = jB + k with B the least power of two >= sqrt(n/2 + 1).
-        The f_m c_m, zero-padded and reshaped to (J, B), give the table, so
-        G_j = sum_k a_jk e^{ik phi} and w = e^{iB phi}, the turn at which the
-        doubling of the baby rows stops."""
-        count = len(coeffs)
-        baby = 1 << int(np.ceil(np.log2(count) / 2))
-        giant = -(-count // baby)
-        a = np.zeros(giant * baby, dtype=complex)
-        a[:count] = 2.0 * coeffs
-        a[0] /= 2.0
-        a[count - 1] /= 2.0  # n is even: the last coefficient is the Nyquist mode
-        a = a.reshape(giant, baby)
-        # (Re G; -Im G) of every giant step from the (cos; sin) baby rows
-        table = np.block([[a.real, -a.imag], [-a.imag, -a.real]])
-
-        def kernel(pts):
-            x, y = pts.T
-            rows, w = _trig_rows((x + 1j * y) / np.hypot(x, y), baby)
-            return _re_series(table @ rows.reshape(2 * baby, -1), _trig_rows(w, giant)[0])
-
-        return kernel
+        """For :meth:`eval`: the screen's Horner sum (``_screen_kernel``) at
+        the top degree, so its round-off bound R holds for ``eval`` too."""
+        return _horner_in_w(self._weighted(coeffs))
 
     def _screen_kernel(self, coeffs, degree: int):
         """(kernel, R) for the Monte Carlo screen: u_<=d = Re sum_{m <= d}
-        a_m w^m, a_m = f_m c_m, by Horner's rule in w = (x + iy)/|x + iy|,
-        and a bound R on the kernel's round-off at any direction.
+        a_m w^m, a = ``_weighted(coeffs)``, by Horner's rule in
+        w = (x + iy)/|x + iy|, and a bound R on the kernel's round-off at any
+        direction.
 
         Normalizing w costs 2u and Horner's step (a complex product and sum)
         3.3u per power, so |error| <= 2u sum_m |a_m| (3m + 1) (u = 2^-53).
         """
-        a = 2.0 * coeffs[: degree + 1]
-        a[0] /= 2.0
-        if degree == len(coeffs) - 1:  # the Nyquist mode
-            a[-1] /= 2.0
-
-        def kernel(pts):
-            w = pts[:, 0] + 1j * pts[:, 1]
-            w /= np.hypot(pts[:, 0], pts[:, 1])
-            return _horner(a, w)
-
+        a = self._weighted(coeffs)[: degree + 1]
         roundoff = 2.0 * _UNIT_ROUNDOFF * float(np.abs(a) @ (3.0 * np.arange(degree + 1) + 1.0))
-        return kernel, roundoff
+        return _horner_in_w(a), roundoff
 
     def _tail_bounds(self, coeffs):
-        """(B, S): B[d] = sum_{k > d} f_k |c_k| >= sup |u - u_<=d|, with the
-        weights f_k of ``_eval_kernel``, and S = sum_k f_k |c_k| >= sup |u|."""
-        terms = 2.0 * np.abs(coeffs)
-        terms[[0, -1]] /= 2.0
-        return _tail_sums(terms)
+        """(B, S): B[d] = sum_{k > d} |a_k| >= sup |u - u_<=d|, with
+        a = ``_weighted(coeffs)``, and S = sum_k |a_k| >= sup |u|."""
+        return _tail_sums(np.abs(self._weighted(coeffs)))
 
     @staticmethod
     def _parse_spec(entry: str):
@@ -532,9 +516,9 @@ class Sphere2Grid(SphereGrid):
         def kernel(pts):
             x, y, z = pts.T
             rho = np.hypot(x, y)
-            theta, _ = _trig_rows((z + 1j * rho) / np.hypot(z, rho), orders)
+            theta = _trig_rows((z + 1j * rho) / np.hypot(z, rho), orders)
             e_phi = np.divide(x + 1j * y, rho, out=np.ones(len(pts), dtype=complex), where=rho > 0)
-            phi, _ = _trig_rows(e_phi, orders)
+            phi = _trig_rows(e_phi, orders)
             return (_re_series(tables[0] @ theta[0], phi[:, 0::2])
                     + _re_series(tables[1] @ theta[1, 1:], phi[:, 1::2]))
 
@@ -635,13 +619,13 @@ def _mode_tuples(modes, form: str, n_int: int):
         yield *(int(v) for v in entries[:n_int]), *entries[n_int:]
 
 
-def _trig_rows(e: np.ndarray, k: int):
+def _trig_rows(e: np.ndarray, k: int) -> np.ndarray:
     """The rows cos(j a) and sin(j a), j < k, as a (2, k, n) array, from
-    e = e^{ia} (n,), and the turn e^{ipa}, p the least power of two >= k.
+    e = e^{ia} (n,).
 
-    By doubling: powers p..2p-1 are powers 0..p-1 times the turn, which then
-    squares, so the rows take log2 k vector passes instead of k; the phase
-    error of row j grows like j eps, as under a running product.
+    By doubling: powers p..2p-1 are powers 0..p-1 times the turn e^{ipa},
+    which then squares, so the rows take log2 k vector passes instead of k;
+    the phase error of row j grows like j eps, as under a running product.
     """
     powers = np.empty((k, e.size), dtype=complex)
     powers[0] = 1.0
@@ -650,7 +634,7 @@ def _trig_rows(e: np.ndarray, k: int):
         q = min(p, k - p)
         np.multiply(powers[:q], turn, out=powers[p : p + q])
         p, turn = 2 * p, turn * turn
-    return np.stack([powers.real, powers.imag]), turn
+    return np.stack([powers.real, powers.imag])
 
 
 def _chebyshev_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -675,6 +659,18 @@ def _horner(q: np.ndarray, w: np.ndarray) -> np.ndarray:
         h *= w
         h += q[..., m]
     return h.real
+
+
+def _horner_in_w(a: np.ndarray):
+    """The S^1 kernel: Re sum_m a_m w^m at each direction (x, y) of a block,
+    by Horner's rule in w = (x + iy)/|x + iy|."""
+
+    def kernel(pts):
+        w = pts[:, 0] + 1j * pts[:, 1]
+        w /= np.hypot(pts[:, 0], pts[:, 1])
+        return _horner(a, w)
+
+    return kernel
 
 
 def _tail_sums(terms: np.ndarray):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcflab import entropy, verify
-from gcflab.body import ConvexBody, geometry_summary, make_shape, normalize_volume
+from gcflab.body import ConvexBody, geometry_summary, inradius, make_shape, normalize_volume
 from gcflab.constants import ball_volume, sphere_area
 from gcflab.entropy import (
     chow_entropy,
@@ -176,6 +176,17 @@ def test_report_outer_bound_rhs_is_max_width():
         rhs = {c.name: c.rhs for c in entropy_report(body).checks}["outer-radius-bound"]
         s = geometry_summary(body)
         assert rhs == max(s.w_plus, s.rho_plus)
+
+
+def test_inradius_is_at_most_half_the_least_width():
+    # about the incenter z, u(x) + u(x') >= 2 rho- + <z, x + x'> at each
+    # antipodal node pair, so the report's inner lhs rho- never exceeds w-/2
+    for _, body in verify.corpus():
+        widths = body.support + body.support[body.grid.antipodes]
+        rho_minus = inradius(body)[0]
+        assert 2.0 * rho_minus <= np.min(widths) + 1e-12
+        lhs = {c.name: c.lhs for c in entropy_report(body).checks}["inner-radius-bound"]
+        assert lhs == rho_minus
 
 
 def test_normalized_chain_is_plain(g1):
@@ -353,16 +364,17 @@ def test_screened_oracles_are_bit_identical(monkeypatch, g1, g2, dim, kind, para
     assert fallback == 0  # a sample within ~1e-10 of the polar boundary is rare
 
 
-def test_screen_falls_back_near_the_boundary(monkeypatch, g2):
+@pytest.mark.parametrize("dim,degree", [(1, 3), (2, 5)], ids=["g1", "g2"])
+def test_screen_falls_back_near_the_boundary(monkeypatch, g1, g2, dim, degree):
     """With a tail tolerance that stops the screen below the field's degree,
-    many samples are left undecided and their eval blocks take the full
+    many samples are left undecided and their chunks take the full
     evaluation; the estimates stay bit-identical to the reference."""
-    body = make_shape(g2, "random_valid", seed=4, normalize=True)
+    body = make_shape(g1 if dim == 1 else g2, "random_valid", seed=4, normalize=True)
     monkeypatch.setattr(entropy, "MC_TAIL_TOL", 0.05)
     screened, reference, degrees, fallback = _screened_and_reference(
         monkeypatch, body, entropy_point(body)[0])
     _assert_same_estimates(screened, reference)
-    assert degrees == [5, 5]  # random_valid draws degrees 2 to 8
+    assert degrees == [degree, degree]  # random_valid draws degrees 2 to 8
     assert fallback > 10_000
 
 

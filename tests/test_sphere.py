@@ -500,7 +500,7 @@ def _random_bandlimited(grid, seed):
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
 def test_eval_crosses_block_boundary(kwargs):
-    # the kind's own block size, and the default that S^1 uses; the screen
+    # the kind's own block size, and the default that S^2 uses; the screen
     # kernel at degree d gives the nodal values of the part of degree <= d
     grid = build_grid(**kwargs)
     u = _random_bandlimited(grid, seed=5)
@@ -625,7 +625,8 @@ def _partial_sums(grid, c, pts):
 def test_screen_kernel_round_off_bound_holds(kwargs):
     """The screen kernel's R_d bounds its distance from u_<=d for every d on
     hard random fields, at 20k random directions and at directions within
-    1e-12 of the poles, against a direct sum in extended precision."""
+    1e-12 of the poles, against a direct sum in extended precision.  On S^1
+    ``eval`` is that kernel at the top degree, so the top R bounds it too."""
     grid = build_grid(**kwargs)
     c = _hard_coefficients(grid, seed=sum(grid.shape))
     rng = np.random.default_rng(len(c))
@@ -638,6 +639,12 @@ def test_screen_kernel_round_off_bound_holds(kwargs):
     for d in range(len(exact)):
         kernel, roundoff = grid._screen_kernel(c, d)
         assert np.max(np.abs(kernel(pts) - exact[d])) <= roundoff, d
+    if grid.dim == 1:
+        u = grid.synthesize(c)
+        c = grid.analyze(u)  # the coefficients eval sums
+        top = len(c) - 1
+        roundoff = grid._screen_kernel(c, top)[1]
+        assert np.max(np.abs(grid.eval(u, pts) - _partial_sums(grid, c, pts)[top])) <= roundoff
 
 
 @pytest.mark.parametrize("kwargs", [dict(dim=1, n=32), dict(dim=2, n_theta=12, n_phi=24)])
@@ -662,8 +669,7 @@ def test_eval_circle_weights_the_nyquist_mode_once():
 @pytest.mark.parametrize("n", [16, 18, 256])
 def test_circle_eval_matches_direct_sum(n):
     """eval against the direct sum sum_m f_m Re(c_m e^{im phi}) (f = 1 at
-    m = 0 and on the Nyquist mode, 2 otherwise).  On these sizes the
-    coefficient count n/2 + 1 is not a multiple of eval's baby-step count."""
+    m = 0 and on the Nyquist mode, 2 otherwise)."""
     grid = build_grid(1, n=n)
     rng = np.random.default_rng(n)
     u = rng.standard_normal(n)  # not band-limited: it carries a Nyquist coefficient
