@@ -104,10 +104,7 @@ class CurvatureData:
 
     @cached_property
     def position(self) -> np.ndarray:
-        grid = self._grid
-        return self._support[:, None] * grid.nodes + np.einsum(
-            "na,naj->nj", self.grad, grid.frames
-        )
+        return self._grid._position(self._support, self.grad)
 
     @cached_property
     def position_norm(self) -> np.ndarray:
@@ -209,7 +206,7 @@ class ConvexBody:
             raise ParameterError(f"z must have shape ({self.dim + 1},), got {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ParameterError(f"z must be finite, got {z}")
-        return self.support - self.grid.nodes @ z
+        return self.support - self.grid._linear(z)
 
     def dual_volume(self) -> float:
         """Volume of the polar body about the origin, (1/(dim+1)) * int u^-(dim+1)."""
@@ -359,8 +356,7 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
     which at the package's working resolutions biases them far below the
     tolerances used downstream.
     """
-    u = body.support
-    widths = u + u[body.grid.antipodes]
+    widths = body.grid._widths(body.support)
     rho_minus, incenter = inradius(body)
     rho_plus, circumcenter = circumradius(body)
     return GeometrySummary(
@@ -422,7 +418,7 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
     translated_ball : radius, center (interior point, |center| < radius)
     ellipsoid : semiaxes, tuple of dim+1 positive numbers
     harmonic : base (default 1.0) plus modes as in :func:`harmonic_field`
-    random_valid : seed (integer >= 0), amplitude, translation, parity —
+    random_valid : seed (integer >= 0), amplitude, parity —
         random perturbation of the unit ball in degrees 2 to min(8, max(2,
         bandlimit // 3)), amplitude shrunk until the body is valid.
 
@@ -482,7 +478,6 @@ def _random_valid(
     grid: SphereGrid,
     seed: int = 0,
     amplitude: float = 0.3,
-    translation: float = 0.0,
     parity: str = "any",
     **extra,
 ) -> ConvexBody:
@@ -507,15 +502,10 @@ def _random_valid(
     if peak > 0:
         bump = bump / peak  # unit sup-norm; `amplitude` is the actual size
 
-    shift = np.zeros(grid.dim + 1)
-    if translation:
-        v = rng.normal(size=grid.dim + 1)
-        shift = translation * v / np.linalg.norm(v)
-
     amp = amplitude
     for _ in range(40):
         try:
-            return ConvexBody(grid, 1.0 + amp * bump + grid.nodes @ shift)
+            return ConvexBody(grid, 1.0 + amp * bump)
         except BodyValidityError:
             amp *= 0.7
     raise SolverError(

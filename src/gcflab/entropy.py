@@ -106,7 +106,7 @@ def _newton_minimize(body: ConvexBody, z0, value, gradient, hessian, name: str):
     optimum) and never increases the value.  Returns (z, value, gradient);
     SolverError and ConcavityError messages start with ``name``.
     """
-    u, x = body.support, body.grid.nodes
+    u, grid = body.support, body.grid
     floor = 1e-6 * float(np.max(u))
     z = np.zeros(body.dim + 1) if z0 is None else np.asarray(z0, dtype=float)
     u_z = body.support_about(z)
@@ -125,7 +125,7 @@ def _newton_minimize(body: ConvexBody, z0, value, gradient, hessian, name: str):
         t = 1.0
         for _ in range(60):
             z_try = z + t * step
-            u_try = u - x @ z_try
+            u_try = u - grid._linear(z_try)
             if np.min(u_try) > floor:
                 f_try = value(u_try)
                 if f_try <= f_val + 1e-14:
@@ -156,7 +156,6 @@ def entropy_point(body: ConvexBody, z0=None):
         The Newton model lost definiteness.
     """
     grid = body.grid
-    x, w = grid.nodes, grid.weights
 
     def value(u_z):
         return -average(grid, np.log(u_z))
@@ -165,11 +164,11 @@ def entropy_point(body: ConvexBody, z0=None):
         inv = 1.0 / u_z
         # the gradient scales like 1/u under dilation, so the tolerance must
         # follow suit for small bodies or Newton stalls at the round-off floor
-        return (w * inv) @ x / grid.area, GRAD_TOL * max(1.0, float(np.max(inv)))
+        return grid._moment(inv) / grid.area, GRAD_TOL * max(1.0, float(np.max(inv)))
 
     def hessian(u_z):
         inv = 1.0 / u_z
-        return (x.T * (w * inv * inv)) @ x / grid.area
+        return grid._second_moment(inv, inv) / grid.area
 
     z, f_val, grad = _newton_minimize(body, z0, value, gradient, hessian, "entropy point")
     return z, -f_val, float(np.max(np.abs(grad)))
@@ -181,19 +180,18 @@ def santalo_point(body: ConvexBody):
     The objective V*(z) = (1/(dim+1)) int u_z^-(dim+1) is strictly convex;
     same damped Newton and interior floor as :func:`entropy_point`.
     """
-    n = body.dim
-    x, w = body.grid.nodes, body.grid.weights
+    n, grid = body.dim, body.grid
 
     def value(u_z):
-        return float(np.sum(w * u_z ** -(n + 1))) / (n + 1)
+        return float(np.sum(grid.weights * u_z ** -(n + 1))) / (n + 1)
 
     def gradient(u_z):
         # the gradient scales like u^-(dim+2)
         tol = GRAD_TOL * max(1.0, float(np.min(u_z)) ** -(n + 2))
-        return (w * u_z ** -(n + 2)) @ x, tol
+        return grid._moment(u_z ** -(n + 2)), tol
 
     def hessian(u_z):
-        return (n + 2) * (x.T * (w * u_z ** -(n + 3))) @ x
+        return grid._second_moment(u_z ** -(n + 3), scale=n + 2)
 
     z, v_star, _ = _newton_minimize(body, None, value, gradient, hessian, "Santalo point")
     return z, v_star
@@ -259,7 +257,7 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
     e_f = firey_entropy(body)
     e_c = chow_entropy(body)
     z_s, v_star = santalo_point(body)
-    widths = body.support + body.support[body.grid.antipodes]
+    widths = body.grid._widths(body.support)
     rho_minus = inradius(body)[0]
     u_s_min = float(np.min(body.support_about(z_s)))
 
@@ -354,7 +352,9 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     (on 64x128 a body with its whole band in use), takes the full expression
     at all its directions through one ``grid.eval``, the call that a sampler
     without the screen makes.  ``inside`` is thus the same array as with
-    ``grid.eval`` at every direction, bit for bit.
+    ``grid.eval`` at every direction, bit for bit.  The directions are unit
+    vectors by construction and are not checked again; ``grid.eval`` checks
+    those of a chunk that falls back.
     """
     grid = body.grid
     coeffs = grid.analyze(body.support)
@@ -385,7 +385,6 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     for rng, count in _sample_chunks(seed, samples):
         v = rng.normal(size=(count, body.dim + 1))
         dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
-        grid._check_directions(dirs)
         r = radius(rng.random(count))
         f = integrand(dirs, r, membership(dirs, r))
         total = total + np.sum(f, axis=0)

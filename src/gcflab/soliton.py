@@ -102,7 +102,7 @@ def remove_first_harmonics(grid: SphereGrid, eta) -> np.ndarray:
     """
     eta = grid.check_field(eta)
     eta = eta - (grid.weights @ eta) / grid.area
-    return eta - grid.nodes @ degree_one(grid, eta)
+    return eta - grid._linear(degree_one(grid, eta))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,10 @@ helpers :func:`integrate`, :func:`average` and :func:`degree_one`.
 Everything downstream treats the grid as an opaque handle, which keeps the
 geometry code dimension-agnostic; the shape generators and the command line
 ask the kind for its sizes, mode tuples and ``--harmonic`` entries, so a new
-dimension is a new kind in ``_KINDS``.
+dimension is a new kind in ``_KINDS``.  The grid also owns its node
+geometry: code outside this module reaches the node coordinates only through
+the node operations of :class:`SphereGrid`, apart from the inradius LP and
+the ``translated_ball`` and ``ellipsoid`` generators.
 """
 
 from __future__ import annotations
@@ -133,7 +136,12 @@ class SphereGrid:
     screen's kernel ``_screen_kernel`` and tail bounds ``_tail_bounds``;
     its reader of harmonic mode tuples ``_harmonic_field``; the modes,
     degree first, that a random body draws, ``_random_modes``; and its
-    ``--harmonic`` entry ``_spec`` with the parser ``_parse_spec``.
+    ``--harmonic`` entry ``_spec`` with the parser ``_parse_spec``.  The
+    node operations ``_linear``, ``_moment``, ``_second_moment``,
+    ``_widths`` and ``_position`` are defined here on Cartesian unit-vector
+    ``nodes``, ``antipodes`` and ``frames``; a kind whose nodes are not
+    Cartesian unit vectors overrides these five, and no code outside this
+    module changes with it.
 
     Attributes
     ----------
@@ -238,23 +246,19 @@ class SphereGrid:
         directions = np.asarray(directions, dtype=float)
         single = directions.ndim == 1
         pts = np.atleast_2d(directions)
-        self._check_directions(pts)
+        if pts.shape[1] != self.dim + 1:
+            raise ParameterError(
+                f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
+            )
+        # unit length within 1e-10, tested on |x|^2 so that no sqrt is taken
+        sq = np.einsum("ij,ij->i", pts, pts)
+        if not np.all(((1.0 - 1e-10) ** 2 <= sq) & (sq <= (1.0 + 1e-10) ** 2)):  # NaN fails too
+            raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
         out = np.empty(pts.shape[0])
         kernel = self._eval_kernel(self.analyze(values))
         for lo in range(0, pts.shape[0], self._eval_block):
             out[lo : lo + self._eval_block] = kernel(pts[lo : lo + self._eval_block])
         return out[0] if single else out
-
-    def _check_directions(self, pts: np.ndarray) -> None:
-        """The rule for off-grid directions, (count, dim+1) rows of unit
-        length within 1e-10, tested on |x|^2 so that no sqrt is taken."""
-        if pts.shape[1] != self.dim + 1:
-            raise ParameterError(
-                f"directions must have {self.dim + 1} components, got {pts.shape[1]}"
-            )
-        sq = np.einsum("ij,ij->i", pts, pts)
-        if not np.all(((1.0 - 1e-10) ** 2 <= sq) & (sq <= (1.0 + 1e-10) ** 2)):  # NaN fails too
-            raise ParameterError("directions must be unit vectors (|x| = 1 within 1e-10)")
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
         """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
@@ -272,6 +276,37 @@ class SphereGrid:
         if drop_degree_one:
             mask[1] = 0.0
         return mask
+
+    # --- node geometry ----------------------------------------------------
+    # Each operation fixes its order of evaluation: the entropy and Santalo
+    # solves' results depend on it bit for bit.
+
+    def _linear(self, z) -> np.ndarray:
+        """The nodal field <z, x>."""
+        return self.nodes @ z
+
+    def _moment(self, f) -> np.ndarray:
+        """sum_i w_i f_i x_i, the first moment of the nodal field f."""
+        return (self.weights * f) @ self.nodes
+
+    def _second_moment(self, *factors, scale=1) -> np.ndarray:
+        """sum_i scale w_i f_i x_i x_i^T, with w f = ((w f_1) f_2) ... over
+        ``factors`` and ``scale`` applied to the weighted x^T before the
+        product."""
+        wf = self.weights
+        for f in factors:
+            wf = wf * f
+        wx = self.nodes.T * wf
+        return (wx if scale == 1 else scale * wx) @ self.nodes
+
+    def _widths(self, u) -> np.ndarray:
+        """u(x) + u(-x) at each node: the widths of the body with support u."""
+        return u + u[self.antipodes]
+
+    def _position(self, u, grad) -> np.ndarray:
+        """The boundary points X = u x + grad u, from the frame components of
+        the gradient, (n_nodes, dim+1)."""
+        return u[:, None] * self.nodes + np.einsum("na,naj->nj", grad, self.frames)
 
 
 class CircleGrid(SphereGrid):

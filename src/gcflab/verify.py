@@ -323,7 +323,7 @@ def _check_soliton_report(seed, k_scale):
         worst_dual = min(worst_dual, report.dual_volume_at_origin - ball_volume(final.dim))
         g = final.grid
         origin_cond = max(
-            abs(float(average(g, g.nodes[:, j] / final.support))) for j in range(final.dim + 1)
+            abs(float(average(g, g._linear(e) / final.support))) for e in np.eye(final.dim + 1)
         )
         worst_origin = max(worst_origin, origin_cond)
     ok = all_converged and worst_dual >= -1e-6 and worst_origin <= 1e-6
@@ -342,7 +342,7 @@ def _check_stability_form(seed, k_scale):
         for _ in range(25):
             eta = remove_first_harmonics(g, g.lowpass(rng.normal(size=g.n_nodes), 0.5))
             margin = min(margin, stability_form(g, eta) - bound * float(average(g, eta * eta)))
-        ok = ok and stability_form(g, g.nodes[:, 0].copy()) < 0.0
+        ok = ok and stability_form(g, g._linear(np.eye(dim + 1)[0])) < 0.0
         const = 0.7 * np.ones(g.n_nodes)
         ok = ok and abs(stability_form(g, const) - (dim + 1) ** 2 * 0.49) <= 1e-9
     ok = ok and margin >= 0.0

@@ -37,9 +37,9 @@ def bodies_for(g1, g2):
     return [
         make_shape(g1, "translated_ball", radius=1.3, center=[0.4, -0.2]),
         make_shape(g1, "ellipsoid", semiaxes=(1.5, 0.8)),
-        make_shape(g1, "random_valid", seed=7, translation=0.2),
+        make_shape(g1, "random_valid", seed=7).translate([0.12, -0.16]),
         make_shape(g2, "ellipsoid", semiaxes=(1.3, 1.0, 0.85)),
-        make_shape(g2, "random_valid", seed=3, translation=0.15),
+        make_shape(g2, "random_valid", seed=3).translate([0.09, 0.0, -0.12]),
         make_shape(g2, "harmonic", modes=[(2, 1, 0.1), (3, -2, 0.05)]),
     ]
 
@@ -143,7 +143,8 @@ def test_lazy_curvature_after_construction_and_step(g1, g2):
     # only what validation and the flow read is computed eagerly; the rest
     # is computed on first access and kept
     for g in (g1, g2):
-        body = make_shape(g, "random_valid", seed=4, translation=0.1)
+        z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
+        body = make_shape(g, "random_valid", seed=4).translate(z)
         stepped = flow.step(body, 0.25 * flow.stable_dt(body))
         for b in (body, stepped):
             c = b.curvature
@@ -230,7 +231,8 @@ def test_scale_rescales_curvature_as_a_rebuild(g1, g2, factor):
     # / 0.7 differs from derivative_bundle(u) by up to 5.0e-12 relative on
     # S^1 n = 256 (modes up to k = 127) and 3.0e-13 on S^2 32x64
     for g, tol in ((g1, 1e-11), (g2, 1e-12)):
-        b = make_shape(g, "random_valid", seed=11, translation=0.1)
+        z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
+        b = make_shape(g, "random_valid", seed=11).translate(z)
         scaled = b.scale(factor).curvature
         rebuilt = ConvexBody(g, b.support * factor).curvature
         for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
@@ -464,6 +466,8 @@ def test_make_shape_rejects_bad_input(g1, g2):
         make_shape(g2, "harmonic", modes=[(40, 0, 0.1)])
     with pytest.raises(ParameterError):
         make_shape(g1, "random_valid", l_max=500)
+    with pytest.raises(ParameterError):  # a translated body is make_shape(...).translate(z)
+        make_shape(g1, "random_valid", translation=0.1)
 
 
 @pytest.mark.parametrize("params", [dict(seed=-3), dict(seed=1.5), dict(seed=True),
@@ -554,7 +558,7 @@ def test_spectral_tail_decreases_with_resolution():
 )
 def test_random_bodies_satisfy_identities(seed, translation):
     g = build_grid(1, n=128)
-    body = make_shape(g, "random_valid", seed=seed, translation=translation)
+    body = make_shape(g, "random_valid", seed=seed).translate(translation * np.array([0.6, -0.8]))
     c = body.curvature
     val = average(g, body.support * c.det_a / c.position_norm**2)
     assert abs(val - 1.0) < 1e-10

@@ -54,7 +54,7 @@ def test_entropy_point_symmetric_ellipse(g1):
 
 
 def test_entropy_point_unique_across_starts(g1):
-    b = make_shape(g1, "random_valid", seed=7, translation=0.2)
+    b = make_shape(g1, "random_valid", seed=7).translate([0.12, -0.16])
     z_ref, e_ref, _ = entropy_point(b)
     rng = np.random.default_rng(123)
     for _ in range(5):
@@ -67,7 +67,7 @@ def test_entropy_point_unique_across_starts(g1):
 
 
 def test_entropy_translation_equivariance(g2):
-    b = make_shape(g2, "random_valid", seed=4, translation=0.1)
+    b = make_shape(g2, "random_valid", seed=4).translate([0.06, 0.0, -0.08])
     z_ref, e_ref, _ = entropy_point(b)
     shift = np.array([0.05, -0.1, 0.08])
     bt = b.translate(shift)
@@ -78,12 +78,12 @@ def test_entropy_translation_equivariance(g2):
 
 def test_entropy_rotation_invariance(g1, g2):
     # rotating by a whole number of grid steps permutes the samples exactly
-    b = make_shape(g1, "random_valid", seed=9, translation=0.15)
+    b = make_shape(g1, "random_valid", seed=9).translate([0.09, -0.12])
     e_ref = entropy_point(b)[1]
     e_rot = entropy_point(ConvexBody(g1, np.roll(b.support, 17)))[1]
     assert abs(e_rot - e_ref) < 1e-9
 
-    b = make_shape(g2, "random_valid", seed=9, translation=0.15)
+    b = make_shape(g2, "random_valid", seed=9).translate([0.09, 0.0, -0.12])
     e_ref = entropy_point(b)[1]
     n_theta, n_phi = g2.shape
     rolled = np.roll(b.support.reshape(n_theta, n_phi), 5, axis=1).ravel()
@@ -124,8 +124,8 @@ def test_santalo_point_fixtures(g1, g2):
 
 def test_polar_product_inequality(g1, g2):
     # V(body) * V(polar about Santalo point) <= squared ball volume
-    for g, seed, tr in [(g1, 3, 0.25), (g1, 8, 0.0), (g2, 5, 0.2)]:
-        b = make_shape(g, "random_valid", seed=seed, translation=tr)
+    for g, seed, z in [(g1, 3, [0.15, -0.2]), (g1, 8, [0.0, 0.0]), (g2, 5, [0.12, 0.0, -0.16])]:
+        b = make_shape(g, "random_valid", seed=seed).translate(z)
         _, v_star = santalo_point(b)
         assert b.volume() * v_star <= ball_volume(g.dim) ** 2 + 1e-8
 
@@ -158,9 +158,9 @@ def test_report_chain_on_bodies(g1, g2):
     # radius/width/polar bounds, must pass on assorted bodies of any volume
     shapes = [
         make_shape(g1, "ellipsoid", semiaxes=(1.5, 0.8)),
-        make_shape(g1, "random_valid", seed=12, translation=0.3),
+        make_shape(g1, "random_valid", seed=12).translate([0.18, -0.24]),
         make_shape(g1, "ball", radius=0.5),
-        make_shape(g2, "random_valid", seed=3, translation=0.15),
+        make_shape(g2, "random_valid", seed=3).translate([0.09, 0.0, -0.12]),
         make_shape(g2, "harmonic", modes=[(2, 1, 0.12), (4, -3, 0.04)]),
     ]
     for b in shapes:
@@ -229,12 +229,12 @@ def test_mc_log_integral_degenerate_unit_ball(g1):
 
 
 def test_mc_matches_quadrature(g1, g2):
-    for g, kind, kw in [
-        (g1, "ellipsoid", dict(semiaxes=(1.3, 1 / 1.3))),
-        (g1, "random_valid", dict(seed=5, translation=0.2)),
-        (g2, "random_valid", dict(seed=2, translation=0.1)),
+    for kind, b in [
+        ("ellipsoid", make_shape(g1, "ellipsoid", semiaxes=(1.3, 1 / 1.3))),
+        ("random_valid", make_shape(g1, "random_valid", seed=5).translate([0.12, -0.16])),
+        ("random_valid", make_shape(g2, "random_valid", seed=2).translate([0.06, 0.0, -0.08])),
     ]:
-        b = make_shape(g, kind, **kw)
+        g = b.grid
         est, se = mc_log_integral(b, samples=100_000, seed=13)
         quad = sphere_area(g.dim) * average(g, np.log(b.support))
         assert abs(est - quad) <= 3 * se, f"{kind}: z={(est - quad) / se:.2f}"

@@ -78,8 +78,9 @@ def test_first_variation_matches_finite_difference(g1, g2):
     eta = 1e-5
     for g in (g1, g2):
         for _ in range(5):
+            z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
             body = make_shape(g, "random_valid", seed=int(rng.integers(10000)),
-                              amplitude=0.2, translation=0.1)
+                              amplitude=0.2).translate(z)
             if g.dim == 1:
                 modes = [(k, float(rng.normal()), float(rng.normal()))
                          for k in (2, 3, 5)]

@@ -97,6 +97,27 @@ def test_antipodes_index_the_antipodal_nodes(dim, kwargs):
     assert not idx.flags.writeable
 
 
+def test_node_operations_are_the_coordinate_expressions(g1, g2):
+    # body, entropy, soliton and verify reach the node coordinates only
+    # through these operations, which a kind with other coordinates
+    # overrides; on the Cartesian nodes each is its callers' expression, in
+    # their order of evaluation, bit for bit
+    for grid in (g1, g2):
+        rng = np.random.default_rng(grid.dim)
+        x, w, n = grid.nodes, grid.weights, grid.dim
+        z = rng.normal(size=n + 1)
+        f, h = rng.uniform(0.5, 2.0, size=(2, grid.n_nodes))
+        grad = rng.normal(size=(grid.n_nodes, n))
+        assert np.array_equal(grid._linear(z), x @ z)
+        assert np.array_equal(grid._moment(f), (w * f) @ x)
+        assert np.array_equal(grid._second_moment(f, h), (x.T * (w * f * h)) @ x)
+        # the Santalo Hessian scales the weighted x^T before the product
+        assert np.array_equal(grid._second_moment(f, scale=n + 2), ((n + 2) * (x.T * (w * f))) @ x)
+        assert np.array_equal(grid._widths(f), f + f[grid.antipodes])
+        assert np.array_equal(grid._position(f, grad),
+                              f[:, None] * x + np.einsum("na,naj->nj", grad, grid.frames))
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
