@@ -260,35 +260,62 @@ def inradius(body: ConvexBody):
     """Inradius and incenter (largest ball inside the body), exact over the nodes.
 
     Solves the linear program  max r  subject to  <z, x_i> + r <= u_i  by
-    dual-simplex pivots over bases of dim+2 node rows.  The first rows are
-    the 2(dim+1) nodes that maximize +/-x_j; they positively span the space,
-    so every restricted problem is bounded.  Each round takes, among the
-    nonsingular (dim+2)-subsets of the rows, the vertex that is primal
-    feasible on the rows and dual feasible (multipliers >= 0), hence optimal
-    for them, and adds the most violated node to its basis, until no node is
-    violated beyond relative round-off.  Returns (radius, center), the
-    radius being min over nodes of u - <z, x>.
+    dual-simplex pivots on one basis B of dim+2 node rows.
+
+    Start: the 2(dim+1) nodes that maximize +/-x_j positively span the
+    space, so the problem restricted to them is bounded.  Among their
+    nonsingular (dim+2)-subsets, the start basis is the vertex that is
+    primal feasible on them and dual feasible (multipliers, the last row of
+    B^-1, >= 0), hence optimal for them.
+
+    Pivot: the most violated node enters.  With lambda = row @ B^-1 its row
+    in the basis's coordinates, the ratio test removes, among the rows with
+    lambda_i > round-off, the one with the least multiplier / lambda_i (the
+    earliest to enter on a tie), which keeps every multiplier >= 0.  B^-1
+    takes the rank-one pivot update; no subset is enumerated again.  The
+    pivots stop when no node is violated beyond relative round-off.
+
+    Result: the basis rows are kept in order of entry, the leaving row's
+    successors moving up and the entering row appended, and the vertex is
+    solved afresh from them in that order, so the update's drift stays out
+    of the result.  Returns (radius, center), the radius being min over
+    nodes of u - <z, x>.
     """
     u, x = body.support, body.grid.nodes
     rows = np.hstack([x, np.ones((len(u), 1))])
     tol = _ROUNDOFF * float(np.max(u))
-    active = np.unique(np.concatenate([np.argmax(x, axis=0), np.argmin(x, axis=0)]))
+    start = np.unique(np.concatenate([np.argmax(x, axis=0), np.argmin(x, axis=0)]))
+    bases = np.array(list(combinations(start, body.dim + 2)))
+    bases = bases[np.abs(np.linalg.det(rows[bases])) > _ROUNDOFF]
+    invs = np.linalg.inv(rows[bases])  # last row: the dual multipliers
+    vertices = np.einsum("bij,bj->bi", invs, u[bases])  # (z, r) per basis
+    optimal = np.all(invs[:, -1, :] >= -_ROUNDOFF, axis=1) & np.all(
+        rows[start] @ vertices.T <= u[start, None] + tol, axis=0)
+    if not np.any(optimal):
+        raise SolverError("inradius: no optimal basis among the restricted rows")
+    best = np.flatnonzero(optimal)[np.argmax(vertices[optimal, -1])]
+    basis, inv, vertex = bases[best], invs[best], vertices[best]
     for _ in range(len(u)):
-        bases = np.array(list(combinations(active, body.dim + 2)))
-        bases = bases[np.abs(np.linalg.det(rows[bases])) > _ROUNDOFF]
-        inv = np.linalg.inv(rows[bases])  # last row: the dual multipliers
-        vertex = np.einsum("bij,bj->bi", inv, u[bases])  # (z, r) per basis
-        optimal = np.all(inv[:, -1, :] >= -_ROUNDOFF, axis=1) & np.all(
-            rows[active] @ vertex.T <= u[active, None] + tol, axis=0)
-        if not np.any(optimal):
-            raise SolverError("inradius: no optimal basis among the restricted rows")
-        best = np.flatnonzero(optimal)[np.argmax(vertex[optimal, -1])]
-        slack = u - x @ vertex[best, :-1]
-        worst = int(np.argmin(slack))
-        if slack[worst] >= vertex[best, -1] - tol:
-            return float(slack[worst]), vertex[best, :-1]
-        active = np.append(bases[best], worst)
-    raise SolverError(f"inradius: no optimum after {len(u)} pivots")
+        slack = u - x @ vertex[:-1]
+        worst = int(slack.argmin())
+        if slack[worst] >= vertex[-1] - tol:
+            break
+        lam = rows[worst] @ inv
+        ratio = np.divide(inv[-1], lam, out=np.full(len(lam), np.inf), where=lam > _ROUNDOFF)
+        leave = int(ratio.argmin())
+        if ratio[leave] == np.inf:
+            raise SolverError("inradius: no leaving row in the ratio test")
+        column = inv[:, leave] / lam[leave]
+        inv -= column[:, None] * lam
+        # the rows stay in order of entry: the leaving row's successors move up
+        inv[:, leave:-1], inv[:, -1] = inv[:, leave + 1:], column
+        basis[leave:-1], basis[-1] = basis[leave + 1:], worst
+        vertex = inv @ u[basis]
+    else:
+        raise SolverError(f"inradius: no optimum after {len(u)} pivots")
+    vertex = np.einsum("bij,bj->bi", np.linalg.inv(rows[basis][None]), u[basis][None])[0]
+    slack = u - x @ vertex[:-1]
+    return float(np.min(slack)), vertex[:-1]
 
 
 def circumradius(body: ConvexBody):

@@ -319,6 +319,21 @@ def _sample_chunks(seed: int, n_samples: int):
         yield Generator(base.jumped(n_full)), rem
 
 
+def _unit_rows(v):
+    """The rows of v divided by their lengths, in place; returns v.
+
+    The squares are summed column by column, in the order in which
+    ``np.linalg.norm(v, axis=1)`` adds them, so every row has the same bits
+    as ``v / np.linalg.norm(v, axis=1, keepdims=True)``; the column loop
+    avoids numpy's slow reduction over an axis of length 2 or 3.
+    """
+    norm = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        norm += v[:, j] * v[:, j]
+    v /= np.sqrt(norm, out=norm)[:, None]
+    return v
+
+
 def _mc_args(body: ConvexBody, z, samples, seed):
     """The oracles' argument check: ``samples`` an integer >= 10^4, ``seed``
     an integer >= 0 and z (default the origin) interior; a z of the wrong
@@ -354,7 +369,8 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     without the screen makes.  ``inside`` is thus the same array as with
     ``grid.eval`` at every direction, bit for bit.  The directions are unit
     vectors by construction and are not checked again; ``grid.eval`` checks
-    those of a chunk that falls back.
+    those of a chunk that falls back.  They are normalized in place by
+    ``_unit_rows``, whose column sums give the bits of ``np.linalg.norm``.
     """
     grid = body.grid
     coeffs = grid.analyze(body.support)
@@ -383,8 +399,7 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
 
     total = total_sq = 0.0
     for rng, count in _sample_chunks(seed, samples):
-        v = rng.normal(size=(count, body.dim + 1))
-        dirs = v / np.linalg.norm(v, axis=1, keepdims=True)
+        dirs = _unit_rows(rng.normal(size=(count, body.dim + 1)))
         r = radius(rng.random(count))
         f = integrand(dirs, r, membership(dirs, r))
         total = total + np.sum(f, axis=0)

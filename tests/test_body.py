@@ -6,6 +6,7 @@ formulas used by the implementation.
 """
 
 import warnings
+from itertools import combinations
 from math import comb, pi
 
 import numpy as np
@@ -401,6 +402,43 @@ def test_inradius_matches_linprog(group):
         r, z = inradius(body)
         assert abs(r + ref.fun) < 1e-12
         assert np.max(x @ z + r - u) < 1e-12
+
+
+def _subset_inradius(body):
+    """The former inradius solver: every round enumerates the (dim+2)-subsets
+    of the active rows and keeps the best optimal one, then adds the most
+    violated node."""
+    u, x = body.support, body.grid.nodes
+    rows = np.hstack([x, np.ones((len(u), 1))])
+    tol = 1e-12 * float(np.max(u))
+    active = np.unique(np.concatenate([np.argmax(x, axis=0), np.argmin(x, axis=0)]))
+    for _ in range(len(u)):
+        bases = np.array(list(combinations(active, body.dim + 2)))
+        bases = bases[np.abs(np.linalg.det(rows[bases])) > 1e-12]
+        inv = np.linalg.inv(rows[bases])
+        vertex = np.einsum("bij,bj->bi", inv, u[bases])
+        optimal = np.all(inv[:, -1, :] >= -1e-12, axis=1) & np.all(
+            rows[active] @ vertex.T <= u[active, None] + tol, axis=0)
+        best = np.flatnonzero(optimal)[np.argmax(vertex[optimal, -1])]
+        slack = u - x @ vertex[best, :-1]
+        worst = int(np.argmin(slack))
+        if slack[worst] >= vertex[best, -1] - tol:
+            return float(slack[worst]), vertex[best, :-1]
+        active = np.append(bases[best], worst)
+    raise AssertionError("the subset solver did not stop")
+
+
+@pytest.mark.parametrize("group", REFERENCE_GROUPS + ["amplitude-0.3"])
+def test_inradius_matches_subset_solver(group):
+    # the dual simplex reaches the subset solver's radius; at a degenerate
+    # optimum the two may stop on different bases of one vertex
+    if group == "amplitude-0.3":
+        bodies = [make_shape(verify.desk_grid(dim), "random_valid", seed=s, amplitude=0.3,
+                             normalize=True) for dim in (1, 2) for s in range(50)]
+    else:
+        bodies = _reference_bodies(group)
+    for body in bodies:
+        assert abs(inradius(body)[0] - _subset_inradius(body)[0]) <= 1e-14
 
 
 @pytest.mark.parametrize("group", REFERENCE_GROUPS)

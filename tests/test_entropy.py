@@ -267,6 +267,18 @@ def test_mc_oracles_check_their_arguments(g1, oracle, kw):
         oracle(b, **{"samples": 10_000, **kw})
 
 
+@pytest.mark.parametrize("columns", [2, 3])
+def test_unit_rows_is_the_norm_bit_for_bit(columns):
+    # v / sqrt(einsum("ij,ij->i", v, v)) fails this on 3 columns
+    rng, count = next(entropy._sample_chunks(11, entropy.MC_CHUNK))
+    assert count == 65_536
+    v = rng.normal(size=(count, columns))
+    expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+    dirs = entropy._unit_rows(v)
+    assert dirs is v
+    assert np.all(dirs == expected)
+
+
 def _reference_mc_mean(body, z, samples, seed, radius, integrand):
     """The oracles' sampler with ``grid.eval`` at every direction: the
     reference for the screened membership of ``entropy._mc_mean``."""
