@@ -18,9 +18,12 @@ explicitly; the weights are functions of dt L, evaluated in closed form
 for dt L <= -1 and by their Taylor series on (-1, 0], where the closed
 forms cancel (Kassam-Trefethen 2005).  L is clipped to <= 0:
 the positive rates at l <= 1 would be amplified by e^{cS dt} at a start
-body of large curvature, where S runs into the hundreds.  L is zero on
-every masked mode, and N(u) = mask * analyze(F(u)) - L u^, so masked
-coefficients stay frozen exactly.
+body of large curvature, where S runs into the hundreds.  N(u) =
+mask * (analyze(F(u)) - L u^) is zero on every masked mode, so a masked
+coefficient decays as e^{t L_l}, the linear damping of its degree: a
+frozen tail, amplified about l^2 by det A, would put a floor under the
+soliton residual.  L_1 = 0, so the degree-1 part that recentering masks
+passes a step unchanged.
 
 ``run`` takes the step size from accuracy, by step doubling.  A step of dt
 is taken whole and as two steps of dt/2; the Richardson estimate of the
@@ -307,17 +310,17 @@ def _start_stage(body: ConvexBody, normalized: bool, recenter: bool) -> tuple:
     # linearized about the round sphere the velocity is Delta + (n+1) (normalized)
     # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
     c_0 = n + 1 if normalized else n
-    lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0) * mask
+    lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0)
     u_hat = grid.analyze(body.support)
     remainder = body.support - grid.synthesize(u_hat)
     return mask, lin, u_hat, remainder, _nonlinear(body, u_hat, normalized, mask, lin)
 
 
 def _nonlinear(body: ConvexBody, coeffs, normalized: bool, mask, lin):
-    """N = mask * analyze(F(u)) - L u^ of a body whose coefficients are coeffs."""
+    """N = mask * (analyze(F(u)) - L u^) of a body whose coefficients are coeffs."""
     gauss = body.curvature.gauss
     vel = body.support - gauss if normalized else -gauss
-    return body.grid.analyze(vel) * mask - lin * coeffs
+    return (body.grid.analyze(vel) - lin * coeffs) * mask
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",

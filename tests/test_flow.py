@@ -197,10 +197,11 @@ def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, 
 
 
 @pytest.mark.parametrize("recenter", [False, True])
-def test_step_leaves_masked_coefficients_bit_identical(flow_body, recenter, monkeypatch):
+def test_step_damps_masked_coefficients_by_the_linear_part(flow_body, recenter, monkeypatch):
     # every coefficient the filter masks (above the 2/3 cut, and l = 1 when
-    # recentering) has L = 0 and N = 0, so it passes through the step
-    # unchanged, bit for bit.  A translation gives the start body l = 1
+    # recentering) has N = 0, so the step multiplies it by e^{dt L_l}: the
+    # tail decays at the linear rate of its degree.  L_1 = 0, so a recentered
+    # l = 1 passes bit for bit.  A translation gives the start body l = 1
     # content.  The step's first analysis is of its start support and its
     # last jet synthesis is of the result's coefficients.
     body = flow_body.translate(np.full(flow_body.dim + 1, 0.02))
@@ -210,13 +211,37 @@ def test_step_leaves_masked_coefficients_bit_identical(flow_body, recenter, monk
     _spy(monkeypatch, "analyze", lambda args, kwargs, result: analyses.append(result))
     _spy(monkeypatch, "synthesize",
          lambda args, kwargs, result: jets.append(args[0].copy()) if kwargs.get("jet") else None)
-    step(body, 0.25 * stable_dt(body), "normalized", recenter)
+    dt = 0.25 * stable_dt(body)
+    step(body, dt, "normalized", recenter)
     np.testing.assert_array_equal(analyses[0], start)
+    n, l = body.dim, np.arange(start.shape[-1])  # the degree is the last axis
+    c = body.curvature
+    lin = 0.5 * np.max(c.gauss / c.min_eig_a) * np.minimum(n + 1 - l * (l + n - 1.0), 0.0)
     masked = grid.degree_mask(DEALIAS_FRAC, recenter) == 0.0
     assert np.abs(start[..., 1]).max() > 1e-3
-    assert np.array_equal(jets[-1][..., masked], start[..., masked])
+    np.testing.assert_allclose(jets[-1][..., masked], (np.exp(dt * lin) * start)[..., masked],
+                               rtol=1e-14, atol=0.0)
+    tail = grid.degree_mask(DEALIAS_FRAC) == 0.0
+    nonzero = np.abs(start[..., tail]) > 0.0
+    assert np.all(np.abs(jets[-1][..., tail][nonzero]) < np.abs(start[..., tail][nonzero]))
     assert not np.array_equal(jets[-1][..., ~masked], start[..., ~masked])
     assert np.array_equal(jets[-1][..., 1], start[..., 1]) == recenter
+
+
+def test_damped_tail_lets_the_residual_reach_round_off():
+    # the S^2 gate ellipsoid, recentered and normalized, to t = 8: with the
+    # masked tail frozen the residual floored at 6.2e-8 and its slope over
+    # [1e-7, 1e-4] was 2.83; damped, it falls at the rate n+1 = 3 of the
+    # slowest degree to about 2e-11
+    body = make_shape(desk_grid(2), "ellipsoid", semiaxes=(1.2, 1.0, 1 / 1.2), normalize=True)
+    trace, _ = run(body, FlowConfig(t_end=8.0, output_stride=1, soliton_tol=0.0,
+                                    recenter=True))
+    residual = trace.column("soliton_residual")
+    assert residual[-1] <= 1e-10
+    window = (residual >= 1e-7) & (residual <= 1e-4)
+    assert np.count_nonzero(window) >= 10
+    rate = -np.polyfit(trace.t[window], np.log(residual[window]), 1)[0]
+    assert abs(rate - 3.0) <= 1e-2
 
 
 def test_linear_part_only_damps(flow_body):
