@@ -15,12 +15,14 @@ embedding X = u x + grad u are computed on first access and then kept.
 
 The curvature comes from one ``derivative_bundle`` of the support, or from a
 jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
-for its ETDRK4 stage bodies).  ``scale`` rescales the stored curvature instead
-of transforming again: A is linear in u, so det A, trace A, the least
-eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and f.
-Either way the body is validated at the same thresholds.  The two routes
-agree up to round-off only (a few 1e-12 relative): rebuilding a body from
-its support can move its curvature, and what is read from it, by that much.
+for the body each step builds).  ``scale`` rescales the stored curvature
+instead of transforming again: A is linear in u, so det A, trace A, the
+least eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and
+f.  Either way the body is validated at the same thresholds, by the tests
+the flow also applies to its stages (``_check_support``,
+``_check_convexity``).  The two routes agree up to round-off only (a few
+1e-12 relative): rebuilding a body from its support can move its
+curvature, and what is read from it, by that much.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
@@ -78,8 +80,7 @@ class CurvatureData:
     them in the instance dict, which a frozen dataclass permits.)
 
     The arrays depend, at round-off level, on how the body was built: a body
-    from :meth:`ConvexBody.from_jet` (the flow's stage bodies and the result
-    of one ``flow.step``) or :meth:`ConvexBody.scale` carries curvature that
+    from :meth:`ConvexBody.from_jet` (the bodies the flow's steps build) or :meth:`ConvexBody.scale` carries curvature that
     can differ from ``ConvexBody(grid, body.support).curvature`` by a few
     1e-12 relative, because derivatives synthesized from coefficients (or
     rescaled) round differently from derivatives of the samples.
@@ -138,19 +139,10 @@ class ConvexBody:
         u = self.grid.check_field(self.support).copy()
         u.setflags(write=False)
         object.__setattr__(self, "support", u)
-        u_min = float(u.min())
-        if u_min <= MIN_SUPPORT:
-            raise BodyValidityError(
-                "positivity", f"min support {u_min:.3e} <= {MIN_SUPPORT:.0e}"
-            )
+        _check_support(u)
         if _invariants is not None:
             self.__dict__["curvature"] = self._curvature_data(*_invariants)
-        eig = float(self.curvature.min_eig_a.min())
-        if eig <= MIN_CURVATURE_EIG:
-            raise BodyValidityError(
-                "convexity",
-                f"min curvature-matrix eigenvalue {eig:.3e} <= {MIN_CURVATURE_EIG:.0e}",
-            )
+        _check_convexity(self.curvature.min_eig_a)
 
     @classmethod
     def from_jet(cls, jet: SupportJet) -> "ConvexBody":
@@ -237,6 +229,23 @@ class ConvexBody:
             rescale(c.adj_trace_a, n - 1), rescale(c.grad, 1)))
 
 
+def _check_support(u: np.ndarray) -> None:
+    """The positivity test of a body, on its support samples or on the value
+    rows of a stack of flow stages."""
+    u_min = float(u.min())
+    if u_min <= MIN_SUPPORT:
+        raise BodyValidityError("positivity", f"min support {u_min:.3e} <= {MIN_SUPPORT:.0e}")
+
+
+def _check_convexity(min_eig: np.ndarray) -> None:
+    """The definiteness test of a body's A, on the least eigenvalues of a
+    body or of a stack of flow stages."""
+    eig = float(min_eig.min())
+    if eig <= MIN_CURVATURE_EIG:
+        raise BodyValidityError(
+            "convexity", f"min curvature-matrix eigenvalue {eig:.3e} <= {MIN_CURVATURE_EIG:.0e}")
+
+
 def normalize_volume(body: ConvexBody) -> ConvexBody:
     """Rescale so the volume equals the unit-ball volume exactly.
 
@@ -244,8 +253,13 @@ def normalize_volume(body: ConvexBody) -> ConvexBody:
     factor is (V_ball / V)^(1/(dim+1)).  It costs one quadrature: ``scale``
     rescales the curvature.
     """
-    factor = (ball_volume(body.dim) / body.volume()) ** (1.0 / (body.dim + 1))
-    return body.scale(factor)
+    return body.scale(_volume_factor(body))
+
+
+def _volume_factor(body: ConvexBody) -> float:
+    """The dilation factor of :func:`normalize_volume`, which the flow also
+    applies to the coefficients it carries beside the body."""
+    return (ball_volume(body.dim) / body.volume()) ** (1.0 / (body.dim + 1))
 
 
 # ---------------------------------------------------------------------------

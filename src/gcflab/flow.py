@@ -25,12 +25,15 @@ frozen tail, amplified about l^2 by det A, would put a floor under the
 soliton residual.  L_1 = 0, so the degree-1 part that recentering masks
 passes a step unchanged.
 
-``run`` takes the step size from accuracy, by step doubling.  A step of dt
-is taken whole and as two steps of dt/2; the Richardson estimate of the
-error, the area-RMS of u_dt - u_{dt/2,dt/2} over 15 relative to the RMS of
-u, is held to ``STEP_TOL``.  An accepted step keeps the locally
-extrapolated u + (u - u_dt)/15 of the two half steps, a body built from
-that support (one ``derivative_bundle``); the next dt is
+``run`` takes the step size from accuracy, by step doubling: Richardson
+extrapolation of one ETDRK4 map.  An attempt freezes L at its start body's
+and advances the map once by dt (u_dt) and twice by dt/2 (u_{dt/2,dt/2});
+ETDRK4 is 4th order for any fixed L, so the pair compares one method at
+two step sizes and their difference is O(dt^5).  The Richardson estimate
+of the error, the area-RMS of u_dt - u_{dt/2,dt/2} over 15 relative to
+the RMS of u, is held to ``STEP_TOL``.  An accepted step keeps the
+locally extrapolated u + (u - u_dt)/15 of the two half steps, a body built
+from the same combination of their jets; the next dt is
 dt * 0.8 (STEP_TOL / err)^(1/5), within [0.2, 5] times dt, and a step
 whose estimate exceeds the tolerance is retried at that smaller dt.
 ``STEP_TOL`` is set by the closed-form trajectories: it keeps the
@@ -40,7 +43,7 @@ parabolic step limit, short enough that the gate's runs start without a
 rejection.  A step whose stage leaves the valid-body cone is retried at
 dt/2; collapse below ``DT_FLOOR`` raises :class:`StiffnessError` with the
 last state attached.  ``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps
-instead, with no doubling.
+instead, with no doubling; the public :func:`step` is the same map once.
 
 The velocity is dealiased with a 2/3-rule filter.  Evaluating
 1/det A pointwise on the dimension-2 grid aliases the top of the spectral
@@ -64,17 +67,24 @@ a round endpoint.
 Cost of a step.  The filter and the recentering are masks on coefficients
 (:meth:`SphereGrid.degree_mask`), exact for a band-limited field.  The
 nodal remainder u - synthesize(u^), which the coefficients do not hold on
-S^2, is kept fixed beside them and added to row 0 of every stage jet.  A
-step makes one analysis and one synthesis per body: five analyses (the
-start support and the velocities of the start and of the three stages) and
-five syntheses (the remainder, and the jets of the three stages and of the
-result), and no ``derivative_bundle``.  Stage bodies read their curvature
-from the synthesized jet rows and are validated at the same thresholds as
-any body.  A doubled attempt computes the start's analysis, remainder and
-velocity analysis once for the whole and the first half step, and their
-weights in one call: 13 analyses, 15 syntheses (one of them the
-extrapolated body's ``derivative_bundle``).  Volume projection rescales the
-accepted body's curvature (one quadrature).
+S^2, is kept fixed beside them and added to row 0 of every stage jet.
+Stages are not bodies: each is a synthesized jet whose value row and
+least eigenvalue of A pass the same validity tests as any body
+(``body._check_support``, ``body._check_convexity``), then one analysis of
+its velocity.  The map's kernels take a leading stack axis, so the whole
+step and the first half step of an attempt advance as one two-row stack,
+with the weights at dt L and dt L / 2 from one call; the second half step
+starts from the first's coefficients and N.  An attempt makes 7 analyses
+and 8 syntheses (three stacked stages, the stacked ends, the first half's
+velocity, three stages and the fine end) and builds one body, the
+accepted one, from the extrapolated jet.  ``run`` carries the coefficients
+and the remainder beside the body, scaling both by the volume-projection
+factor, so it analyzes the support once per run; each accepted step adds
+the start's velocity analysis.  A public :func:`step` from a body makes
+five analyses (the start support, the velocities of the start and of the
+three stages) and five syntheses (the remainder, three stages and the
+result).  Volume projection rescales the accepted body's curvature (one
+quadrature).
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -86,10 +96,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
-from .body import ConvexBody, normalize_volume
+from .body import ConvexBody, _check_convexity, _check_support, _volume_factor, normalize_volume
 from .entropy import chow_entropy, entropy_point, firey_entropy
 from .errors import (
     BodyValidityError,
@@ -99,7 +110,7 @@ from .errors import (
     StiffnessError,
     _check_integer,
 )
-from .sphere import average, degree_one
+from .sphere import SphereGrid, SupportJet, average, degree_one
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -247,8 +258,9 @@ def _stiffness(body: ConvexBody) -> float:
     return 0.5 * float(np.max(c.gauss / c.min_eig_a))
 
 
-def _weight_forms(w: np.ndarray):
-    """(Q, f1, f2, f3) of the ETDRK4 step at w = dt L, divided by dt:
+def _weight_forms(w: np.ndarray, e_half: np.ndarray, e_w: np.ndarray):
+    """(Q, f1, f2, f3) of the ETDRK4 step at w = dt L, divided by dt, given
+    e_half = e^{w/2} and e_w = e^w:
 
         Q  = (e^{w/2} - 1) / w
         f1 = (-4 - w + e^w (4 - 3w + w^2)) / w^3
@@ -256,10 +268,9 @@ def _weight_forms(w: np.ndarray):
         f3 = (-4 - 3w - w^2 + e^w (4 - w)) / w^3
 
     Elementwise, for real or complex w != 0."""
-    e_w = np.exp(w)
     w2 = w * w
     inv_w3 = 1.0 / (w2 * w)
-    return ((np.exp(0.5 * w) - 1.0) / w,
+    return ((e_half - 1.0) / w,
             (-4.0 - w + e_w * (4.0 - 3.0 * w + w2)) * inv_w3,
             (2.0 + w + e_w * (w - 2.0)) * inv_w3,
             (-4.0 - 3.0 * w - w2 + e_w * (4.0 - w)) * inv_w3)
@@ -286,24 +297,63 @@ def _etd_weights(z: np.ndarray):
     :func:`_weight_forms`).
 
     For z <= -1 the forms are evaluated as written.  On (-1, 0], where their
-    numerators cancel, they are the 18-term Taylor series ``_TAYLOR``,
-    summed by Horner's rule; the first omitted term is at most 1.3e-16 of
-    the value.  Against exact rational sums of the series at 1199 points of
-    [-2.5, 0] the largest relative error is 4.8e-16 on (-1, 0] and 9.6e-15
-    below, where the closed forms still cancel in part."""
-    near = np.maximum(z, -1.0).ravel()
-    series = np.zeros((4, near.size))
-    for coeffs in _TAYLOR[:, ::-1].T:
-        series *= near
-        series += coeffs[:, None]
-    weights = np.where(z > -1.0, series.reshape(4, *z.shape),
-                       _weight_forms(np.minimum(z, -1.0)))
-    return (np.exp(0.5 * z), np.exp(z), *weights)
+    numerators cancel, they are the 18-term Taylor series ``_TAYLOR``, one
+    matrix product against the powers z^j (running products); the first
+    omitted term is at most 1.3e-16 of the value.  Only the few lowest
+    degrees of a step fall there, so the series is summed at those entries
+    alone.  Against exact rational sums of the series at 1199 evenly spaced
+    points of [-2.5, 0] the largest relative error is 7.5e-16 on (-1, 0]
+    (4.8e-16 by Horner's rule) and 1.1e-14 below, where the closed forms
+    still cancel in part."""
+    e_half, e_z = np.exp(0.5 * z), np.exp(z)
+    weights = np.array(_weight_forms(np.minimum(z, -1.0), e_half, e_z)).reshape(4, -1)
+    flat = z.ravel()
+    near = np.flatnonzero(flat > -1.0)
+    powers = np.cumprod(np.broadcast_to(flat[near], (_TAYLOR.shape[1] - 1, near.size)), axis=0)
+    weights[:, near] = _TAYLOR[:, :1] + _TAYLOR[:, 1:] @ powers
+    return (e_half, e_z, *weights.reshape(4, *z.shape))
 
 
-def _start_stage(body: ConvexBody, normalized: bool, recenter: bool) -> tuple:
-    """What a step takes from its start body alone, whatever its dt:
-    (mask, L, u^, the nodal remainder u - synthesize(u^), N(u))."""
+class _Frozen(NamedTuple):
+    """What every stage of a step from one body shares, whatever its dt:
+    the grid, the mode, the mask, L and the nodal remainder u - synthesize(u^)
+    of the start.  Its methods take a coefficient array or a stack of them
+    (the whole and the first half step of an attempt)."""
+
+    grid: SphereGrid
+    normalized: bool
+    mask: np.ndarray
+    lin: np.ndarray
+    remainder: np.ndarray
+
+    def stage(self, coeffs):
+        """(jet, det A) of the stages whose coefficients are ``coeffs``, the
+        remainder added to the value row; raises BodyValidityError, at the
+        thresholds of any body, if a stage leaves the valid-body cone."""
+        jet = self.grid.synthesize(coeffs, jet=True)
+        jet.rows[..., 0, :] += self.remainder
+        _check_support(jet.values)
+        det, _, least, _ = self.grid.radii_invariants(jet)
+        _check_convexity(least)
+        return jet, det
+
+    def nonlinear(self, support, gauss, coeffs):
+        """N = mask * (analyze(F(u)) - L u^) of the fields with these support
+        values, Gauss curvature and coefficients."""
+        vel = support - gauss if self.normalized else -gauss
+        return (self.grid.analyze(vel) - self.lin * coeffs) * self.mask
+
+    def stage_nonlinear(self, coeffs):
+        """N of the stages whose coefficients are ``coeffs``."""
+        jet, det = self.stage(coeffs)
+        return self.nonlinear(jet.values, 1.0 / det, coeffs)
+
+
+def _start_stage(body: ConvexBody, normalized: bool, recenter: bool,
+                 coeffs: np.ndarray = None, remainder: np.ndarray = None) -> tuple:
+    """(:class:`_Frozen`, u^, N(u)) of a step from ``body``.  A run passes
+    the coefficients and remainder it carries; otherwise the support is
+    analyzed here."""
     grid = body.grid
     mask = grid.degree_mask(DEALIAS_FRAC, recenter)
     n, l = body.dim, np.arange(mask.size)  # the index along the degree axis is l
@@ -311,55 +361,55 @@ def _start_stage(body: ConvexBody, normalized: bool, recenter: bool) -> tuple:
     # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
     c_0 = n + 1 if normalized else n
     lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0)
-    u_hat = grid.analyze(body.support)
-    remainder = body.support - grid.synthesize(u_hat)
-    return mask, lin, u_hat, remainder, _nonlinear(body, u_hat, normalized, mask, lin)
+    if coeffs is None:
+        coeffs = grid.analyze(body.support)
+        remainder = body.support - grid.synthesize(coeffs)
+    frozen = _Frozen(grid, normalized, mask, lin, remainder)
+    return frozen, coeffs, frozen.nonlinear(body.support, body.curvature.gauss, coeffs)
 
 
-def _nonlinear(body: ConvexBody, coeffs, normalized: bool, mask, lin):
-    """N = mask * (analyze(F(u)) - L u^) of a body whose coefficients are coeffs."""
-    gauss = body.curvature.gauss
-    vel = body.support - gauss if normalized else -gauss
-    return (body.grid.analyze(vel) - lin * coeffs) * mask
+def _step_weights(lin: np.ndarray, dt):
+    """The ETDRK4 weights of :func:`_etd_weights` at z = dt L, the last four
+    times dt; ``dt`` is a number or has a stack axis in front."""
+    e2, e1, q, f1, f2, f3 = _etd_weights(dt * lin)
+    return e2, e1, dt * q, dt * f1, dt * f2, dt * f3
+
+
+def _etdrk4(frozen: _Frozen, u_hat, n_u, weights):
+    """The ETDRK4 map (Cox-Matthews 2002) from coefficients u^ with N(u) =
+    ``n_u``: the coefficients one step later, per stack row of the
+    ``weights`` (:func:`_step_weights`).  Raises BodyValidityError if a
+    stage leaves the valid-body cone."""
+    e2, e1, q, f1, f2, f3 = weights
+    a = e2 * u_hat + q * n_u
+    n_a = frozen.stage_nonlinear(a)
+    b = e2 * u_hat + q * n_a
+    n_b = frozen.stage_nonlinear(b)
+    c = e2 * a + q * (2.0 * n_b - n_u)
+    n_c = frozen.stage_nonlinear(c)
+    return e1 * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c
+
+
+def _single_step(frozen: _Frozen, u_hat, n_u, dt: float):
+    """One ETDRK4 step of dt: (the body, its coefficients)."""
+    coeffs = _etdrk4(frozen, u_hat, n_u, _step_weights(frozen.lin, dt))
+    jet = frozen.grid.synthesize(coeffs, jet=True)
+    jet.rows[0] += frozen.remainder
+    return ConvexBody.from_jet(jet), coeffs
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",
-         recenter: bool = False, *, _start: tuple = None,
-         _weights: tuple = None) -> ConvexBody:
+         recenter: bool = False) -> ConvexBody:
     """One ETDRK4 step (Cox-Matthews) in coefficient space; raises
     StepRejected if any stage leaves the valid-body cone (the caller
-    retries with a smaller dt).
-
-    ``_start`` and ``_weights`` are the package's own hook, not part of the
-    interface: :func:`_doubled_step` passes the start stage of ``body``
-    (:func:`_start_stage`) and the weights at dt L, which it shares between
-    the whole and the first half step."""
+    retries with a smaller dt)."""
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    normalized = mode == "normalized"
-    grid = body.grid
-    mask, lin, u_hat, remainder, n_u = _start or _start_stage(body, normalized, recenter)
-    e2, e1, q, f1, f2, f3 = _weights or _etd_weights(dt * lin)
-    q, f1, f2, f3 = dt * q, dt * f1, dt * f2, dt * f3
-
-    def nonlinear(coeffs):
-        return _nonlinear(stage(coeffs), coeffs, normalized, mask, lin)
-
-    def stage(coeffs):
-        jet = grid.synthesize(coeffs, jet=True)
-        jet.rows[0] += remainder
-        return ConvexBody.from_jet(jet)
-
+    start = _start_stage(body, mode == "normalized", recenter)
     try:
-        a = e2 * u_hat + q * n_u
-        n_a = nonlinear(a)
-        b = e2 * u_hat + q * n_a
-        n_b = nonlinear(b)
-        c = e2 * a + q * (2.0 * n_b - n_u)
-        n_c = nonlinear(c)
-        return stage(e1 * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
+        return _single_step(*start, dt)[0]
     except BodyValidityError as exc:
         raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
 
@@ -408,9 +458,9 @@ def run(body: ConvexBody, config: FlowConfig):
     ``MAX_STEPS`` before ``t_end`` raises SolverError.
 
     The recorded curvature columns, the residual and the final body's
-    curvature are those of the stepped bodies: with volume projection they
-    are rescaled (see :class:`~gcflab.body.CurvatureData`), and with
-    ``fixed_dt`` they are read from a stage jet.
+    curvature are those of the stepped bodies: read from the jet the step
+    synthesized and, with volume projection, rescaled (see
+    :class:`~gcflab.body.CurvatureData`).
     ``ConvexBody(grid, final.support)`` recomputes them from the support and
     can differ by round-off, so a residual that stopped the run just under
     ``soliton_tol`` may land just over it after a rebuild.
@@ -472,29 +522,34 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
     dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
+    coeffs = remainder = None  # analyzed from the support once, then carried
     while t < t_done and trace.steps < MAX_STEPS:
+        frozen, u_hat, n_u = _start_stage(body, normalized, cfg.recenter, coeffs, remainder)
         dt = min(dt_next, cfg.t_end - t)
         while True:
             if dt < DT_FLOOR:
                 raise StiffnessError(t, dt, body)
             try:
                 if cfg.fixed_dt:
-                    new_body = step(body, dt, cfg.mode, cfg.recenter)
+                    new_body, coeffs = _single_step(frozen, u_hat, n_u, dt)
                     break
-                new_body, err = _doubled_step(body, dt, cfg)
+                new_body, coeffs, err = _doubled_step(frozen, u_hat, n_u, dt)
                 if err <= STEP_TOL:
                     dt_next = dt * _step_factor(err)
                     break
                 trace.rejections += 1
                 dt *= _step_factor(err)
-            except StepRejected:
+            except BodyValidityError:
                 trace.rejections += 1
                 if cfg.fixed_dt:
                     # a fixed step size exists for reproducible sequences;
                     # silently substituting smaller steps would corrupt them
                     raise StiffnessError(t, dt, body)
                 dt *= 0.5
-        body = normalize_volume(new_body) if cfg.project_volume else new_body
+        body, remainder = new_body, frozen.remainder
+        if cfg.project_volume:
+            factor = _volume_factor(body)
+            body, coeffs, remainder = body.scale(factor), coeffs * factor, remainder * factor
         t += dt
         trace.steps += 1
         residual = soliton_residual(body)
@@ -512,25 +567,30 @@ def run(body: ConvexBody, config: FlowConfig):
     return trace, body
 
 
-def _doubled_step(body: ConvexBody, dt: float, cfg: FlowConfig):
-    """Step doubling: the locally extrapolated body u_{dt/2,dt/2} +
-    (u_{dt/2,dt/2} - u_dt)/15, built from its support, and the Richardson
-    estimate of the error of u_{dt/2,dt/2}, the area-RMS of
-    u_dt - u_{dt/2,dt/2} over 15, relative to the RMS of u."""
-    # the whole and the first half step share their start stage, and the
-    # weights at dt L and dt L / 2 come from one call
-    start = _start_stage(body, cfg.mode == "normalized", cfg.recenter)
-    whole_w, half_w = zip(*_etd_weights(np.array([[dt], [0.5 * dt]]) * start[1]))
-    whole = step(body, dt, cfg.mode, cfg.recenter, _start=start, _weights=whole_w)
-    half = step(body, 0.5 * dt, cfg.mode, cfg.recenter, _start=start, _weights=half_w)
-    fine = step(half, 0.5 * dt, cfg.mode, cfg.recenter)
-    diff = fine.support - whole.support
-    grid = body.grid
-    err = (average(grid, diff * diff) / average(grid, fine.support**2)) ** 0.5 / 15.0
-    try:
-        return ConvexBody(grid, fine.support + diff / 15.0), err
-    except BodyValidityError as exc:
-        raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
+def _doubled_step(frozen: _Frozen, u_hat, n_u, dt: float):
+    """Step doubling by Richardson extrapolation of one ETDRK4 map, L frozen
+    at the start's: (the body, its coefficients, the error estimate).
+
+    The whole step and the first half step advance as one two-row stack;
+    the second half step starts from the first's coefficients and N.  The
+    body is built from the extrapolated jet u_{dt/2,dt/2} +
+    (u_{dt/2,dt/2} - u_dt)/15, and the estimate of the error of
+    u_{dt/2,dt/2} is the area-RMS of u_dt - u_{dt/2,dt/2} over 15, relative
+    to the RMS of u.  Raises BodyValidityError if a stage leaves the
+    valid-body cone."""
+    grid = frozen.grid
+    dts = np.array([dt, 0.5 * dt]).reshape(-1, *[1] * np.ndim(u_hat))
+    weights = _step_weights(frozen.lin, dts)
+    ends = _etdrk4(frozen, u_hat, n_u, weights)  # the whole and the first half step
+    ends_jet, det = frozen.stage(ends)
+    half, whole = ends[1], ends_jet.rows[0]
+    n_half = frozen.nonlinear(ends_jet.values[1], 1.0 / det[1], half)
+    fine = _etdrk4(frozen, half, n_half, [w[1] for w in weights])
+    fine_jet, _ = frozen.stage(fine)
+    diff = fine_jet.values - whole[0]
+    err = (average(grid, diff * diff) / average(grid, fine_jet.values**2)) ** 0.5 / 15.0
+    body = ConvexBody.from_jet(SupportJet(grid, fine_jet.rows + (fine_jet.rows - whole) / 15.0))
+    return body, fine + (fine - ends[0]) / 15.0, err
 
 
 def _step_factor(err: float) -> float:

@@ -31,8 +31,11 @@ so the jet of a linear combination of fields is the same combination of
 rows.  ``derivative_bundle`` is one analysis plus the kernel.  The degree
 is the last axis of a coefficient array on both grids, so a filter is a
 multiplier along it (:meth:`~SphereGrid.degree_mask`: the 2/3 cut, and the
-degree-1 modes when the flow recenters); the flow's ETDRK4 stage bodies
-are jets synthesized from masked coefficient states.
+degree-1 modes when the flow recenters); the flow's ETDRK4 stages are
+jets synthesized from masked coefficient states.  The transforms, the
+synthesis kernel and ``radii_invariants`` take a leading stack axis, a
+field per row, and give each row what it gives alone, bit for bit: the
+flow advances two step sizes as one stack.
 
 Off-grid evaluation sums u = Re sum_m G_m w^m over blocks of directions.
 On S^1 it is Horner in w: G_m = f_m c_m, w = (x + iy)/|x + iy|, the Monte
@@ -104,12 +107,13 @@ class SupportJet:
 
     ``rows`` is (3, n_nodes) on a :class:`CircleGrid`, holding (u, u', u''),
     and (6, n_nodes) on a :class:`Sphere2Grid`, holding (u, u_theta,
-    u_thetatheta, u_phi, u_thetaphi, u_phiphi).  The rows are linear in u:
-    ``SupportJet(grid, a.rows + t * b.rows)`` is the jet of a + t b.
-    ``grad`` (orthonormal-frame components of the tangential gradient,
-    (n_nodes, dim)) is derived from the rows by the grid's kind on each
-    access, as a fresh array, so a body that keeps its gradient does not
-    keep the whole jet alive.
+    u_thetatheta, u_phi, u_thetaphi, u_phiphi); the jet of a stack of
+    fields has the stack's axes in front, (..., rows, n_nodes).  The rows
+    are linear in u: ``SupportJet(grid, a.rows + t * b.rows)`` is the jet
+    of a + t b.  ``grad`` (orthonormal-frame components of the tangential
+    gradient, (..., n_nodes, dim)) is derived from the rows by the grid's
+    kind on each access, as a fresh array, so a body that keeps its
+    gradient does not keep the whole jet alive.
     """
 
     grid: SphereGrid
@@ -117,7 +121,7 @@ class SupportJet:
 
     @property
     def values(self) -> np.ndarray:
-        return self.rows[0]
+        return self.rows[..., 0, :]
 
     @property
     def grad(self) -> np.ndarray:
@@ -184,12 +188,13 @@ class SphereGrid:
 
     # --- transforms -------------------------------------------------------
 
-    def check_field(self, values) -> np.ndarray:
+    def check_field(self, values, _stack: bool = False) -> np.ndarray:
+        """The field as a float array, (n_nodes,) and finite; with ``_stack``
+        (the transforms' own use) any leading stack axes are allowed."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
-            raise FieldShapeError(
-                f"field has shape {values.shape}, grid expects ({self.n_nodes},)"
-            )
+        if values.shape[-1:] != (self.n_nodes,) or (values.ndim != 1 and not _stack):
+            expected = f"(..., {self.n_nodes})" if _stack else f"({self.n_nodes},)"
+            raise FieldShapeError(f"field has shape {values.shape}, grid expects {expected}")
         if not np.isfinite(values).all():
             raise FieldShapeError("field contains non-finite entries")
         return values
@@ -200,17 +205,20 @@ class SphereGrid:
         S^1: complex rfft coefficients divided by N.
         S^2: complex triangle c[m, l] (zero for l < m) in the orthonormal
         associated-Legendre basis; m >= 0 only, real fields assumed.
-        On both grids the degree is the last axis.
+        On both grids the degree is the last axis.  A stack of fields,
+        (..., n_nodes), gives the stack of their coefficients in one call
+        (the flow advances two step sizes at once this way).
         """
-        return self._analyze(self.check_field(values))
+        return self._analyze(self.check_field(values, _stack=True))
 
     def synthesize(self, coeffs: np.ndarray, jet: bool = False):
         """Inverse of :meth:`analyze` (exact for band-limited data): the nodal
         values or, with ``jet``, the :class:`SupportJet` of the field (the
-        kind's ``_synthesize_rows`` gives the value row or the jet rows)."""
+        kind's ``_synthesize_rows`` gives the value row or the jet rows).
+        A stack of coefficient arrays gives the stack of fields or jets."""
         if jet:
             return SupportJet(self, self._synthesize_rows(coeffs, jet=True))
-        return self._synthesize_rows(coeffs, jet=False)[0]
+        return self._synthesize_rows(coeffs, jet=False)[..., 0, :]
 
     def derivative_bundle(self, values: np.ndarray) -> SupportJet:
         """Jet of a nodal field: one analysis and the synthesis kernel.
@@ -346,14 +354,16 @@ class CircleGrid(SphereGrid):
 
     def _synthesize_rows(self, coeffs: np.ndarray, jet: bool) -> np.ndarray:
         mult = self._tab["jet"] if jet else self._tab["jet"][:1]
-        return np.fft.irfft(mult * coeffs, n=self.shape[0], axis=-1)
+        return np.fft.irfft(mult * coeffs[..., None, :], n=self.shape[0], axis=-1)
 
     def _grad(self, rows: np.ndarray) -> np.ndarray:
-        return rows[1][:, None].copy()
+        return rows[..., 1, :, None].copy()
 
     def radii_invariants(self, jet: SupportJet):
-        """(det A, trace A, least eigenvalue, sigma_0(A) = 1) of A = u'' + u."""
-        a = jet.rows[2] + jet.rows[0]
+        """(det A, trace A, least eigenvalue, sigma_0(A) = 1) of A = u'' + u,
+        per field of a stacked jet."""
+        r = jet.rows
+        a = r[..., 2, :] + r[..., 0, :]
         return a, a, a, self._tab["ones"]
 
     @staticmethod
@@ -461,8 +471,8 @@ class Sphere2Grid(SphereGrid):
 
     def _analyze(self, values: np.ndarray) -> np.ndarray:
         n_theta, n_phi = self.shape
-        g = np.fft.rfft(values.reshape(n_theta, n_phi), axis=1) / n_phi
-        g = np.ascontiguousarray(g[:, : self.bandlimit + 1].T)  # (m, i)
+        g = np.fft.rfft(values.reshape(*values.shape[:-1], n_theta, n_phi), axis=-1) / n_phi
+        g = np.ascontiguousarray(np.swapaxes(g[..., : self.bandlimit + 1], -1, -2))  # (..., m, i)
         # c[m, l] = sum_i w_i P_lm(x_i) g_m(theta_i), on real/imag pairs
         c = self._tab["PWt"] @ g.view(float).reshape(*g.shape, 2)
         return c.view(complex)[..., 0]
@@ -473,18 +483,20 @@ class Sphere2Grid(SphereGrid):
         # the first two by i m and -m^2
         n_theta, n_phi = self.shape
         orders, k = self.bandlimit + 1, 3 if jet else 1
-        prof = self._legendre_synth(coeffs, k * n_theta).reshape(orders, k, n_theta)
-        buf = np.zeros((2 * k if jet else 1, n_theta, n_phi // 2 + 1), dtype=complex)
-        np.multiply(prof.transpose(1, 2, 0), n_phi, out=buf[:k, :, :orders])
+        stack = np.shape(coeffs)[:-2]
+        prof = self._legendre_synth(coeffs, k * n_theta).reshape(*stack, orders, k, n_theta)
+        buf = np.zeros((*stack, 2 * k if jet else 1, n_theta, n_phi // 2 + 1), dtype=complex)
+        np.multiply(prof.swapaxes(-3, -2).swapaxes(-2, -1), n_phi, out=buf[..., :k, :, :orders])
         if jet:
-            buf[3:5, :, :orders] = buf[:2, :, :orders] * self._tab["im"]
-            buf[5, :, :orders] = buf[0, :, :orders] * self._tab["m2"]
-        return np.fft.irfft(buf, n=n_phi, axis=-1).reshape(len(buf), -1)
+            buf[..., 3:5, :, :orders] = buf[..., :2, :, :orders] * self._tab["im"]
+            buf[..., 5, :, :orders] = buf[..., 0, :, :orders] * self._tab["m2"]
+        return np.fft.irfft(buf, n=n_phi, axis=-1).reshape(*buf.shape[:-2], -1)
 
     def _legendre_synth(self, coeffs: np.ndarray, rows: int) -> np.ndarray:
         """Colatitude profiles sum_l S[m, i, l] c[m, l] over the first ``rows``
         rows i of the stacked table: n_theta rows give P, 3 n_theta give P,
-        dP and d2P.  Returns a complex (L+1, rows) array.
+        dP and d2P.  Returns a complex (..., L+1, rows) array, with the
+        stack axes of ``coeffs`` in front.
 
         The coefficients enter as real/imag pairs, so the product is one real
         batched matmul (a complex operand would upcast the table every call).
@@ -494,18 +506,19 @@ class Sphere2Grid(SphereGrid):
         return prof.view(complex)[..., 0]
 
     def _grad(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([rows[1], rows[3] / self._tab["sin_flat"]], axis=1)
+        return np.stack([rows[..., 1, :], rows[..., 3, :] / self._tab["sin_flat"]], axis=-1)
 
     def radii_invariants(self, jet: SupportJet):
         """(det A, trace A, least eigenvalue, sigma_1(A) = trace A) of
-        A = Hess u + u I at the nodes, in closed 2x2 forms.  In the frame
-        (e_theta, e_phi/sin theta) the covariant Hessian is h11 = u_thetatheta,
-        h12 = (u_thetaphi - cot u_phi)/sin, h22 = u_phiphi/sin^2 + cot u_theta."""
+        A = Hess u + u I at the nodes, in closed 2x2 forms, per field of a
+        stacked jet.  In the frame (e_theta, e_phi/sin theta) the covariant
+        Hessian is h11 = u_thetatheta, h12 = (u_thetaphi - cot u_phi)/sin,
+        h22 = u_phiphi/sin^2 + cot u_theta."""
         r, sin_t, cot_t = jet.rows, self._tab["sin_flat"], self._tab["cot_flat"]
-        u = r[0]
-        a11 = r[2] + u
-        a12 = (r[4] - cot_t * r[3]) / sin_t
-        a22 = r[5] / self._tab["sin2_flat"] + cot_t * r[1] + u
+        u = r[..., 0, :]
+        a11 = r[..., 2, :] + u
+        a12 = (r[..., 4, :] - cot_t * r[..., 3, :]) / sin_t
+        a22 = r[..., 5, :] / self._tab["sin2_flat"] + cot_t * r[..., 1, :] + u
         a12_sq = a12 * a12
         trace = a11 + a22
         disc = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12_sq)  # a sum of squares, never < 0

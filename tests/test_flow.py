@@ -27,7 +27,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import SphereGrid, build_grid, degree_one
+from gcflab.sphere import SphereGrid, average, build_grid, degree_one
 from gcflab.verify import (corpus_runs, desk_grid, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -177,23 +177,59 @@ def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch
     assert stepped.volume() == pytest.approx(ball_volume(flow_body.dim), abs=1e-12)
 
 
+def _jet_syntheses(monkeypatch) -> list:
+    """Spy on jet syntheses: (coefficients, rows) of every call, as
+    synthesized (before a stage adds the nodal remainder)."""
+    seen = []
+    _spy(monkeypatch, "synthesize", lambda args, kwargs, result: seen.append(
+        (args[0].copy(), result.rows.copy())) if kwargs.get("jet") else None)
+    return seen
+
+
 @pytest.mark.parametrize("recenter", [False, True])
 def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, monkeypatch):
-    # the whole and the first half step of an attempt share the start's
-    # analysis, remainder synthesis and velocity analysis: 13 analyses and
-    # 15 syntheses (the extrapolated body's derivative_bundle makes one),
-    # with the same body as three separate public steps
+    # an attempt freezes L at the start's, takes its weights from one call
+    # and advances the whole and the first half step as one two-row stack;
+    # the second half step starts from the first's coefficients and N.  From
+    # a body with no carried state that is 9 analyses and 9 syntheses (the
+    # start's support, remainder and velocity, three stacked stages, the
+    # stacked ends, the first half's velocity, three stages and the fine
+    # end) and one body.  The stack changes nothing: its rows end where the
+    # public step at dt and at dt/2 ends, bit for bit, and the body is
+    # u_fine + (u_fine - u_dt)/15 of the synthesized jets.
     dt = 0.25 * stable_dt(flow_body)
-    whole = step(flow_body, dt, "normalized", recenter)
-    fine = step(step(flow_body, 0.5 * dt, "normalized", recenter), 0.5 * dt, "normalized",
-                recenter)
-    calls = dict.fromkeys(("analyze", "synthesize"), 0)
-    for name in calls:
-        _spy(monkeypatch, name, lambda *_, _name=name: calls.__setitem__(_name, calls[_name] + 1))
-    doubled, _ = flow_module._doubled_step(flow_body, dt, FlowConfig(recenter=recenter))
-    assert calls == {"analyze": 13, "synthesize": 15}
-    expected = fine.support + (fine.support - whole.support) / 15.0
-    np.testing.assert_array_equal(doubled.support, expected)
+    grid = flow_body.grid
+    remainder = flow_body.support - grid.synthesize(grid.analyze(flow_body.support))
+    seen = _jet_syntheses(monkeypatch)
+    ends = []
+    for h in (dt, 0.5 * dt):
+        step(flow_body, h, "normalized", recenter)
+        ends.append(seen[-1][0])
+    seen.clear()
+    calls = dict.fromkeys(("analyze", "synthesize", "_etd_weights", "__post_init__"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("analyze", "synthesize"):
+        _spy(monkeypatch, name, counted(name, lambda *_: None))
+    monkeypatch.setattr(flow_module, "_etd_weights",
+                        counted("_etd_weights", flow_module._etd_weights))
+    monkeypatch.setattr(ConvexBody, "__post_init__",  # every body built
+                        counted("__post_init__", ConvexBody.__post_init__))
+    start = flow_module._start_stage(flow_body, True, recenter)
+    body, coeffs, err = flow_module._doubled_step(*start, dt)
+    assert calls == {"analyze": 9, "synthesize": 9, "_etd_weights": 1, "__post_init__": 1}
+    (stacked, stacked_rows), (fine, fine_rows) = seen[3], seen[-1]
+    np.testing.assert_array_equal(stacked, np.stack(ends))
+    fine_u, whole_u = fine_rows[0] + remainder, stacked_rows[0, 0] + remainder
+    np.testing.assert_array_equal(body.support, fine_u + (fine_u - whole_u) / 15.0)
+    np.testing.assert_array_equal(coeffs, fine + (fine - stacked[0]) / 15.0)
+    diff = fine_u - whole_u
+    assert err == (average(grid, diff * diff) / average(grid, fine_u**2)) ** 0.5 / 15.0
 
 
 @pytest.mark.parametrize("recenter", [False, True])
@@ -265,6 +301,43 @@ def test_step_keeps_the_nodal_remainder(g2):
     assert np.abs(remainder(body)).max() > 9e-5
     stepped = step(body, 0.25 * stable_dt(body))
     assert np.abs(remainder(stepped) - remainder(body)).max() <= 1e-14
+
+
+def test_adaptive_run_carries_the_nodal_remainder(g2, monkeypatch):
+    # the body above, run adaptively: the run analyzes its support once and
+    # carries the remainder beside the coefficients, scaling both with the
+    # body at every volume projection (the start's and each step's)
+    base = make_shape(g2, "ellipsoid", semiaxes=(1.2, 1.0, 1 / 1.2), normalize=True)
+    body = ConvexBody(g2, base.support + 1e-4 * (-1.0) ** np.arange(g2.n_nodes))
+    factors, scale = [], ConvexBody.scale
+
+    def spied(self, factor):
+        factors.append(factor)
+        return scale(self, factor)
+
+    monkeypatch.setattr(ConvexBody, "scale", spied)
+    trace, final = run(body, FlowConfig(t_end=0.05, soliton_tol=0.0))
+    assert trace.steps >= 5 and len(factors) == trace.steps + 1
+
+    def remainder(b):
+        return b.support - g2.synthesize(g2.analyze(b.support))
+
+    gap = remainder(final) - remainder(body) * np.prod(factors)
+    assert np.abs(gap).max() <= 1e-14
+
+
+def test_error_estimate_is_fifth_order(flow_body):
+    # with L frozen at the start's, the whole step and the two half steps are
+    # one 4th-order map at dt and dt/2, so the estimate, their difference,
+    # is O(dt^5): halving dt divides it by about 2^5 = 32 (measured 25.8 on
+    # S^1, whose stiff modes still approach the asymptote, and 29.3 on S^2),
+    # against 16 for an O(dt^4) estimate.  _step_factor's exponent 1/5
+    # rests on this.
+    dt = 0.25 * stable_dt(flow_body)
+    start = flow_module._start_stage(flow_body, True, False)
+    ratio = (flow_module._doubled_step(*start, dt)[2]
+             / flow_module._doubled_step(*start, 0.5 * dt)[2])
+    assert 24.0 <= ratio <= 40.0
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,32 @@ def test_lowpass_rejects_non_finite_frac(frac):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_transforms_match_each_field(dim):
+    # the flow advances two step sizes as one stack: analyze, synthesize
+    # (values and jets), radii_invariants and grad of a stack give each
+    # field's own result, bit for bit (numpy's stacked FFTs and broadcast
+    # matmuls repeat the single-field arithmetic row by row)
+    grid = build_grid(1, n=64) if dim == 1 else build_grid(2, n_theta=16, n_phi=32)
+    fields = 1.0 + 0.1 * np.random.default_rng(dim).normal(size=(3, grid.n_nodes))
+    coeffs = grid.analyze(fields)
+    jet = grid.synthesize(coeffs, jet=True)
+    for i, u in enumerate(fields):
+        single = grid.synthesize(coeffs[i], jet=True)
+        np.testing.assert_array_equal(coeffs[i], grid.analyze(u))
+        np.testing.assert_array_equal(grid.synthesize(coeffs)[i], grid.synthesize(coeffs[i]))
+        np.testing.assert_array_equal(jet.rows[i], single.rows)
+        np.testing.assert_array_equal(jet.values[i], single.values)
+        np.testing.assert_array_equal(jet.grad[i], single.grad)
+        for a, b in zip(grid.radii_invariants(jet), grid.radii_invariants(single)):
+            np.testing.assert_array_equal(np.broadcast_to(a, jet.rows.shape[:1] + b.shape)[i], b)
+    # a stack is for the transforms only: a field is still one (n_nodes,) array
+    with pytest.raises(FieldShapeError):
+        integrate(grid, fields)
+    with pytest.raises(FieldShapeError):
+        grid.analyze(fields[:, 1:])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_filtered_jet_is_the_jet_of_the_filtered_field(dim):
     # masking coefficients equals lowpass, then removing the degree-1 part
     # by quadrature, then differentiating
