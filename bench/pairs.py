@@ -15,11 +15,14 @@ run their own copy of ``perfbench/run.py``.
 The runs are fixed: for every workload, ``PAIRS`` pairs, pair i running
 ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once on each
 side, with S the i-th entry of ``SEEDS`` taken cyclically.  The side that runs
-first alternates from pair to pair: the speed of a shared machine drifts by
-up to 0.73-1.30x over minute-long phases, so only matched, alternating pairs
-are compared.  Per workload the file holds every pair's end-to-end metrics,
-each side's median and quartiles, the ratio of medians (change / parent), how
-many pairs the change won on each metric, whether a gain on it would hold
+first alternates from one round of the seeds to the next (``schedule``), so
+every seed runs in both orders and an effect of running first is not taken
+for an effect of the seed: the speed of a shared machine drifts by up to
+0.73-1.30x over minute-long phases, so only matched, alternating pairs are
+compared.  Per workload the file holds every pair's end-to-end metrics, each
+side's median and quartiles, the ratio of medians (change / parent), how
+many pairs the change won on each metric, overall, per seed and per side
+that ran first, whether a gain on it would hold
 (``gain_rule``: the change wins at least 9 of 10 pairs, ties counting for
 neither side, and the parent's median exceeds the change's by more than the
 parent's interquartile range), and, per seed, both sides'
@@ -127,26 +130,45 @@ def run_verify(tree, out_dir, side) -> dict:
     }
 
 
+def schedule() -> list:
+    """(seed, side that runs first) of each pair: the seeds in turn, the
+    first side switching after each round of them."""
+    return [(SEEDS[i % len(SEEDS)], ("parent", "change")[(i // len(SEEDS)) % 2])
+            for i in range(PAIRS)]
+
+
 def quartiles(values):
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
 
 
+def wins(pairs, metric) -> int:
+    """Pairs in which the change's value of ``metric`` is lower (a tie is no win)."""
+    return sum(p["change"]["metrics"][metric] < p["parent"]["metrics"][metric] for p in pairs)
+
+
 def summarize(pairs) -> dict:
-    """Medians, quartiles, ratio of medians, wins of the change and, per
-    metric, whether a gain would hold by the gain rule."""
+    """Medians, quartiles, ratio of medians, wins of the change (overall, per
+    seed and per side that ran first) and, per metric, whether a gain would
+    hold by the gain rule."""
     out = {"median": {}, "quartiles": {}, "ratio_of_medians": {}, "change_wins": {},
-           "gain_rule": {}}
+           "change_wins_by_seed": {}, "change_wins_by_first": {}, "gain_rule": {}}
+    groups = {key: {value: [p for p in pairs if p[key] == value]
+                    for value in sorted({p[key] for p in pairs})} for key in ("seed", "first")}
     for metric in END_TO_END:
         side = {s: [p[s]["metrics"][metric] for p in pairs] for s in ("parent", "change")}
         out["median"][metric] = {s: statistics.median(v) for s, v in side.items()}
         out["quartiles"][metric] = {s: quartiles(v) for s, v in side.items()}
         med = out["median"][metric]
         out["ratio_of_medians"][metric] = med["change"] / med["parent"]
-        wins = sum(c < p for p, c in zip(side["parent"], side["change"]))  # a tie is no win
-        out["change_wins"][metric] = f"{wins}/{len(pairs)}"
+        won = wins(pairs, metric)
+        out["change_wins"][metric] = f"{won}/{len(pairs)}"
+        for key in ("seed", "first"):
+            out[f"change_wins_by_{key}"][metric] = {
+                str(value): f"{wins(group, metric)}/{len(group)}"
+                for value, group in groups[key].items()}
         low, high = out["quartiles"][metric]["parent"]
-        rule = {"wins_enough": 10 * wins >= 9 * len(pairs),  # at least 9 of every 10 pairs
+        rule = {"wins_enough": 10 * won >= 9 * len(pairs),  # at least 9 of every 10 pairs
                 "median_gap": med["parent"] - med["change"], "parent_iqr": high - low}
         rule["gap_exceeds_iqr"] = rule["median_gap"] > rule["parent_iqr"]
         rule["holds"] = rule["wins_enough"] and rule["gap_exceeds_iqr"]
@@ -214,9 +236,8 @@ def main(argv=None) -> int:
                  if args.change else copy_worktree(root, Path(tmp) / "change")}
         for workload in WORKLOADS:
             pairs, fingerprints = [], {}
-            for i in range(PAIRS):
-                seed = SEEDS[i % len(SEEDS)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for i, (seed, first) in enumerate(schedule()):
+                order = ("parent", "change") if first == "parent" else ("change", "parent")
                 runs = {side: run_bench(trees[side], workload, seed, 0)
                         for side in order}
                 pair = {"pair": i, "seed": seed, "first": order[0]}
