@@ -80,10 +80,11 @@ class CurvatureData:
     them in the instance dict, which a frozen dataclass permits.)
 
     The arrays depend, at round-off level, on how the body was built: a body
-    from :meth:`ConvexBody.from_jet` (the bodies the flow's steps build) or :meth:`ConvexBody.scale` carries curvature that
-    can differ from ``ConvexBody(grid, body.support).curvature`` by a few
-    1e-12 relative, because derivatives synthesized from coefficients (or
-    rescaled) round differently from derivatives of the samples.
+    from :meth:`ConvexBody.from_jet` (the bodies the flow's steps build) or
+    :meth:`ConvexBody.scale` carries curvature that can differ from
+    ``ConvexBody(grid, body.support).curvature`` by a few 1e-12 relative,
+    because derivatives synthesized from coefficients (or rescaled) round
+    differently from derivatives of the samples.
     """
 
     det_a: np.ndarray

@@ -298,19 +298,21 @@ def _etd_weights(z: np.ndarray):
 
     For z <= -1 the forms are evaluated as written.  On (-1, 0], where their
     numerators cancel, they are the 18-term Taylor series ``_TAYLOR``, one
-    matrix product against the powers z^j (running products); the first
-    omitted term is at most 1.3e-16 of the value.  Only the few lowest
-    degrees of a step fall there, so the series is summed at those entries
-    alone.  Against exact rational sums of the series at 1199 evenly spaced
-    points of [-2.5, 0] the largest relative error is 7.5e-16 on (-1, 0]
-    (4.8e-16 by Horner's rule) and 1.1e-14 below, where the closed forms
-    still cancel in part."""
+    product against the powers z^j (running products); the first omitted
+    term is at most 1.3e-16 of the value.  Only the few lowest degrees of a
+    step fall there, so the series is summed at those entries alone.
+    Against exact rational sums of the series at 1199 evenly spaced points
+    of [-2.5, 0] the largest relative error is 6.7e-16 on (-1, 0] (4.8e-16
+    by Horner's rule) and 1.1e-14 below, where the closed forms still cancel
+    in part."""
     e_half, e_z = np.exp(0.5 * z), np.exp(z)
     weights = np.array(_weight_forms(np.minimum(z, -1.0), e_half, e_z)).reshape(4, -1)
     flat = z.ravel()
     near = np.flatnonzero(flat > -1.0)
     powers = np.cumprod(np.broadcast_to(flat[near], (_TAYLOR.shape[1] - 1, near.size)), axis=0)
-    weights[:, near] = _TAYLOR[:, :1] + _TAYLOR[:, 1:] @ powers
+    # einsum, not a BLAS product: the series is small, and the first BLAS
+    # call of a run raised perfbench's soliton-s1 peak RSS by 0.15 MB
+    weights[:, near] = _TAYLOR[:, :1] + np.einsum("kj,jn->kn", _TAYLOR[:, 1:], powers)
     return (e_half, e_z, *weights.reshape(4, *z.shape))
 
 
@@ -583,14 +585,14 @@ def _doubled_step(frozen: _Frozen, u_hat, n_u, dt: float):
     weights = _step_weights(frozen.lin, dts)
     ends = _etdrk4(frozen, u_hat, n_u, weights)  # the whole and the first half step
     ends_jet, det = frozen.stage(ends)
-    half, whole = ends[1], ends_jet.rows[0]
-    n_half = frozen.nonlinear(ends_jet.values[1], 1.0 / det[1], half)
-    fine = _etdrk4(frozen, half, n_half, [w[1] for w in weights])
+    n_half = frozen.nonlinear(ends_jet.values[1], 1.0 / det[1], ends[1])
+    fine = _etdrk4(frozen, ends[1], n_half, [w[1] for w in weights])
     fine_jet, _ = frozen.stage(fine)
-    diff = fine_jet.values - whole[0]
+    whole_rows = ends_jet.rows[0]
+    diff = fine_jet.values - whole_rows[0]
     err = (average(grid, diff * diff) / average(grid, fine_jet.values**2)) ** 0.5 / 15.0
-    body = ConvexBody.from_jet(SupportJet(grid, fine_jet.rows + (fine_jet.rows - whole) / 15.0))
-    return body, fine + (fine - ends[0]) / 15.0, err
+    rows = fine_jet.rows + (fine_jet.rows - whole_rows) / 15.0
+    return ConvexBody.from_jet(SupportJet(grid, rows)), fine + (fine - ends[0]) / 15.0, err
 
 
 def _step_factor(err: float) -> float:

@@ -362,8 +362,7 @@ class CircleGrid(SphereGrid):
     def radii_invariants(self, jet: SupportJet):
         """(det A, trace A, least eigenvalue, sigma_0(A) = 1) of A = u'' + u,
         per field of a stacked jet."""
-        r = jet.rows
-        a = r[..., 2, :] + r[..., 0, :]
+        a = jet.rows[..., 2, :] + jet.rows[..., 0, :]
         return a, a, a, self._tab["ones"]
 
     @staticmethod

@@ -177,15 +177,6 @@ def test_accepted_step_makes_one_transform_pair_per_stage(flow_body, monkeypatch
     assert stepped.volume() == pytest.approx(ball_volume(flow_body.dim), abs=1e-12)
 
 
-def _jet_syntheses(monkeypatch) -> list:
-    """Spy on jet syntheses: (coefficients, rows) of every call, as
-    synthesized (before a stage adds the nodal remainder)."""
-    seen = []
-    _spy(monkeypatch, "synthesize", lambda args, kwargs, result: seen.append(
-        (args[0].copy(), result.rows.copy())) if kwargs.get("jet") else None)
-    return seen
-
-
 @pytest.mark.parametrize("recenter", [False, True])
 def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, monkeypatch):
     # an attempt freezes L at the start's, takes its weights from one call
@@ -200,7 +191,9 @@ def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, 
     dt = 0.25 * stable_dt(flow_body)
     grid = flow_body.grid
     remainder = flow_body.support - grid.synthesize(grid.analyze(flow_body.support))
-    seen = _jet_syntheses(monkeypatch)
+    seen = []  # (coefficients, rows) of each jet synthesis, before the remainder is added
+    _spy(monkeypatch, "synthesize", lambda args, kwargs, result: seen.append(
+        (args[0].copy(), result.rows.copy())) if kwargs.get("jet") else None)
     ends = []
     for h in (dt, 0.5 * dt):
         step(flow_body, h, "normalized", recenter)
