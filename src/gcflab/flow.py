@@ -20,10 +20,11 @@ forms cancel (Kassam-Trefethen 2005).  L is clipped to <= 0:
 the positive rates at l <= 1 would be amplified by e^{cS dt} at a start
 body of large curvature, where S runs into the hundreds.  N(u) =
 mask * (analyze(F(u)) - L u^) is zero on every masked mode, so a masked
-coefficient decays as e^{t L_l}, the linear damping of its degree: a
-frozen tail, amplified about l^2 by det A, would put a floor under the
-soliton residual.  L_1 = 0, so the degree-1 part that recentering masks
-passes a step unchanged.
+coefficient decays as e^{t L_l}, the linear damping of its degree.  The
+mask is 1 on every degree the grid resolves except the degree-1 part when
+recentering and, on S^1, the Nyquist coefficient, which has no odd
+derivative.  L_1 = 0, so the degree-1 part that recentering masks passes a
+step unchanged.
 
 ``run`` takes the step size from accuracy, by step doubling: Richardson
 extrapolation of one ETDRK4 map.  An attempt freezes L at its start body's
@@ -45,15 +46,18 @@ dt/2; collapse below ``DT_FLOOR`` raises :class:`StiffnessError` with the
 last state attached.  ``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps
 instead, with no doubling; the public :func:`step` is the same map once.
 
-The velocity is dealiased with a 2/3-rule filter.  Evaluating
-1/det A pointwise on the dimension-2 grid aliases the top of the spectral
-band through the colatitude quadrature, and the resulting discrete operator
-acquires a large cluster of spurious eigenvalues near +(n+1) (the continuous
-rates are (n+1) - l(l+1) <= -(n+1) for l >= 2): round-off seeds those modes
-and long runs blow up after the shape has converged.  Filtering the velocity
-restores the damping of the continuous operator; the dimension-1 transform
-has no such quadrature and is unaffected, but the filter is applied
-uniformly.
+The flow's state is its coefficients.  ``run`` projects its start onto
+them once, as ``ConvexBody.from_jet(synthesize(analyze(u), jet=True))``,
+and the public :func:`step` projects implicitly, since its result is
+synthesized from coefficients.  No velocity is filtered.  Under explicit
+RK4 a 2/3 cut of the velocity kept long S^2 runs from blowing up: 1/det A,
+evaluated pointwise, aliases through the colatitude quadrature and seeded
+spurious modes near +(n+1).  With every degree damped by L no such growth
+shows.  The S^2 gate ellipsoid and the corpus bodies random-2-s21 to s23,
+recentered on 32x64, end at residuals <= 2.4e-13 at t = 100, where a
+mode growing at rate n+1 from round-off would have reached 1e-3 by
+t = 10.  Without the cut the unnormalized flow holds its exact volume law
+V(t) = V_0 - |S^n| t to 1.1e-9 on random-2-s21 (1.2e-7 with it).
 
 In normalized mode the discrete volume drifts at the step's error;
 optional projection rescales the support after every accepted step so the
@@ -64,10 +68,8 @@ which keeps the linearized translation mode (growing like e^t) out of long
 runs.  The entropy point then agrees with the origin to O(sup|u - 1|^2) at
 a round endpoint.
 
-Cost of a step.  The filter and the recentering are masks on coefficients
-(:meth:`SphereGrid.degree_mask`), exact for a band-limited field.  The
-nodal remainder u - synthesize(u^), which the coefficients do not hold on
-S^2, is kept fixed beside them and added to row 0 of every stage jet.
+Cost of a step.  The mask is a multiplier on coefficients
+(:meth:`SphereGrid.degree_mask`), exact for a band-limited field.
 Stages are not bodies: each is a synthesized jet whose value row and
 least eigenvalue of A pass the same validity tests as any body
 (``body._check_support``, ``body._check_convexity``), then one analysis of
@@ -78,13 +80,12 @@ starts from the first's coefficients and N.  An attempt makes 7 analyses
 and 8 syntheses (three stacked stages, the stacked ends, the first half's
 velocity, three stages and the fine end) and builds one body, the
 accepted one, from the extrapolated jet.  ``run`` carries the coefficients
-and the remainder beside the body, scaling both by the volume-projection
-factor, so it analyzes the support once per run; each accepted step adds
-the start's velocity analysis.  A public :func:`step` from a body makes
-five analyses (the start support, the velocities of the start and of the
-three stages) and five syntheses (the remainder, three stages and the
-result).  Volume projection rescales the accepted body's curvature (one
-quadrature).
+beside the body, scaling them by the volume-projection factor, so it
+analyzes the support once per run after its projection; each accepted step
+adds the start's velocity analysis.  A public :func:`step` from a body
+makes five analyses (the start support, the velocities of the start and of
+the three stages) and four syntheses (three stages and the result).  Volume
+projection rescales the accepted body's curvature (one quadrature).
 
 ``FlowTrace`` collects a fixed 15-column series and streamed minima; monitor suites
 (:func:`monitor_bounds`, :func:`harnack_monitor`) evaluate the a-posteriori
@@ -129,7 +130,6 @@ __all__ = [
 ]
 
 DT_FLOOR = 1e-12
-DEALIAS_FRAC = 2.0 / 3.0
 STEP_TOL = 1e-12  # bound on a step's Richardson error estimate (area-RMS, relative to u)
 FIRST_STEP_SAFETY = 0.25  # the first step of a run is FIRST_STEP_SAFETY * stable_dt(body)
 MAX_STEPS = 2_000_000  # a run that has not reached t_end after this many steps fails
@@ -318,22 +318,20 @@ def _etd_weights(z: np.ndarray):
 
 class _Frozen(NamedTuple):
     """What every stage of a step from one body shares, whatever its dt:
-    the grid, the mode, the mask, L and the nodal remainder u - synthesize(u^)
-    of the start.  Its methods take a coefficient array or a stack of them
-    (the whole and the first half step of an attempt)."""
+    the grid, the mode, the mask and L.  Its methods take a coefficient
+    array or a stack of them (the whole and the first half step of an
+    attempt)."""
 
     grid: SphereGrid
     normalized: bool
     mask: np.ndarray
     lin: np.ndarray
-    remainder: np.ndarray
 
     def stage(self, coeffs):
-        """(jet, det A) of the stages whose coefficients are ``coeffs``, the
-        remainder added to the value row; raises BodyValidityError, at the
-        thresholds of any body, if a stage leaves the valid-body cone."""
+        """(jet, det A) of the stages whose coefficients are ``coeffs``;
+        raises BodyValidityError, at the thresholds of any body, if a stage
+        leaves the valid-body cone."""
         jet = self.grid.synthesize(coeffs, jet=True)
-        jet.rows[..., 0, :] += self.remainder
         _check_support(jet.values)
         det, _, least, _ = self.grid.radii_invariants(jet)
         _check_convexity(least)
@@ -352,12 +350,11 @@ class _Frozen(NamedTuple):
 
 
 def _start_stage(body: ConvexBody, normalized: bool, recenter: bool,
-                 coeffs: np.ndarray = None, remainder: np.ndarray = None) -> tuple:
+                 coeffs: np.ndarray = None) -> tuple:
     """(:class:`_Frozen`, u^, N(u)) of a step from ``body``.  A run passes
-    the coefficients and remainder it carries; otherwise the support is
-    analyzed here."""
+    the coefficients it carries; otherwise the support is analyzed here."""
     grid = body.grid
-    mask = grid.degree_mask(DEALIAS_FRAC, recenter)
+    mask = grid.degree_mask(1.0, recenter)
     n, l = body.dim, np.arange(mask.size)  # the index along the degree axis is l
     # linearized about the round sphere the velocity is Delta + (n+1) (normalized)
     # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
@@ -365,8 +362,7 @@ def _start_stage(body: ConvexBody, normalized: bool, recenter: bool,
     lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0)
     if coeffs is None:
         coeffs = grid.analyze(body.support)
-        remainder = body.support - grid.synthesize(coeffs)
-    frozen = _Frozen(grid, normalized, mask, lin, remainder)
+    frozen = _Frozen(grid, normalized, mask, lin)
     return frozen, coeffs, frozen.nonlinear(body.support, body.curvature.gauss, coeffs)
 
 
@@ -395,9 +391,7 @@ def _etdrk4(frozen: _Frozen, u_hat, n_u, weights):
 def _single_step(frozen: _Frozen, u_hat, n_u, dt: float):
     """One ETDRK4 step of dt: (the body, its coefficients)."""
     coeffs = _etdrk4(frozen, u_hat, n_u, _step_weights(frozen.lin, dt))
-    jet = frozen.grid.synthesize(coeffs, jet=True)
-    jet.rows[0] += frozen.remainder
-    return ConvexBody.from_jet(jet), coeffs
+    return ConvexBody.from_jet(frozen.grid.synthesize(coeffs, jet=True)), coeffs
 
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",
@@ -453,6 +447,8 @@ def _count_violations(body: ConvexBody, t: float, cfg: FlowConfig) -> int:
 def run(body: ConvexBody, config: FlowConfig):
     """Integrate the flow; returns (FlowTrace, final body).
 
+    The start is first projected onto its coefficients (see the module
+    docstring), then volume-normalized and recentered as configured.
     Records a row at t = 0, every ``output_stride`` accepted steps, and at
     the end.  In normalized mode the run also stops early once the soliton
     residual max|u det A - 1| falls below ``soliton_tol``.  A run that
@@ -469,6 +465,8 @@ def run(body: ConvexBody, config: FlowConfig):
     """
     cfg = config
     normalized = cfg.mode == "normalized"
+    grid = body.grid
+    body = ConvexBody.from_jet(grid.synthesize(grid.analyze(body.support), jet=True))
     if cfg.project_volume:
         body = normalize_volume(body)
     if cfg.recenter:
@@ -524,9 +522,9 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
     dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
-    coeffs = remainder = None  # analyzed from the support once, then carried
+    coeffs = None  # analyzed from the support once, then carried
     while t < t_done and trace.steps < MAX_STEPS:
-        frozen, u_hat, n_u = _start_stage(body, normalized, cfg.recenter, coeffs, remainder)
+        frozen, u_hat, n_u = _start_stage(body, normalized, cfg.recenter, coeffs)
         dt = min(dt_next, cfg.t_end - t)
         while True:
             if dt < DT_FLOOR:
@@ -548,10 +546,10 @@ def run(body: ConvexBody, config: FlowConfig):
                     # silently substituting smaller steps would corrupt them
                     raise StiffnessError(t, dt, body)
                 dt *= 0.5
-        body, remainder = new_body, frozen.remainder
+        body = new_body
         if cfg.project_volume:
             factor = _volume_factor(body)
-            body, coeffs, remainder = body.scale(factor), coeffs * factor, remainder * factor
+            body, coeffs = body.scale(factor), coeffs * factor
         t += dt
         trace.steps += 1
         residual = soliton_residual(body)

@@ -30,9 +30,9 @@ A :class:`SupportJet` holds those raw rows; derivatives are linear in u,
 so the jet of a linear combination of fields is the same combination of
 rows.  ``derivative_bundle`` is one analysis plus the kernel.  The degree
 is the last axis of a coefficient array on both grids, so a filter is a
-multiplier along it (:meth:`~SphereGrid.degree_mask`: the 2/3 cut, and the
-degree-1 modes when the flow recenters); the flow's ETDRK4 stages are
-jets synthesized from masked coefficient states.  The transforms, the
+multiplier along it (:meth:`~SphereGrid.degree_mask`: a cut at a fraction
+of the bandlimit, and the degree-1 modes when the flow recenters); the
+flow's ETDRK4 stages are jets synthesized from coefficient states.  The transforms, the
 synthesis kernel and ``radii_invariants`` take a leading stack axis, a
 field per row, and give each row what it gives alone, bit for bit: the
 flow advances two step sizes as one stack.
@@ -269,8 +269,8 @@ class SphereGrid:
         return out[0] if single else out
 
     def lowpass(self, values: np.ndarray, frac: float) -> np.ndarray:
-        """Zero all modes above ``frac * bandlimit`` (2/3-rule style filter);
-        a negative ``frac`` zeroes every mode."""
+        """Zero all modes above ``frac * bandlimit``; a negative ``frac``
+        zeroes every mode."""
         return self.synthesize(self.analyze(values) * self.degree_mask(frac))
 
     def degree_mask(self, frac: float, drop_degree_one: bool = False) -> np.ndarray:
