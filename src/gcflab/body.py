@@ -21,8 +21,8 @@ least eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and
 f.  Either way the body is validated at the same thresholds, by the tests
 the flow also applies to its stages (``_check_support``,
 ``_check_convexity``).  The two routes agree up to round-off only (a few
-1e-12 relative): rebuilding a body from its support can move its
-curvature, and what is read from it, by that much.
+1e-12 relative on S^1, less on S^2): rebuilding a body from its support can
+move its curvature, and what is read from it, by that much.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible

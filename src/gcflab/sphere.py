@@ -16,10 +16,10 @@ in ``_KINDS``, the table of the two kinds of :class:`SphereGrid`:
 The S^2 transform is matrix-organized (Schaeffer 2013, SHTns): an FFT in
 longitude, then one batched matrix product over the orders m in colatitude.
 ``build_grid`` precomputes two tables, the quadrature-weighted P_lm (m, l, i)
-for analysis and the stack S (m, i, l) of P_lm, dP_lm and d2P_lm at the
-n_theta colatitudes (3 n_theta rows per order) for synthesis.  Complex
-coefficients enter the products as real/imag pairs, so every product is a
-real matmul.
+for analysis, corrected once so that it inverts synthesis to round-off, and
+the stack S (m, i, l) of P_lm, dP_lm and d2P_lm at the n_theta colatitudes
+(3 n_theta rows per order) for synthesis.  Complex coefficients enter the
+products as real/imag pairs, so every product is a real matmul.
 
 One synthesis kernel turns coefficients into nodal rows: the values alone
 (:meth:`~SphereGrid.synthesize`, :meth:`~SphereGrid.lowpass`) or the jet
@@ -448,10 +448,13 @@ class Sphere2Grid(SphereGrid):
                            np.stack([-sp, cp, np.zeros_like(sp)], axis=1)], axis=1)
 
         P, dP, d2P = _legendre_tables(x, _recurrence_coefficients(L))
+        # X = P W inverts synthesis to 9e-15 only (leggauss's weights), which l^2 makes 1e-11
+        # in a rebuilt det A; one Newton-Schulz step, X <- X - (X P^T - I) X, leaves round-off
+        pw = P * w_gl[None, None, :]
         tab = {
             # S[m, i, l]: rows i of P, then dP, then d2P, contiguous per order m
             "S": np.concatenate([P, dP, d2P], axis=2).transpose(0, 2, 1).copy(),
-            "PWt": P * w_gl[None, None, :],
+            "PWt": pw - (pw @ P.transpose(0, 2, 1) - np.eye(L + 1)) @ pw,
             "sin_flat": st,
             "sin2_flat": st**2,
             "cot_flat": ct / st,
@@ -812,9 +815,7 @@ def _legendre_tables(x: np.ndarray, coefficients):
     m_arr = np.arange(L + 1)[:, None, None]
     cot = (x / sin_t)[None, None, :]
     d2P = -cot * dP - (l_arr * (l_arr + 1) - m_arr**2 / sin_t[None, None, :] ** 2) * P
-    # zero the unused lower triangle that the broadcast above may have touched
-    mask = (l_arr >= m_arr).astype(float)
-    return P * mask, dP * mask, d2P * mask
+    return P, dP, d2P
 
 
 _KINDS = {1: CircleGrid, 2: Sphere2Grid}  # dim -> grid kind

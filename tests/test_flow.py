@@ -26,7 +26,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import SphereGrid, SupportJet, average, build_grid, degree_one
+from gcflab.sphere import SphereGrid, average, build_grid, degree_one
 from gcflab.verify import (corpus, corpus_runs, desk_grid, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -134,17 +134,14 @@ ROUNDOFF = {1: 1e-11, 2: 1e-12}
 def test_stage_body_from_combined_jets_matches_rebuilt_curvature(flow_body):
     # a stage body's jet is the jet synthesized from its coefficients (here
     # u^ + dt k^, k the masked, degree-1-free velocity): its curvature is the
-    # one rebuilt from the start's derivative bundle plus dt times the
-    # velocity's jet.  A rebuild from the stage's support analyzes it once
-    # more; on S^2 that round trip alone moves det A by 1e-11 relative.
+    # one rebuilt from its support, which analyzes the samples once more
     grid = flow_body.grid
     u_hat = grid.analyze(flow_body.support)
     vel = flow_body.support - flow_body.curvature.gauss
     k_hat = grid.analyze(vel) * grid.degree_mask(1.0, drop_degree_one=True)
     dt = 0.125 * stable_dt(flow_body)
     stage = ConvexBody.from_jet(grid.synthesize(u_hat + dt * k_hat, jet=True))
-    jets = grid.derivative_bundle(flow_body.support), grid.synthesize(k_hat, jet=True)
-    ref = ConvexBody.from_jet(SupportJet(grid, jets[0].rows + dt * jets[1].rows)).curvature
+    ref = ConvexBody(grid, stage.support).curvature
     for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
         gap = _relative_gap(getattr(stage.curvature, name), getattr(ref, name))
         assert gap <= ROUNDOFF[grid.dim], (name, gap)
@@ -262,8 +259,7 @@ def test_step_damps_masked_coefficients_by_the_linear_part(flow_body, recenter, 
 
 
 # A mode growing at rate n+1 = 3 from round-off would reach 1e-3 by t = 10:
-# a recentered S^2 run to t = 12 that ends at round-off has none.  The 2/3
-# velocity cut was once there to stop such growth.
+# a recentered S^2 run to t = 12 that ends at round-off has none.
 LONG_RUN_T = 12.0
 
 
@@ -448,8 +444,7 @@ def test_angenent_oval_is_exact(n, bound):
     # coth(2(T - t)) - cos 2 theta solves it: Angenent's oval (J. Differential
     # Geom. 33, 1991), of area 2 pi (T - t).  From T - t = 1 (curvature ratio
     # e^2) to 0.25 the support is within 2.4e-13 (n = 256) and 2.4e-11
-    # (n = 128, 3.9e-9 with the former 2/3 velocity cut) of the exact one,
-    # and the area within 6.8e-14 and 5.7e-11
+    # (n = 128) of the exact one, and the area within 6.8e-14 and 5.7e-11
     grid = build_grid(1, n=n)
     _, final = run(ConvexBody(grid, _oval_support(n, 1.0)),
                    FlowConfig(mode="unnormalized", t_end=0.75, output_stride=10**9))
@@ -467,8 +462,7 @@ def corpus_bodies():
 def test_unnormalized_volume_law(corpus_bodies, label, bound):
     # dV/dt = -int (1/det A) det A = -|S^n| under the unnormalized flow, so
     # V(t) = V_0 - 4 pi t exactly on S^2.  To t = 0.3 the gate corpus bodies
-    # hold it to 6.7e-13, 1.2e-12, 1.1e-9 and 9.4e-10; with the former 2/3
-    # velocity cut the random ones broke it at 1.2e-7 and 5.9e-8
+    # hold it to 6.7e-13, 1.2e-12, 1.1e-9 and 9.4e-10
     trace, _ = run(corpus_bodies[label], FlowConfig(mode="unnormalized", t_end=0.3,
                                                     output_stride=1))
     volume = trace.column("volume")

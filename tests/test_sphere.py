@@ -358,12 +358,18 @@ class EinsumReference:
         )
         self.PW = self.P * w[None, None, :]
         self.m = np.arange(L + 1)
+        # analysis is the weighted least-squares fit of degrees <= L: the rule
+        # P W divided by its Gram matrix P W P^T (the identity but for
+        # round-off; the unused l < m rows and columns set to 1 on the diagonal)
+        self.gram = (np.einsum("mli,mki->mlk", self.PW, self.P)
+                     + np.eye(L + 1) * (self.m[None, :] < self.m[:, None])[..., None])
         self.sin_t = np.repeat(np.sin(np.arccos(x)), self.n_phi)
         self.cot_t = np.repeat(x, self.n_phi) / self.sin_t
 
     def analyze(self, u):
         g = np.fft.rfft(u.reshape(-1, self.n_phi), axis=1) / self.n_phi
-        return np.einsum("mli,im->ml", self.PW, g[:, : self.m.size])
+        rhs = np.einsum("mli,im->ml", self.PW, g[:, : self.m.size])
+        return np.linalg.solve(self.gram, rhs[..., None])[..., 0]
 
     def phi_synth(self, prof):
         buf = np.zeros((prof.shape[0], self.n_phi // 2 + 1), dtype=complex)
