@@ -352,6 +352,13 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     summed along the sample axis.  Each chunk draws uniform directions, then
     radii ``radius(uniform)``; ``inside`` is polar membership
     r (u(dir) - <dir, z>) <= 1, with u the grid's spectral interpolant.
+    The directions and radii of every chunk are drawn into two buffers
+    allocated once per call, and ``radius`` and ``integrand`` may overwrite
+    their array arguments and return them; the integrand is squared in place
+    after its first sum.  A call's working memory is thus about the two
+    buffers, whatever ``samples`` is: 400,000 samples about the entropy
+    point of the corpus body random-2-s21 (32x64) peak at 3.6 MiB of traced
+    memory, and of random-1-s11 (S^1, n = 256) at 2.5 MiB.
 
     Membership is screened on the part u_<=d of u of degree <= d, summed by
     the grid's ``_screen_kernel``, which also returns a bound R_d on its
@@ -360,17 +367,16 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
     ``_tail_bounds``.  Per slab of ``MC_SLAB`` directions,
     s = r (u_<=d - <dir, z>) decides a sample where
     |s - 1| > r (B[d] + R_d + ``MC_ROUNDOFF`` (S + |z|)), which is at least
-    the gap to the full expression plus its round-off; chunk-length
-    temporaries instead moved the peak RSS of a perfbench run by up to
-    0.7 MB with their allocation order.  A chunk with an undecided sample
-    (the screen stops at its slab), and every chunk if no degree qualifies
-    (on 64x128 a body with its whole band in use), takes the full expression
-    at all its directions through one ``grid.eval``, the call that a sampler
-    without the screen makes.  ``inside`` is thus the same array as with
-    ``grid.eval`` at every direction, bit for bit.  The directions are unit
-    vectors by construction and are not checked again; ``grid.eval`` checks
-    those of a chunk that falls back.  They are normalized in place by
-    ``_unit_rows``, whose column sums give the bits of ``np.linalg.norm``.
+    the gap to the full expression plus its round-off.  A chunk with an
+    undecided sample (the screen stops at its slab), and every chunk if no
+    degree qualifies (on 64x128 a body with its whole band in use), takes
+    the full expression at all its directions through one ``grid.eval``, the
+    call that a sampler without the screen makes.  ``inside`` is thus the
+    same array as with ``grid.eval`` at every direction, bit for bit.  The
+    directions are unit vectors by construction and are not checked again;
+    ``grid.eval`` checks those of a chunk that falls back.  They are
+    normalized in place by ``_unit_rows``, whose column sums give the bits
+    of ``np.linalg.norm``.
     """
     grid = body.grid
     coeffs = grid.analyze(body.support)
@@ -397,13 +403,16 @@ def _mc_mean(body: ConvexBody, z, samples: int, seed: int, radius, integrand):
                 return inside
         return r * (grid.eval(body.support, dirs) - dz) <= 1.0
 
+    rows = min(samples, MC_CHUNK)
+    dirs_buffer, r_buffer = np.empty((rows, body.dim + 1)), np.empty(rows)
     total = total_sq = 0.0
     for rng, count in _sample_chunks(seed, samples):
-        dirs = _unit_rows(rng.normal(size=(count, body.dim + 1)))
-        r = radius(rng.random(count))
+        dirs = _unit_rows(rng.standard_normal(out=dirs_buffer[:count]))
+        r = radius(rng.random(out=r_buffer[:count]))
         f = integrand(dirs, r, membership(dirs, r))
         total = total + np.sum(f, axis=0)
-        total_sq = total_sq + np.sum(f * f, axis=0)
+        total_sq = total_sq + np.sum(np.multiply(f, f, out=f), axis=0)
+        del f  # before the next chunk's temporaries
     mean = total / samples
     return mean, np.sqrt(np.maximum(0.0, total_sq / samples - mean * mean) / samples)
 
@@ -437,10 +446,22 @@ def mc_log_integral(body: ConvexBody, z=None, samples: int = 100_000, seed: int 
         return 0.0, 0.0
     p_lo, p_hi = r_lo ** n1, r_hi ** n1
     vol_annulus = body.grid.area * (p_hi - p_lo) / n1
-    # the weight's sign is +1 in the ball but not the polar body, -1 the other way round
-    mean, stderr = _mc_mean(
-        body, z, samples, seed, lambda uniform: (p_lo + uniform * (p_hi - p_lo)) ** (1.0 / n1),
-        lambda dirs, r, inside: vol_annulus * ((r <= 1.0) - inside.astype(float)) * r ** -n1)
+
+    def radius(uniform):
+        uniform *= p_hi - p_lo
+        uniform += p_lo
+        uniform **= 1.0 / n1
+        return uniform
+
+    def integrand(dirs, r, inside):
+        # the sign is +1 in the ball but not the polar body, -1 the other way round
+        f = np.subtract(r <= 1.0, inside, dtype=float)
+        f *= vol_annulus
+        r **= -n1
+        f *= r
+        return f
+
+    mean, stderr = _mc_mean(body, z, samples, seed, radius, integrand)
     if mean == 0.0 and stderr == 0.0:  # every sample had weight 0
         return 0.0, float("inf")
     return float(mean), float(stderr)
@@ -458,5 +479,11 @@ def mc_polar_mass_center(body: ConvexBody, z=None, samples: int = 100_000, seed:
     z, u_z = _mc_args(body, z, samples, seed)
     r_max = 1.0 / float(np.min(u_z))
     scale = body.grid.area * r_max
-    return _mc_mean(body, z, samples, seed, lambda uniform: r_max * uniform,
-                    lambda dirs, r, inside: scale * dirs * inside[:, None])
+
+    def integrand(dirs, r, inside):
+        dirs *= scale
+        dirs *= inside[:, None]
+        return dirs
+
+    return _mc_mean(body, z, samples, seed,
+                    lambda uniform: np.multiply(uniform, r_max, out=uniform), integrand)

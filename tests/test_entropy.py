@@ -1,5 +1,7 @@
 """Entropy functionals, distinguished points, and Monte Carlo cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,28 @@ def test_screen_falls_back_near_the_boundary(monkeypatch, g1, g2, dim, degree):
     _assert_same_estimates(screened, reference)
     assert degrees == [degree, degree]  # random_valid draws degrees 2 to 8
     assert fallback > 10_000
+
+
+@pytest.mark.parametrize("label, bound_mib", [("random-2-s21", 4.0), ("random-1-s11", 3.0)])
+def test_oracle_working_memory_is_two_chunk_buffers(label, bound_mib):
+    """A call draws every chunk into one direction and one radius buffer
+    (2.0 MiB together on S^2, 1.5 MiB on S^1) and weighs it in place, so its
+    traced peak is those buffers plus the temporaries of the direction
+    normalization and of dirs @ z: 3.57 MiB on random-2-s21 and 2.51 MiB on
+    random-1-s11 at 400,000 samples.  A repeat call returns the same bits."""
+    body = dict(verify.corpus())[label]
+    z = entropy_point(body)[0]
+    for oracle in (mc_log_integral, mc_polar_mass_center):
+        first = oracle(body, z, samples=400_000, seed=7)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            again = oracle(body, z, samples=400_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (oracle.__name__, peak / 2**20)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def _mass_center_norms(body, z, seed):
