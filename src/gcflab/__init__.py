@@ -26,11 +26,9 @@ from .body import (
     GeometrySummary,
     circumradius,
     geometry_summary,
-    harmonic_field,
     inradius,
     make_shape,
     normalize_volume,
-    spectral_tail,
 )
 from .constants import ball_volume, sphere_area
 from .entropy import (
@@ -99,7 +97,6 @@ __all__ = [
     "entropy_report",
     "firey_entropy",
     "geometry_summary",
-    "harmonic_field",
     "harnack_monitor",
     "inradius",
     "j1_first_variation",
@@ -115,7 +112,6 @@ __all__ = [
     "santalo_point",
     "solve_soliton",
     "soliton_residual",
-    "spectral_tail",
     "sphere_area",
     "stability_form",
     "stable_dt",

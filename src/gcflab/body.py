@@ -10,8 +10,8 @@ checks both conditions up front.  Its curvature data, the invariants of A
 that the grid derives from u (A itself is never built), is computed once
 per body and holds eagerly only what validation and the flow read (det A,
 trace A, the least eigenvalue of A, sigma_{n-1}(A), Gauss curvature
-K = 1/det A and grad u); the mean curvature, |grad u| and the boundary
-embedding X = u x + grad u are computed on first access and then kept.
+K = 1/det A and grad u); |grad u| and the boundary embedding
+X = u x + grad u are computed on first access and then kept.
 
 The curvature comes from one ``derivative_bundle`` of the support, or from a
 jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
@@ -50,11 +50,9 @@ __all__ = [
     "GeometrySummary",
     "circumradius",
     "geometry_summary",
-    "harmonic_field",
     "inradius",
     "make_shape",
     "normalize_volume",
-    "spectral_tail",
 ]
 
 MIN_SUPPORT = 1e-8  # positivity threshold for u
@@ -72,12 +70,11 @@ class CurvatureData:
     and ``adj_trace_a`` sigma_{n-1}(A) = trace adj A (1 on S^1); ``gauss`` =
     1/det A is the Gauss curvature as a function of the normal.  These and
     ``grad`` are computed at construction: validation and the flow read them.
-    The rest are computed on first access and then kept: ``mean_curvature``
-    is trace(A^-1) = K sigma_{n-1}(A), the sum of the principal curvatures;
-    ``grad_norm`` is |grad u|; ``position`` is the boundary embedding
-    X = u x + grad u (the point of the body whose outer normal is the node
-    direction) and ``position_norm`` its length.  (``cached_property`` keeps
-    them in the instance dict, which a frozen dataclass permits.)
+    The rest are computed on first access and then kept: ``grad_norm`` is
+    |grad u| and ``position`` is the boundary embedding X = u x + grad u (the
+    point of the body whose outer normal is the node direction).
+    (``cached_property`` keeps them in the instance dict, which a frozen
+    dataclass permits.)
 
     The arrays depend, at round-off level, on how the body was built: a body
     from :meth:`ConvexBody.from_jet` (the bodies the flow's steps build) or
@@ -97,20 +94,12 @@ class CurvatureData:
     _grid: SphereGrid = field(repr=False)
 
     @cached_property
-    def mean_curvature(self) -> np.ndarray:
-        return self.gauss * self.adj_trace_a
-
-    @cached_property
     def grad_norm(self) -> np.ndarray:
         return np.sqrt(np.sum(self.grad**2, axis=1))
 
     @cached_property
     def position(self) -> np.ndarray:
         return self._grid._position(self._support, self.grad)
-
-    @cached_property
-    def position_norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.position**2, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,17 +407,7 @@ def geometry_summary(body: ConvexBody) -> GeometrySummary:
 # ---------------------------------------------------------------------------
 
 
-def harmonic_field(grid: SphereGrid, modes) -> np.ndarray:
-    """Nodal field from a list of harmonic modes.
-
-    dim 1: entries (k, a, b), k an integer, contribute a*cos(k t) + b*sin(k t).
-    dim 2: entries (l, m, a), l and m integers, contribute a times the unit-norm
-    real harmonic of degree l and order m (m > 0 cosine-type, m < 0 sine-type).
-    """
-    return grid._harmonic_field(modes)
-
-
-def spectral_tail(grid: SphereGrid, u: np.ndarray) -> float:
+def _spectral_tail(grid: SphereGrid, u: np.ndarray) -> float:
     """Relative magnitude of u's spectrum in the top third of the band.
 
     A smooth well-resolved field decays well below round-off there; values
@@ -441,7 +420,7 @@ def spectral_tail(grid: SphereGrid, u: np.ndarray) -> float:
 
 
 def _warn_if_aliased(grid: SphereGrid, u: np.ndarray, what: str):
-    tail = spectral_tail(grid, u)
+    tail = _spectral_tail(grid, u)
     if tail > TAIL_WARN:
         warnings.warn(
             f"{what}: relative spectral tail {tail:.2e} near the grid bandlimit "
@@ -459,7 +438,10 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
     ball : radius (default 1.0)
     translated_ball : radius, center (interior point, |center| < radius)
     ellipsoid : semiaxes, tuple of dim+1 positive numbers
-    harmonic : base (default 1.0) plus modes as in :func:`harmonic_field`
+    harmonic : base (default 1.0) plus modes: on S^1 entries (k, a, b), k an
+        integer, contribute a cos(k t) + b sin(k t); on S^2 entries (l, m, a),
+        l and m integers, contribute a times the unit-norm real harmonic of
+        degree l and order m (m > 0 cosine-type, m < 0 sine-type)
     random_valid : seed (integer >= 0), amplitude, parity —
         random perturbation of the unit ball in degrees 2 to min(8, max(2,
         bandlimit // 3)), amplitude shrunk until the body is valid.
@@ -500,7 +482,7 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
         base = float(params.pop("base", 1.0))
         modes = params.pop("modes")
         _no_extra(params)
-        body = ConvexBody(grid, base + harmonic_field(grid, modes))
+        body = ConvexBody(grid, base + grid._harmonic_field(modes))
 
     elif kind == "random_valid":
         body = _random_valid(grid, **params)
@@ -539,7 +521,7 @@ def _random_valid(
 
     modes = [mode for mode in grid._random_modes(rng, l_max, RANDOM_DECAY)
              if parity == "any" or mode[0] % 2 == 0]  # the degree comes first
-    bump = harmonic_field(grid, modes)
+    bump = grid._harmonic_field(modes)
     peak = float(np.max(np.abs(bump)))
     if peak > 0:
         bump = bump / peak  # unit sup-norm; `amplitude` is the actual size

@@ -62,11 +62,12 @@ V(t) = V_0 - |S^n| t to 1.1e-9 on random-2-s21 (1.2e-7 with it).
 In normalized mode the discrete volume drifts at the step's error;
 optional projection rescales the support after every accepted step so the
 volume stays at the unit-ball value exactly.  A and K do not change under
-u -> u - <z, x>, so the origin is a gauge choice; optional recentering moves
-the body to its Steiner point and masks the degree-1 part of the velocity,
-which keeps the linearized translation mode (growing like e^t) out of long
-runs.  The entropy point then agrees with the origin to O(sup|u - 1|^2) at
-a round endpoint.
+u -> u - <z, x>, so the origin is a gauge choice; optional recentering zeroes
+the start's degree-1 coefficients, the translation <s, x> to its Steiner
+point s, and masks the degree-1 part of the velocity, which keeps the
+linearized translation mode (growing like e^t) out of long runs.  The
+entropy point then agrees with the origin to O(sup|u - 1|^2) at a round
+endpoint.
 
 Cost of a step.  The mask is a multiplier on coefficients
 (:meth:`SphereGrid.degree_mask`), exact for a band-limited field.
@@ -81,7 +82,7 @@ and 8 syntheses (three stacked stages, the stacked ends, the first half's
 velocity, three stages and the fine end) and builds one body, the
 accepted one, from the extrapolated jet.  ``run`` carries the coefficients
 beside the body, scaling them by the volume-projection factor, so it
-analyzes the support once per run after its projection; each accepted step
+analyzes the support once per run, at its start; each accepted step
 adds the start's velocity analysis.  A public :func:`step` from a body
 makes five analyses (the start support, the velocities of the start and of
 the three stages) and four syntheses (three stages and the result).  Volume
@@ -101,7 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .body import ConvexBody, _check_convexity, _check_support, _volume_factor, normalize_volume
+from .body import ConvexBody, _check_convexity, _check_support, _volume_factor
 from .entropy import chow_entropy, entropy_point, firey_entropy
 from .errors import (
     BodyValidityError,
@@ -111,7 +112,7 @@ from .errors import (
     StiffnessError,
     _check_integer,
 )
-from .sphere import SphereGrid, SupportJet, average, degree_one
+from .sphere import SphereGrid, SupportJet, average
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -164,8 +165,8 @@ class FlowConfig:
     whose stage leaves the valid-body cone raises StiffnessError instead of
     silently shrinking, which would corrupt the deterministic step sequence.
     ``recenter``
-    (a bool) keeps the Steiner point at the origin by removing degree-1
-    velocity parts.
+    (a bool) keeps the Steiner point at the origin by zeroing the degree-1
+    coefficients of the start and of every velocity.
     """
 
     mode: str = "normalized"
@@ -350,18 +351,18 @@ class _Frozen(NamedTuple):
 
 
 def _start_stage(body: ConvexBody, normalized: bool, recenter: bool,
-                 coeffs: np.ndarray = None) -> tuple:
-    """(:class:`_Frozen`, u^, N(u)) of a step from ``body``.  A run passes
-    the coefficients it carries; otherwise the support is analyzed here."""
+                 coeffs: np.ndarray) -> tuple:
+    """(:class:`_Frozen`, u^, N(u)) of a step from ``body``, whose
+    coefficients are ``coeffs``.  Recentering masks l = 1."""
     grid = body.grid
-    mask = grid.degree_mask(1.0, recenter)
+    mask = grid.degree_mask(1.0)
+    if recenter:
+        mask[1] = 0.0
     n, l = body.dim, np.arange(mask.size)  # the index along the degree axis is l
     # linearized about the round sphere the velocity is Delta + (n+1) (normalized)
     # or Delta + n: rates c_0 - l(l+n-1), scaled by S and clipped to <= 0
     c_0 = n + 1 if normalized else n
     lin = _stiffness(body) * np.minimum(c_0 - l * (l + n - 1.0), 0.0)
-    if coeffs is None:
-        coeffs = grid.analyze(body.support)
     frozen = _Frozen(grid, normalized, mask, lin)
     return frozen, coeffs, frozen.nonlinear(body.support, body.curvature.gauss, coeffs)
 
@@ -403,7 +404,7 @@ def step(body: ConvexBody, dt: float, mode: str = "normalized",
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    start = _start_stage(body, mode == "normalized", recenter)
+    start = _start_stage(body, mode == "normalized", recenter, body.grid.analyze(body.support))
     try:
         return _single_step(*start, dt)[0]
     except BodyValidityError as exc:
@@ -416,7 +417,7 @@ def stable_dt(body: ConvexBody) -> float:
     ``FIRST_STEP_SAFETY`` times this, and the step-size control takes over
     from there."""
     c = body.curvature
-    # K * mean curvature, formed here so the cached ``mean_curvature`` stays lazy
+    # K trace A^{-1} = K (K sigma_{n-1}(A)), the trace of the principal symbol K A^{-1}
     rate = float(np.max(c.gauss * (c.gauss * c.adj_trace_a)))
     return body.grid.h_min**2 / rate
 
@@ -447,8 +448,9 @@ def _count_violations(body: ConvexBody, t: float, cfg: FlowConfig) -> int:
 def run(body: ConvexBody, config: FlowConfig):
     """Integrate the flow; returns (FlowTrace, final body).
 
-    The start is first projected onto its coefficients (see the module
-    docstring), then volume-normalized and recentered as configured.
+    The start is first projected onto its coefficients, whose degree-1
+    part recentering zeroes (see the module docstring), then
+    volume-normalized as configured.
     Records a row at t = 0, every ``output_stride`` accepted steps, and at
     the end.  In normalized mode the run also stops early once the soliton
     residual max|u det A - 1| falls below ``soliton_tol``.  A run that
@@ -466,11 +468,13 @@ def run(body: ConvexBody, config: FlowConfig):
     cfg = config
     normalized = cfg.mode == "normalized"
     grid = body.grid
-    body = ConvexBody.from_jet(grid.synthesize(grid.analyze(body.support), jet=True))
-    if cfg.project_volume:
-        body = normalize_volume(body)
+    coeffs = grid.analyze(body.support)  # analyzed once, then carried
     if cfg.recenter:
-        body = body.translate(degree_one(body.grid, body.support))
+        coeffs[..., 1] = 0.0  # the translation to the Steiner point
+    body = ConvexBody.from_jet(grid.synthesize(coeffs, jet=True))
+    if cfg.project_volume:
+        factor = _volume_factor(body)
+        body, coeffs = body.scale(factor), coeffs * factor
 
     trace = FlowTrace(config=cfg, dim=body.dim)
     z_e = np.zeros(body.dim + 1)
@@ -522,7 +526,6 @@ def run(body: ConvexBody, config: FlowConfig):
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
     dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
-    coeffs = None  # analyzed from the support once, then carried
     while t < t_done and trace.steps < MAX_STEPS:
         frozen, u_hat, n_u = _start_stage(body, normalized, cfg.recenter, coeffs)
         dt = min(dt_next, cfg.t_end - t)

@@ -37,7 +37,7 @@ from .constants import ball_volume
 from .entropy import entropy_point
 from .errors import ParameterError
 from .flow import FlowConfig, run, soliton_residual
-from .sphere import SphereGrid, average, degree_one
+from .sphere import SphereGrid, average
 
 __all__ = [
     "SolitonReport",
@@ -95,14 +95,12 @@ def stability_form(grid: SphereGrid, eta) -> float:
 
 
 def remove_first_harmonics(grid: SphereGrid, eta) -> np.ndarray:
-    """Quadrature projection of a field onto the complement of span{1, x_j}.
-
-    The basis is quadrature-orthogonal (polynomials of degree <= 2 are
-    integrated exactly), so one pass leaves residual inner products at round-off.
-    """
+    """Projection of a field onto the complement of span{1, x_j}: the field
+    minus the synthesis of its coefficients of degree 0 and 1."""
     eta = grid.check_field(eta)
-    eta = eta - (grid.weights @ eta) / grid.area
-    return eta - grid._linear(degree_one(grid, eta))
+    low = grid.analyze(eta)
+    low[..., 2:] = 0.0  # the degree is the last axis
+    return eta - grid.synthesize(low)
 
 
 @dataclass(frozen=True)

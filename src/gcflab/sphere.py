@@ -30,9 +30,10 @@ A :class:`SupportJet` holds those raw rows; derivatives are linear in u,
 so the jet of a linear combination of fields is the same combination of
 rows.  ``derivative_bundle`` is one analysis plus the kernel.  The degree
 is the last axis of a coefficient array on both grids, so a filter is a
-multiplier along it (:meth:`~SphereGrid.degree_mask`: a cut at a fraction
-of the bandlimit, and the degree-1 modes when the flow recenters); the
-flow's ETDRK4 stages are jets synthesized from coefficient states.  The transforms, the
+multiplier along it (:meth:`~SphereGrid.degree_mask`, a cut at a fraction
+of the bandlimit), and the degree-1 part of a field, a translation of a
+support function, is index 1 of that axis; the flow's ETDRK4 stages are
+jets synthesized from coefficient states.  The transforms, the
 synthesis kernel and ``radii_invariants`` take a leading stack axis, a
 field per row, and give each row what it gives alone, bit for bit: the
 flow advances two step sizes as one stack.
@@ -69,7 +70,7 @@ The public entry points are :func:`build_grid`, the grid's spectral methods
 :meth:`~SphereGrid.derivative_bundle`, :meth:`~SphereGrid.degree_mask`,
 ``radii_invariants``, :meth:`~SphereGrid.eval`,
 :meth:`~SphereGrid.lowpass`) and the quadrature
-helpers :func:`integrate`, :func:`average` and :func:`degree_one`.
+helpers :func:`integrate` and :func:`average`.
 Everything downstream treats the grid as an opaque handle, which keeps the
 geometry code dimension-agnostic; the shape generators and the command line
 ask the kind for its sizes, mode tuples and ``--harmonic`` entries, so a new
@@ -98,7 +99,6 @@ __all__ = [
     "build_grid",
     "integrate",
     "average",
-    "degree_one",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -273,17 +273,13 @@ class SphereGrid:
         zeroes every mode."""
         return self.synthesize(self.analyze(values) * self.degree_mask(frac))
 
-    def degree_mask(self, frac: float, drop_degree_one: bool = False) -> np.ndarray:
+    def degree_mask(self, frac: float) -> np.ndarray:
         """Multiplier along the coefficients' degree axis: 1 on the degrees
         up to ``frac * bandlimit`` and 0 above (0 everywhere for a negative
-        ``frac``), and 0 at l = 1, a translation of a support function, if
-        ``drop_degree_one``.  Masking is exact for a band-limited field."""
+        ``frac``).  Masking is exact for a band-limited field."""
         if not np.isfinite(frac):
             raise ParameterError(f"frac must be finite, got {frac!r}")
-        mask = (self._tab["degrees"] <= np.floor(frac * self.bandlimit)).astype(float)
-        if drop_degree_one:
-            mask[1] = 0.0
-        return mask
+        return (self._tab["degrees"] <= np.floor(frac * self.bandlimit)).astype(float)
 
     # --- node geometry ----------------------------------------------------
     # Each operation fixes its order of evaluation: the entropy and Santalo
@@ -861,11 +857,3 @@ def integrate(grid: SphereGrid, values) -> float:
 def average(grid: SphereGrid, values) -> float:
     """Area average of a nodal field."""
     return integrate(grid, values) / grid.area
-
-
-def degree_one(grid: SphereGrid, values) -> np.ndarray:
-    """s with <s, x> the degree-1 part of a band-limited nodal field f: s_j = sum w f x_j /
-    sum w x_j^2, exact by quadrature.  For a support function s is the Steiner point."""
-    w, x = grid.weights, grid.nodes
-    return (w @ (grid.check_field(values)[:, None] * x)) / (w @ (x * x))
-

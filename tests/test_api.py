@@ -49,6 +49,19 @@ def test_second_entries_are_gone():
     assert list(inspect.signature(gcflab.stable_dt).parameters) == ["body"]
 
 
+def test_retired_names_are_gone():
+    # a forwarder to a kind hook, a helper only the package read, the nodal
+    # degree-1 reader (the degree-1 part is index 1 of the degree axis) and
+    # two curvature fields nothing in the package read
+    body, sphere = (importlib.import_module(f"gcflab.{m}") for m in ("body", "sphere"))
+    for mod, name in ((body, "harmonic_field"), (body, "spectral_tail"), (sphere, "degree_one")):
+        assert not hasattr(mod, name) and name not in mod.__all__
+        assert not hasattr(gcflab, name) and name not in gcflab.__all__
+    for name in ("mean_curvature", "position_norm"):
+        assert not hasattr(body.CurvatureData, name)
+    assert list(inspect.signature(gcflab.SphereGrid.degree_mask).parameters) == ["self", "frac"]
+
+
 def test_package_names_are_listed_in_their_home_module():
     # a function's or class's home is its __module__; a constant's is the
     # module that binds it

@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gcflab.body import harmonic_field, make_shape
+from gcflab.body import make_shape
 from gcflab.cli import main, read_snapshot, snapshot_dict, write_snapshot
 from gcflab.constants import ball_volume
 from gcflab.errors import AliasingWarning, SnapshotError
@@ -110,7 +110,7 @@ def test_shape_harmonic_sphere(tmp_path):
                 "--harmonic", "2,1:0.1", "--harmonic", "3,-2:0.05")
     body, meta = read_snapshot(out)
     modes = [(2, 1, 0.1), (3, -2, 0.05)]
-    assert np.array_equal(body.support, 1.0 + harmonic_field(body.grid, modes))
+    assert np.array_equal(body.support, 1.0 + body.grid._harmonic_field(modes))
     assert meta["shape"] == f"harmonic{modes}"
 
 

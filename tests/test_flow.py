@@ -26,7 +26,7 @@ from gcflab.flow import (
     stable_dt,
     step,
 )
-from gcflab.sphere import SphereGrid, average, build_grid, degree_one
+from gcflab.sphere import SphereGrid, average, build_grid
 from gcflab.verify import (corpus, corpus_runs, desk_grid, dissipation_run, fixed_point_run,
                            round_convergence_run, shrinking_ball_run)
 
@@ -34,6 +34,20 @@ from gcflab.verify import (corpus, corpus_runs, desk_grid, dissipation_run, fixe
 def bumpy(g1):
     return make_shape(g1, "harmonic", modes=[(2, 0.1, 0.05), (3, 0.0, 0.04)],
                       normalize=True)
+
+
+def steiner_point(grid, f):
+    """s with <s, x> the degree-1 part of a band-limited nodal field f, by
+    quadrature: s_j = sum w f x_j / sum w x_j^2 (the Steiner point of a
+    support function f)."""
+    w, x = grid.weights, grid.nodes
+    return (w @ (f[:, None] * x)) / (w @ (x * x))
+
+
+def start_stage(body, recenter):
+    """(frozen part, u^, N(u)) of a normalized step from ``body``, as the
+    public step makes it."""
+    return flow_module._start_stage(body, True, recenter, body.grid.analyze(body.support))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +152,9 @@ def test_stage_body_from_combined_jets_matches_rebuilt_curvature(flow_body):
     grid = flow_body.grid
     u_hat = grid.analyze(flow_body.support)
     vel = flow_body.support - flow_body.curvature.gauss
-    k_hat = grid.analyze(vel) * grid.degree_mask(1.0, drop_degree_one=True)
+    mask = grid.degree_mask(1.0)
+    mask[1] = 0.0
+    k_hat = grid.analyze(vel) * mask
     dt = 0.125 * stable_dt(flow_body)
     stage = ConvexBody.from_jet(grid.synthesize(u_hat + dt * k_hat, jet=True))
     ref = ConvexBody(grid, stage.support).curvature
@@ -211,7 +227,7 @@ def test_doubled_step_shares_its_start_and_changes_nothing(flow_body, recenter, 
                         counted("_etd_weights", flow_module._etd_weights))
     monkeypatch.setattr(ConvexBody, "__post_init__",  # every body built
                         counted("__post_init__", ConvexBody.__post_init__))
-    start = flow_module._start_stage(flow_body, True, recenter)
+    start = start_stage(flow_body, recenter)
     body, coeffs, err = flow_module._doubled_step(*start, dt)
     assert calls == {"analyze": 9, "synthesize": 8, "_etd_weights": 1, "__post_init__": 1}
     (stacked, stacked_rows), (fine, fine_rows) = seen[3], seen[-1]
@@ -247,7 +263,8 @@ def test_step_damps_masked_coefficients_by_the_linear_part(flow_body, recenter, 
     n, l = body.dim, np.arange(start.shape[-1])  # the degree is the last axis
     c = body.curvature
     lin = 0.5 * np.max(c.gauss / c.min_eig_a) * np.minimum(n + 1 - l * (l + n - 1.0), 0.0)
-    masked = grid.degree_mask(1.0, recenter) == 0.0
+    masked = grid.degree_mask(1.0) == 0.0
+    masked[1] = recenter
     assert np.abs(start[..., 1]).max() > 1e-3
     np.testing.assert_allclose(jets[-1][..., masked], (np.exp(dt * lin) * start)[..., masked],
                                rtol=1e-14, atol=0.0)
@@ -326,7 +343,7 @@ def test_error_estimate_is_fifth_order(flow_body):
     # ratio is 18.7 at 0.25 stable_dt and 26.2 at 1/16 of it; on S^2 it is
     # 28.9 at 0.25 stable_dt.
     dt = (0.25 if flow_body.dim == 2 else 1 / 16) * stable_dt(flow_body)
-    start = flow_module._start_stage(flow_body, True, False)
+    start = start_stage(flow_body, False)
     ratio = (flow_module._doubled_step(*start, dt)[2]
              / flow_module._doubled_step(*start, 0.5 * dt)[2])
     assert 24.0 <= ratio <= 40.0
@@ -413,14 +430,16 @@ def test_translation_mode_grows_exponentially_without_recentering(g1):
 def test_recentering_removes_exactly_the_degree_one_part(dim, modes, t_end):
     # A and K are translation invariant, so the plain run minus its degree-1
     # part is the recentered run; the recentered body keeps its Steiner point
+    # at the origin.  The degree-1 part is read by quadrature, as a reference
+    # independent of the flow's coefficient mask
     grid = build_grid(1, n=64) if dim == 1 else build_grid(2, n_theta=16, n_phi=32)
     body = make_shape(grid, "harmonic", modes=modes, normalize=True)
     cfg = dict(mode="normalized", t_end=t_end, output_stride=1000, soliton_tol=0.0)
     _, plain = run(body, FlowConfig(**cfg))
     _, centred = run(body, FlowConfig(recenter=True, **cfg))
     u = plain.support
-    assert np.abs(u - grid.nodes @ degree_one(grid, u) - centred.support).max() <= 1e-12
-    assert np.abs(degree_one(grid, centred.support)).max() <= 1e-14
+    assert np.abs(u - grid.nodes @ steiner_point(grid, u) - centred.support).max() <= 1e-12
+    assert np.abs(steiner_point(grid, centred.support)).max() <= 1e-14
 
 
 def _oval_support(n: int, s: float) -> np.ndarray:
@@ -485,6 +504,24 @@ def test_unnormalized_volume_law(corpus_bodies, label, bound):
     trace, _ = run(body, FlowConfig(mode="unnormalized", t_end=0.3, output_stride=1))
     volume = trace.column("volume")
     assert np.abs(volume - (volume[0] - body.grid.area * trace.t)).max() <= bound
+
+
+@pytest.mark.parametrize("label, bound", [("ellipse-3:2", 1e-11), ("wavy-1", 1e-11),
+                                          ("random-1-s11", 1e-11),
+                                          ("ellipsoid-2", 1e-10), ("wavy-2", 1e-11),
+                                          ("random-2-s21", 1e-8)])
+def test_normalized_flow_is_the_rescaled_unnormalized_flow(corpus_bodies, label, bound):
+    # from a body of the ball's volume, the projected normalized run is the
+    # unnormalized run v rescaled: u(tau) = e^tau v((1 - e^{-(n+1) tau}) / (n+1)).
+    # At tau = 0.25 the gate corpus bodies hold it to 8.0e-14, 3.8e-14 and
+    # 9.4e-14 on S^1, and 1.1e-13, 5.2e-14 and 2.1e-10 on S^2 (at tau = 0.5:
+    # <= 1.8e-13 on S^1, 2.0e-13, 3.9e-13 and 4.2e-10)
+    body = corpus_bodies[label]
+    tau, n = 0.25, body.dim
+    s = -np.expm1(-(n + 1) * tau) / (n + 1)
+    _, normalized = run(body, FlowConfig(t_end=tau, output_stride=10**9, soliton_tol=0.0))
+    _, unnormalized = run(body, FlowConfig(mode="unnormalized", t_end=s, output_stride=10**9))
+    assert np.abs(normalized.support - exp(tau) * unnormalized.support).max() <= bound
 
 
 @pytest.mark.parametrize("label, bound", [("ellipsoid-2", 1e-12), ("wavy-2", 1e-12),

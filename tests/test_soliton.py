@@ -8,7 +8,7 @@ Euler-Lagrange density and the quadrature cannot share a bug.
 import numpy as np
 import pytest
 
-from gcflab.body import ConvexBody, harmonic_field, make_shape, normalize_volume
+from gcflab.body import ConvexBody, make_shape, normalize_volume
 from gcflab.constants import ball_volume
 from gcflab.entropy import firey_entropy
 from gcflab.errors import ParameterError
@@ -20,7 +20,7 @@ from gcflab.soliton import (
     solve_soliton,
     stability_form,
 )
-from gcflab.sphere import average
+from gcflab.sphere import average, build_grid
 from gcflab.verify import soliton_solves
 
 
@@ -67,9 +67,9 @@ def test_first_variation_vanishes_at_unit_ball(g1, g2):
     for g in (g1, g2):
         ball = make_shape(g, "ball")
         if g.dim == 1:
-            rho = harmonic_field(g, [(3, 0.7, -0.2), (5, 0.1, 0.0)])
+            rho = g._harmonic_field([(3, 0.7, -0.2), (5, 0.1, 0.0)])
         else:
-            rho = harmonic_field(g, [(3, 1, 0.7), (4, -2, 0.2)])
+            rho = g._harmonic_field([(3, 1, 0.7), (4, -2, 0.2)])
         assert abs(j1_first_variation(ball, rho)) <= 1e-9
 
 
@@ -87,7 +87,7 @@ def test_first_variation_matches_finite_difference(g1, g2):
             else:
                 modes = [(l, int(rng.integers(-l, l + 1)), float(rng.normal()))
                          for l in (2, 3, 4)]
-            rho = harmonic_field(g, modes)
+            rho = g._harmonic_field(modes)
             rho = rho / max(1.0, float(np.abs(rho).max()))
             fd = (
                 j1_value(ConvexBody(g, body.support + eta * rho))
@@ -107,7 +107,7 @@ def test_stability_form_on_harmonics(g1, g2):
     eta = np.cos(3.0 * theta)
     assert stability_form(g1, eta) == pytest.approx((9 - 2) * 0.5, abs=1e-9)
 
-    eta2 = harmonic_field(g2, [(2, 1, 0.8)])
+    eta2 = g2._harmonic_field([(2, 1, 0.8)])
     expected = (6 - 3) * float(average(g2, eta2 * eta2))
     assert stability_form(g2, eta2) == pytest.approx(expected, abs=1e-9)
 
@@ -127,6 +127,18 @@ def test_stability_form_on_constants(g1, g2):
         assert stability_form(g, eta) == pytest.approx((n + 1) ** 2 * c * c, abs=1e-9)
 
 
+def test_remove_first_harmonics_keeps_exactly_the_higher_degrees():
+    # from 1.5 + <s, x> plus harmonic polynomials of degree 2 and 3, exactly
+    # the degree-2/3 part remains
+    for grid in (build_grid(1, n=48), build_grid(2, n_theta=10, n_phi=20)):
+        x = grid.nodes
+        s = np.array([0.3, -0.2, 0.7])[: grid.dim + 1]
+        x0, x1 = x[:, 0], x[:, 1]
+        higher = x0 * x1 + 0.4 * (x0**2 - x1**2) + x0 * (x0**2 - 3 * x1**2)
+        kept = remove_first_harmonics(grid, 1.5 + x @ s + higher)
+        assert np.abs(kept - higher).max() <= 1e-15
+
+
 def test_stability_on_projected_random_fields(g1, g2):
     # Q(eta) >= (lambda_2 - (n+1)) avg eta^2 once constants and first
     # harmonics are projected out
@@ -141,7 +153,7 @@ def test_stability_on_projected_random_fields(g1, g2):
             else:
                 modes = [(l, m, rng.normal()) for l in range(1, 9)
                          for m in range(-l, l + 1)]
-            eta = harmonic_field(g, modes) + float(rng.normal())
+            eta = g._harmonic_field(modes) + float(rng.normal())
             eta = remove_first_harmonics(g, eta)
             assert abs(w @ eta) <= 1e-12
             for j in range(n + 1):
@@ -196,7 +208,7 @@ def test_solve_asymmetric_dim2_start():
 
 
 def test_nonconvergence_returns_flagged_partial_report(g2):
-    bump = harmonic_field(g2, [(3, 1, 0.05), (3, -2, 0.03)])
+    bump = g2._harmonic_field([(3, 1, 0.05), (3, -2, 0.03)])
     body = normalize_volume(ConvexBody(g2, 1.0 + bump))
     final, report = solve_soliton(body, tol=1e-8, t_end=0.05)
     assert not report.converged
@@ -215,7 +227,7 @@ def test_solve_requires_normalized_volume(g1):
 
 def test_euler_lagrange_constant_stays_bounded(g2):
     # mid-flow states: EL max-norm <= C * soliton residual with modest C
-    bump = harmonic_field(g2, [(3, 1, 0.05), (3, -2, 0.03)])
+    bump = g2._harmonic_field([(3, 1, 0.05), (3, -2, 0.03)])
     body = normalize_volume(ConvexBody(g2, 1.0 + bump))
     from gcflab.soliton import _euler_lagrange_density
 

@@ -7,7 +7,7 @@ from scipy.special import sph_harm_y
 
 from gcflab import sphere
 from gcflab.errors import FieldShapeError, ParameterError
-from gcflab.sphere import SphereGrid, average, build_grid, degree_one, integrate
+from gcflab.sphere import SphereGrid, average, build_grid, integrate
 
 
 def real_harmonic(l, m, theta, phi):
@@ -169,16 +169,6 @@ def test_average_of_constant():
         assert abs(average(grid, np.full(grid.n_nodes, 3.5)) - 3.5) < 1e-14
 
 
-def test_degree_one_reads_the_linear_part():
-    # constants and degrees 2-3 are quadrature-orthogonal to the x_j
-    for grid in (build_grid(1, n=48), build_grid(2, n_theta=10, n_phi=20)):
-        x = grid.nodes
-        s = np.array([0.3, -0.2, 0.7])[: grid.dim + 1]
-        x0, x1 = x[:, 0], x[:, 1]  # harmonic polynomials of degree 2 and 3 below
-        f = 1.5 + x @ s + x0 * x1 + 0.4 * (x0**2 - x1**2) + x0 * (x0**2 - 3 * x1**2)
-        assert np.abs(degree_one(grid, f) - s).max() <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -258,15 +248,18 @@ def test_stacked_transforms_match_each_field(dim):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_filtered_jet_is_the_jet_of_the_filtered_field(dim):
     # masking coefficients equals lowpass, then removing the degree-1 part
-    # by quadrature, then differentiating
+    # <s, x> by quadrature (s_j = sum w v x_j / sum w x_j^2), then
+    # differentiating
     grid = build_grid(1, n=64) if dim == 1 else build_grid(2, n_theta=16, n_phi=32)
     rng = np.random.default_rng(dim)
     u = rng.normal(size=grid.n_nodes)
     for drop in (False, True):
         v = grid.lowpass(u, 2.0 / 3.0)
+        mask = grid.degree_mask(2.0 / 3.0)
         if drop:
-            v = v - grid.nodes @ degree_one(grid, v)
-        mask = grid.degree_mask(2.0 / 3.0, drop_degree_one=drop)
+            w, x = grid.weights, grid.nodes
+            v = v - x @ ((w @ (v[:, None] * x)) / (w @ (x * x)))
+            mask[1] = 0.0
         jet = grid.synthesize(grid.analyze(u) * mask, jet=True)
         ref = grid.derivative_bundle(v)
         assert np.max(np.abs(jet.rows - ref.rows)) < 1e-12 * np.max(np.abs(ref.rows))
