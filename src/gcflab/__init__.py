@@ -24,7 +24,6 @@ from .sphere import SphereGrid, average, build_grid
 from .body import (
     ConvexBody,
     GeometrySummary,
-    circumradius,
     geometry_summary,
     inradius,
     make_shape,
@@ -91,7 +90,6 @@ __all__ = [
     "ball_volume",
     "build_grid",
     "chow_entropy",
-    "circumradius",
     "dissipation_identity_residual",
     "entropy_point",
     "entropy_report",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "ConvexBody",
     "CurvatureData",
     "GeometrySummary",
-    "circumradius",
     "geometry_summary",
     "inradius",
     "make_shape",
@@ -173,14 +172,6 @@ class ConvexBody:
         """Boundary measure, int det A (perimeter for dim 1)."""
         return integrate(self.grid, self.curvature.det_a)
 
-    def translate(self, z) -> "ConvexBody":
-        """The body re-expressed with the origin moved to z.
-
-        Support functions transform by u -> u - <z, x>; the subtraction is
-        exact at the nodes because linear functions are grid-resolved.
-        """
-        return ConvexBody(self.grid, self.support_about(z))
-
     def support_about(self, z) -> np.ndarray:
         """Nodal support samples relative to a finite origin z (no validity check)."""
         z = np.asarray(z, dtype=float)
@@ -257,7 +248,7 @@ def _volume_factor(body: ConvexBody) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ROUNDOFF = 1e-12  # relative slack of the radius solvers' stopping tests
+_ROUNDOFF = 1e-12  # relative slack of the inradius solver's stopping tests
 
 
 def inradius(body: ConvexBody):
@@ -322,83 +313,41 @@ def inradius(body: ConvexBody):
     return float(np.min(slack)), vertex[:-1]
 
 
-def circumradius(body: ConvexBody):
-    """Circumradius and circumcenter (smallest ball enclosing the boundary
-    samples X = u x + grad u), exact over the samples.
-
-    Pivots a support set of at most dim+2 samples (Gartner 1999).  The
-    smallest ball of the set is found by brute force over its subsets
-    (Welzl 1991): a subset gives the centre c = sum mu_i q_i, sum mu_i = 1,
-    equidistant from its points, and each centre is scored by its farthest
-    support sample, so whatever the pseudo-inverse returns for an affinely
-    dependent subset is still an enclosing ball.  The farthest sample joins,
-    and so on until none lies outside beyond relative round-off; the radius
-    grows with every pivot.  Returns (radius, center).
-    """
-    pts = body.curvature.position
-    support = np.array([0])
-    for _ in range(len(pts)):
-        origin = pts[support].mean(axis=0)
-        q = pts[support] - origin
-        k = len(q)
-        masks = np.array([m + (1.0,) for m in product((0.0, 1.0), repeat=k)
-                          if 0 < sum(m) <= body.dim + 2])
-        kkt = np.block([[2.0 * q @ q.T, np.ones((k, 1))], [np.ones((1, k)), 0.0]])
-        rhs = masks * np.append(np.sum(q * q, axis=1), 1.0)
-        mu = np.linalg.pinv(kkt * masks[:, :, None] * masks[:, None, :]) @ rhs[:, :, None]
-        centers = mu[:, :k, 0] @ q
-        radii = np.max(np.linalg.norm(centers[:, None] - q, axis=2), axis=1)
-        best = int(np.argmin(radii))
-        support, center = support[masks[best, :k] > 0], origin + centers[best]
-        dist = np.linalg.norm(pts - center, axis=1)
-        far = int(np.argmax(dist))
-        if dist[far] <= radii[best] * (1.0 + _ROUNDOFF):
-            return float(dist[far]), center
-        support = np.append(support, far)
-    raise SolverError(f"circumradius: no optimum after {len(pts)} pivots")
-
-
 @dataclass(frozen=True)
 class GeometrySummary:
-    """Scalar geometry of a body: volume, boundary measure, extremal radii
-    (about the best centers, not the current origin) and widths.
+    """Scalar geometry of a body: volume, boundary measure, inradius (about
+    the best center, not the current origin) and widths.
 
     ``w_plus`` is the diameter: the diameter of a convex body is its largest
-    width.  Invariants: rho_minus <= rho_plus, w_minus <= w_plus.
+    width.  Invariant: w_minus <= w_plus.
     """
 
     volume: float
     area: float
-    rho_plus: float
     rho_minus: float
     w_plus: float
     w_minus: float
     incenter: np.ndarray
-    circumcenter: np.ndarray
 
 
 def geometry_summary(body: ConvexBody) -> GeometrySummary:
     """Compute a :class:`GeometrySummary`.
 
     Widths pair each node with its antipode (exact on these grids);
-    rho_minus/rho_plus are the exact in- and circumscribed-ball radii of the
-    node set (:func:`inradius`, :func:`circumradius`), so they are
-    translation invariant up to round-off.  Extrema are over the node set,
-    which at the package's working resolutions biases them far below the
-    tolerances used downstream.
+    rho_minus is the exact inscribed-ball radius of the node set
+    (:func:`inradius`), so it is translation invariant up to round-off.
+    Extrema are over the node set, which at the package's working
+    resolutions biases them far below the tolerances used downstream.
     """
     widths = body.grid._widths(body.support)
     rho_minus, incenter = inradius(body)
-    rho_plus, circumcenter = circumradius(body)
     return GeometrySummary(
         volume=body.volume(),
         area=body.area(),
-        rho_plus=rho_plus,
         rho_minus=rho_minus,
         w_plus=float(np.max(widths)),
         w_minus=float(np.min(widths)),
         incenter=incenter,
-        circumcenter=circumcenter,
     )
 
 

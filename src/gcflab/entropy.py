@@ -244,8 +244,9 @@ def entropy_report(body: ConvexBody) -> EntropyReport:
     The inequality checks are written in volume-corrected form so they hold
     for every valid body; at unit-ball volume they reduce to the plain chain
     E_C >= E >= E_F together with the radius, width, and polar bounds.
-    The outer bound's rhs is the largest width w+: rho+ <= w+/sqrt(2) never
-    sets max(w+, rho+), so the circumradius is not computed.  The inner
+    The outer bound's rhs is the largest width w+, the diameter: the ball
+    of radius w+ about any boundary point holds the body, so no outer radius
+    exceeds w+ and it alone sets max(width, outer radius).  The inner
     bound's lhs is the inradius rho-: about the incenter z,
     u(x) + u(x') >= 2 rho- + <z, x + x'> at each antipodal node pair, so
     rho- <= w-/2 up to round-off and never sets min(rho-, w-).

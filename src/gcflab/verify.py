@@ -117,12 +117,13 @@ _FLOW_CASES = {
 
 @lru_cache(maxsize=1)
 def corpus_runs():
-    """The five corpus runs as (label, trace) pairs; shared with the flow tests."""
+    """The five corpus runs as (label, trace, final body) triples; shared with
+    the flow tests."""
     by_label = dict(corpus())
     runs = []
     for label, t_end in _FLOW_CASES.items():
         cfg = FlowConfig(mode="normalized", t_end=t_end, output_stride=1, soliton_tol=0.0)
-        runs.append((label, run(by_label[label], cfg)[0]))
+        runs.append((label, *run(by_label[label], cfg)))
     return tuple(runs)
 
 
@@ -234,7 +235,7 @@ def _check_entropy_chain(seed, k_scale):
 def _check_entropy_monotone(seed, k_scale):
     worst_rise = -np.inf
     worst_gap = -np.inf
-    for label, trace in corpus_runs():
+    for label, trace, _ in corpus_runs():
         values = {c.name: c.value for c in monitor_bounds(trace).checks}
         worst_rise = max(worst_rise, values["entropy-monotone"])
         worst_gap = max(worst_gap, values["dissipation-integral-dominates"])
@@ -268,7 +269,7 @@ def _check_round_convergence(seed, k_scale):
 def _check_monitor_bounds(seed, k_scale):
     grad_slack = np.inf
     failed = []
-    for label, trace in corpus_runs():
+    for label, trace, _ in corpus_runs():
         report = monitor_bounds(trace)
         failed += [f"{label}:{c.name}" for c in report.checks if not c.ok]
         grad_slack = min(grad_slack, trace.gradient_slack)

@@ -1,7 +1,9 @@
-"""Fixtures shared by the test modules: the desk-scale grids."""
+"""Fixtures shared by the test modules: the desk-scale grids, and the one
+translation route."""
 
 import pytest
 
+from gcflab.body import ConvexBody
 from gcflab.verify import desk_grid
 
 
@@ -13,3 +15,9 @@ def g1():
 @pytest.fixture(scope="module")
 def g2():
     return desk_grid(2)
+
+
+def with_origin(body, z):
+    """The body re-expressed with the origin moved to z: u -> u - <z, x>,
+    exact at the nodes because linear functions are grid-resolved."""
+    return ConvexBody(body.grid, body.support_about(z))

@@ -4,6 +4,7 @@ a method plus a wrapper; a function, not a function plus a forwarder)."""
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -51,15 +52,34 @@ def test_second_entries_are_gone():
 
 def test_retired_names_are_gone():
     # a forwarder to a kind hook, a helper only the package read, the nodal
-    # degree-1 reader (the degree-1 part is index 1 of the degree axis) and
-    # two curvature fields nothing in the package read
+    # degree-1 reader (the degree-1 part is index 1 of the degree axis), the
+    # circumradius solver, and fields and a method nothing in the package read
     body, sphere = (importlib.import_module(f"gcflab.{m}") for m in ("body", "sphere"))
-    for mod, name in ((body, "harmonic_field"), (body, "spectral_tail"), (sphere, "degree_one")):
+    for mod, name in ((body, "harmonic_field"), (body, "spectral_tail"), (sphere, "degree_one"),
+                      (body, "circumradius")):
         assert not hasattr(mod, name) and name not in mod.__all__
         assert not hasattr(gcflab, name) and name not in gcflab.__all__
     for name in ("mean_curvature", "position_norm"):
         assert not hasattr(body.CurvatureData, name)
+    assert not hasattr(body.ConvexBody, "translate")
+    fields = {f.name for f in dataclasses.fields(gcflab.GeometrySummary)}
+    assert not {"rho_plus", "circumcenter"} & fields
     assert list(inspect.signature(gcflab.SphereGrid.degree_mask).parameters) == ["self", "frac"]
+
+
+def test_traced_names_resolve():
+    # perfbench's tracer patches each of these by name, and a missing one
+    # fails every traced run: a function must resolve on its home module, a
+    # method must be defined on its class itself
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attr}" for module, attr in tracing.FUNCTIONS.values()
+               if not hasattr(importlib.import_module(module), attr)]
+    missing += [f"{owner}.{attr}" for owner, attr in tracing.METHODS.values()
+                if attr not in vars(getattr(gcflab, owner))]
+    assert not missing, f"traced names that no longer resolve: {missing}"
 
 
 def test_package_names_are_listed_in_their_home_module():

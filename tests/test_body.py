@@ -21,7 +21,6 @@ from gcflab.body import (
     ConvexBody,
     GeometrySummary,
     _spectral_tail,
-    circumradius,
     geometry_summary,
     inradius,
     make_shape,
@@ -31,15 +30,17 @@ from gcflab.constants import ball_volume, sphere_area
 from gcflab.errors import AliasingWarning, BodyValidityError, ParameterError
 from gcflab.sphere import average, build_grid, integrate
 
+from conftest import with_origin
+
 
 def bodies_for(g1, g2):
     """A small assorted corpus touching both dimensions."""
     return [
         make_shape(g1, "translated_ball", radius=1.3, center=[0.4, -0.2]),
         make_shape(g1, "ellipsoid", semiaxes=(1.5, 0.8)),
-        make_shape(g1, "random_valid", seed=7).translate([0.12, -0.16]),
+        with_origin(make_shape(g1, "random_valid", seed=7), [0.12, -0.16]),
         make_shape(g2, "ellipsoid", semiaxes=(1.3, 1.0, 0.85)),
-        make_shape(g2, "random_valid", seed=3).translate([0.09, 0.0, -0.12]),
+        with_origin(make_shape(g2, "random_valid", seed=3), [0.09, 0.0, -0.12]),
         make_shape(g2, "harmonic", modes=[(2, 1, 0.1), (3, -2, 0.05)]),
     ]
 
@@ -145,7 +146,7 @@ def test_lazy_curvature_after_construction_and_step(g1, g2):
     # is computed on first access and kept
     for g in (g1, g2):
         z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
-        body = make_shape(g, "random_valid", seed=4).translate(z)
+        body = with_origin(make_shape(g, "random_valid", seed=4), z)
         stepped = flow.step(body, 0.25 * flow.stable_dt(body))
         for b in (body, stepped):
             c = b.curvature
@@ -196,7 +197,7 @@ def test_ellipse_area_is_perimeter(g1):
 def test_volume_translation_invariance(g1, g2):
     for g, z in [(g1, [0.3, -0.1]), (g2, [0.1, 0.2, -0.15])]:
         b = make_shape(g, "ellipsoid", semiaxes=(1.2,) + (1.0,) * g.dim)
-        bt = b.translate(z)
+        bt = with_origin(b, z)
         assert abs(bt.volume() - b.volume()) < 1e-12
         # curvature matrix is unchanged by moving the origin
         assert np.max(np.abs(radii_matrix(bt) - radii_matrix(b))) < 1e-11
@@ -212,7 +213,7 @@ def test_centered_ellipsoid_polar_product(g1, g2):
 def test_translate_outside_fails_positivity(g1):
     b = make_shape(g1, "ball", radius=1.0)
     with pytest.raises(BodyValidityError) as exc:
-        b.translate([2.0, 0.0])
+        with_origin(b, [2.0, 0.0])
     assert exc.value.invariant == "positivity"
 
 
@@ -233,7 +234,7 @@ def test_scale_rescales_curvature_as_a_rebuild(g1, g2, factor):
     # S^1 n = 256 (modes up to k = 127) and 3.0e-13 on S^2 32x64
     for g, tol in ((g1, 1e-11), (g2, 1e-12)):
         z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
-        b = make_shape(g, "random_valid", seed=11).translate(z)
+        b = with_origin(make_shape(g, "random_valid", seed=11), z)
         scaled = b.scale(factor).curvature
         rebuilt = ConvexBody(g, b.support * factor).curvature
         for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
@@ -332,20 +333,18 @@ def test_isoperimetric_area_bound(g1, g2):
 
 def test_summary_ball(g2):
     s = geometry_summary(make_shape(g2, "ball", radius=1.4))
-    assert abs(s.rho_plus - 1.4) < 1e-12 and abs(s.rho_minus - 1.4) < 1e-12
+    assert abs(s.rho_minus - 1.4) < 1e-12
     assert abs(s.w_plus - 2.8) < 1e-12 and abs(s.w_minus - 2.8) < 1e-12
     assert abs(s.area - 4 * pi * 1.4**2) < 1e-9
 
 
 def test_summary_translated_ball(g1, g2):
-    # radii are about the best centers, so translation must not inflate them
+    # the inradius is about the best center, so translation must not shrink it
     for g, c in [(g1, [0.3, -0.4]), (g2, [0.2, -0.3, 0.35])]:
         s = geometry_summary(make_shape(g, "translated_ball", radius=1.0, center=c))
-        assert abs(s.rho_plus - 1.0) < 1e-12
         assert abs(s.rho_minus - 1.0) < 1e-12
         assert abs(s.w_plus - 2.0) < 1e-12 and abs(s.w_minus - 2.0) < 1e-12
         assert np.linalg.norm(s.incenter - np.asarray(c)) < 1e-12
-        assert np.linalg.norm(s.circumcenter - np.asarray(c)) < 1e-12
 
 
 @pytest.mark.parametrize("dim,kwargs,center", [
@@ -359,20 +358,16 @@ def test_summary_translated_ball(g1, g2):
     (2, dict(n_theta=32, n_phi=64), (-0.25, 0.025, 0.3)),
 ])
 def test_radius_solvers_on_translated_ball(dim, kwargs, center):
-    # every node is tight for both problems; the pivots must still stop
+    # every node is tight; the pivots must still stop
     body = make_shape(build_grid(dim, **kwargs), "translated_ball", radius=1.3, center=center)
     r_in, z_in = inradius(body)
-    r_out, z_out = circumradius(body)
     assert abs(r_in - 1.3) < 1e-12
     assert np.max(np.abs(z_in - center)) < 1e-12
-    assert abs(r_out - 1.3) < 1e-12
-    assert np.max(np.abs(z_out - center)) < 1e-12
 
 
 def test_radius_solvers_on_ellipse():
     body = make_shape(build_grid(1, n=64), "ellipsoid", semiaxes=(1.5, 0.8))
     assert abs(inradius(body)[0] - 0.8) < 1e-12
-    assert abs(circumradius(body)[0] - 1.5) < 1e-12
 
 
 def _reference_bodies(group):
@@ -440,34 +435,17 @@ def test_inradius_matches_subset_solver(group):
         assert abs(inradius(body)[0] - _subset_inradius(body)[0]) <= 1e-14
 
 
-@pytest.mark.parametrize("group", REFERENCE_GROUPS)
-def test_circumradius_is_certified(group):
-    # optimal iff the centre lies in the convex hull of the farthest samples
-    for body in _reference_bodies(group):
-        r, c = circumradius(body)
-        pts = body.curvature.position
-        dist = np.linalg.norm(pts - c, axis=1)
-        assert np.max(dist) <= r * (1.0 + 1e-12)
-        far = pts[dist >= r * (1.0 - 1e-10)]
-        hull = linprog(np.zeros(len(far)), A_eq=np.vstack([far.T, np.ones(len(far))]),
-                       b_eq=np.append(c, 1.0), bounds=(0, None), **HIGHS)
-        assert hull.status == 0
-
-
 @pytest.mark.parametrize("dim,seed", [(2, 12), (1, 94)])
 def test_summary_radii_are_translation_invariant(dim, seed):
     body = make_shape(verify.desk_grid(dim), "random_valid", seed=seed, normalize=True)
     z = np.full(dim + 1, 0.05)
-    s, t = geometry_summary(body), geometry_summary(body.translate(z))
+    s, t = geometry_summary(body), geometry_summary(with_origin(body, z))
     assert abs(t.rho_minus - s.rho_minus) < 1e-12
-    assert abs(t.rho_plus - s.rho_plus) < 1e-12
     assert np.max(np.abs(t.incenter - (s.incenter - z))) < 1e-12
-    assert np.max(np.abs(t.circumcenter - (s.circumcenter - z))) < 1e-12
 
 
 def test_summary_ellipse(g1):
     s = geometry_summary(make_shape(g1, "ellipsoid", semiaxes=(1.5, 0.8)))
-    assert abs(s.rho_plus - 1.5) < 1e-6
     assert abs(s.rho_minus - 0.8) < 1e-6
     assert abs(s.w_plus - 3.0) < 1e-12 and abs(s.w_minus - 1.6) < 1e-12
     assert isinstance(s, GeometrySummary)
@@ -476,10 +454,8 @@ def test_summary_ellipse(g1):
 def test_summary_orderings(g1, g2):
     for body in bodies_for(g1, g2):
         s = geometry_summary(body)
-        assert s.rho_minus <= s.rho_plus + 1e-9
         assert s.w_minus <= s.w_plus + 1e-12
-        # circumscribed/inscribed radii versus widths
-        assert s.rho_plus <= s.w_plus / np.sqrt(2.0) + 1e-6
+        # inscribed radius versus the least width
         assert s.rho_minus >= s.w_minus / (body.dim + 2) - 1e-6
 
 
@@ -503,7 +479,7 @@ def test_make_shape_rejects_bad_input(g1, g2):
         make_shape(g2, "harmonic", modes=[(40, 0, 0.1)])
     with pytest.raises(ParameterError):
         make_shape(g1, "random_valid", l_max=500)
-    with pytest.raises(ParameterError):  # a translated body is make_shape(...).translate(z)
+    with pytest.raises(ParameterError):  # translate by with_origin(make_shape(...), z)
         make_shape(g1, "random_valid", translation=0.1)
 
 
@@ -595,7 +571,8 @@ def test_spectral_tail_decreases_with_resolution():
 )
 def test_random_bodies_satisfy_identities(seed, translation):
     g = build_grid(1, n=128)
-    body = make_shape(g, "random_valid", seed=seed).translate(translation * np.array([0.6, -0.8]))
+    body = with_origin(make_shape(g, "random_valid", seed=seed),
+                       translation * np.array([0.6, -0.8]))
     c = body.curvature
     val = average(g, body.support * c.det_a / np.linalg.norm(c.position, axis=1) ** 2)
     assert abs(val - 1.0) < 1e-10

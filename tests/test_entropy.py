@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gcflab import entropy, verify
-from gcflab.body import ConvexBody, geometry_summary, inradius, make_shape, normalize_volume
+from gcflab.body import ConvexBody, inradius, make_shape, normalize_volume
 from gcflab.constants import ball_volume, sphere_area
 from gcflab.entropy import (
     chow_entropy,
@@ -19,6 +19,8 @@ from gcflab.entropy import (
 )
 from gcflab.errors import ParameterError
 from gcflab.sphere import SphereGrid, average, build_grid
+
+from conftest import with_origin
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +53,12 @@ def test_entropy_point_symmetric_ellipse(g1):
     assert np.linalg.norm(z) < 1e-8
     # with z_e at the center, E is just the quadrature mean of log u ...
     assert abs(e - average(g1, np.log(b.support))) < 1e-12
-    # ... positive and below log of the circumradius
+    # ... positive and below log of the largest semiaxis
     assert 0.0 < e <= np.log(1.5)
 
 
 def test_entropy_point_unique_across_starts(g1):
-    b = make_shape(g1, "random_valid", seed=7).translate([0.12, -0.16])
+    b = with_origin(make_shape(g1, "random_valid", seed=7), [0.12, -0.16])
     z_ref, e_ref, _ = entropy_point(b)
     rng = np.random.default_rng(123)
     for _ in range(5):
@@ -69,10 +71,10 @@ def test_entropy_point_unique_across_starts(g1):
 
 
 def test_entropy_translation_equivariance(g2):
-    b = make_shape(g2, "random_valid", seed=4).translate([0.06, 0.0, -0.08])
+    b = with_origin(make_shape(g2, "random_valid", seed=4), [0.06, 0.0, -0.08])
     z_ref, e_ref, _ = entropy_point(b)
     shift = np.array([0.05, -0.1, 0.08])
-    bt = b.translate(shift)
+    bt = with_origin(b, shift)
     z, e, _ = entropy_point(bt)
     assert abs(e - e_ref) < 1e-9
     assert np.linalg.norm(z - (z_ref - shift)) < 1e-8
@@ -80,12 +82,12 @@ def test_entropy_translation_equivariance(g2):
 
 def test_entropy_rotation_invariance(g1, g2):
     # rotating by a whole number of grid steps permutes the samples exactly
-    b = make_shape(g1, "random_valid", seed=9).translate([0.09, -0.12])
+    b = with_origin(make_shape(g1, "random_valid", seed=9), [0.09, -0.12])
     e_ref = entropy_point(b)[1]
     e_rot = entropy_point(ConvexBody(g1, np.roll(b.support, 17)))[1]
     assert abs(e_rot - e_ref) < 1e-9
 
-    b = make_shape(g2, "random_valid", seed=9).translate([0.09, 0.0, -0.12])
+    b = with_origin(make_shape(g2, "random_valid", seed=9), [0.09, 0.0, -0.12])
     e_ref = entropy_point(b)[1]
     n_theta, n_phi = g2.shape
     rolled = np.roll(b.support.reshape(n_theta, n_phi), 5, axis=1).ravel()
@@ -127,7 +129,7 @@ def test_santalo_point_fixtures(g1, g2):
 def test_polar_product_inequality(g1, g2):
     # V(body) * V(polar about Santalo point) <= squared ball volume
     for g, seed, z in [(g1, 3, [0.15, -0.2]), (g1, 8, [0.0, 0.0]), (g2, 5, [0.12, 0.0, -0.16])]:
-        b = make_shape(g, "random_valid", seed=seed).translate(z)
+        b = with_origin(make_shape(g, "random_valid", seed=seed), z)
         _, v_star = santalo_point(b)
         assert b.volume() * v_star <= ball_volume(g.dim) ** 2 + 1e-8
 
@@ -160,9 +162,9 @@ def test_report_chain_on_bodies(g1, g2):
     # radius/width/polar bounds, must pass on assorted bodies of any volume
     shapes = [
         make_shape(g1, "ellipsoid", semiaxes=(1.5, 0.8)),
-        make_shape(g1, "random_valid", seed=12).translate([0.18, -0.24]),
+        with_origin(make_shape(g1, "random_valid", seed=12), [0.18, -0.24]),
         make_shape(g1, "ball", radius=0.5),
-        make_shape(g2, "random_valid", seed=3).translate([0.09, 0.0, -0.12]),
+        with_origin(make_shape(g2, "random_valid", seed=3), [0.09, 0.0, -0.12]),
         make_shape(g2, "harmonic", modes=[(2, 1, 0.12), (4, -3, 0.04)]),
     ]
     for b in shapes:
@@ -173,11 +175,15 @@ def test_report_chain_on_bodies(g1, g2):
 
 
 def test_report_outer_bound_rhs_is_max_width():
-    # rho+ <= w+/sqrt(2), so the report's rhs w+ equals max(w+, rho+)
+    # the rhs is the largest width w+ = max u(x) + u(-x).  Any center's largest
+    # distance to the boundary samples bounds the outer radius rho+ from
+    # above; about the samples' mean it stays below w+ (by at least 0.97 over
+    # the corpus), so w+ alone sets max(w+, rho+)
     for _, body in verify.corpus():
         rhs = {c.name: c.rhs for c in entropy_report(body).checks}["outer-radius-bound"]
-        s = geometry_summary(body)
-        assert rhs == max(s.w_plus, s.rho_plus)
+        assert rhs == np.max(body.support + body.support[body.grid.antipodes])
+        position = body.curvature.position
+        assert np.max(np.linalg.norm(position - position.mean(axis=0), axis=1)) <= rhs
 
 
 def test_inradius_is_at_most_half_the_least_width():
@@ -233,8 +239,8 @@ def test_mc_log_integral_degenerate_unit_ball(g1):
 def test_mc_matches_quadrature(g1, g2):
     for kind, b in [
         ("ellipsoid", make_shape(g1, "ellipsoid", semiaxes=(1.3, 1 / 1.3))),
-        ("random_valid", make_shape(g1, "random_valid", seed=5).translate([0.12, -0.16])),
-        ("random_valid", make_shape(g2, "random_valid", seed=2).translate([0.06, 0.0, -0.08])),
+        ("random_valid", with_origin(make_shape(g1, "random_valid", seed=5), [0.12, -0.16])),
+        ("random_valid", with_origin(make_shape(g2, "random_valid", seed=2), [0.06, 0.0, -0.08])),
     ]:
         g = b.grid
         est, se = mc_log_integral(b, samples=100_000, seed=13)

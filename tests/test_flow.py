@@ -7,6 +7,7 @@ step-halving study check its order of accuracy on a genuinely curved body.
 
 import csv
 from fractions import Fraction
+from functools import cache
 from math import exp, factorial
 
 import numpy as np
@@ -27,8 +28,10 @@ from gcflab.flow import (
     step,
 )
 from gcflab.sphere import SphereGrid, average, build_grid
-from gcflab.verify import (corpus, corpus_runs, desk_grid, dissipation_run, fixed_point_run,
-                           round_convergence_run, shrinking_ball_run)
+from gcflab.verify import (_FLOW_CASES, corpus, corpus_runs, desk_grid, dissipation_run,
+                           fixed_point_run, round_convergence_run, shrinking_ball_run)
+
+from conftest import with_origin
 
 
 def bumpy(g1):
@@ -42,6 +45,11 @@ def steiner_point(grid, f):
     support function f)."""
     w, x = grid.weights, grid.nodes
     return (w @ (f[:, None] * x)) / (w @ (x * x))
+
+
+def gate_traces():
+    """label -> trace of the gate's five normalized corpus runs."""
+    return {label: trace for label, trace, _ in corpus_runs()}
 
 
 def start_stage(body, recenter):
@@ -248,7 +256,7 @@ def test_step_damps_masked_coefficients_by_the_linear_part(flow_body, recenter, 
     # body l = 1 content, and on S^1 the Nyquist mode (-1)^j gives it a
     # tail.  The step's first analysis is of its start support and its last
     # jet synthesis is of the result's coefficients.
-    body = flow_body.translate(np.full(flow_body.dim + 1, 0.02))
+    body = with_origin(flow_body, np.full(flow_body.dim + 1, 0.02))
     grid = body.grid
     if grid.dim == 1:
         body = ConvexBody(grid, body.support + 1e-6 * (-1.0) ** np.arange(grid.n_nodes))
@@ -491,60 +499,87 @@ def corpus_bodies():
     return dict(corpus())
 
 
+def flow_span(label):
+    """tau of a corpus body: its gate run's span (1.2 on S^1, 0.8 on S^2), or
+    0.8 for the S^2 bodies without a gate run."""
+    return _FLOW_CASES.get(label, 0.8)
+
+
+@pytest.fixture(scope="module")
+def unnormalized_run(corpus_bodies):
+    """label -> (trace, final body) of the unnormalized run to
+    s(tau) = (1 - e^{-(n+1) tau}) / (n+1), every step recorded; each body is
+    integrated once per module."""
+    @cache
+    def get(label):
+        body = corpus_bodies[label]
+        n = body.dim
+        s = -np.expm1(-(n + 1) * flow_span(label)) / (n + 1)
+        return run(body, FlowConfig(mode="unnormalized", t_end=s, output_stride=1))
+    return get
+
+
+@pytest.fixture(scope="module")
+def normalized_final(corpus_bodies):
+    """label -> the projected normalized body at tau: the gate runs' final
+    bodies, and one run made here for wavy-2, which has no gate run.  The
+    output stride does not change the steps, so the gate's stride-1 finals
+    are those of any stride."""
+    finals = {label: final for label, _, final in corpus_runs()}
+    cfg = FlowConfig(t_end=flow_span("wavy-2"), output_stride=10**9, soliton_tol=0.0)
+    finals["wavy-2"] = run(corpus_bodies["wavy-2"], cfg)[1]
+    return finals
+
+
 @pytest.mark.parametrize("label, bound", [("ellipse-3:2", 1e-12), ("wavy-1", 1e-12),
                                           ("random-1-s11", 1e-12),
                                           ("ellipsoid-2", 1e-10), ("wavy-2", 1e-10),
                                           ("random-2-s21", 1e-8), ("random-2-s22", 1e-8)])
-def test_unnormalized_volume_law(corpus_bodies, label, bound):
+def test_unnormalized_volume_law(corpus_bodies, unnormalized_run, label, bound):
     # dV/dt = -int (1/det A) det A = -|S^n| under the unnormalized flow, so
-    # V(t) = V_0 - |S^n| t exactly.  To t = 0.3 the gate corpus bodies hold
-    # it to 1.1e-13, 1.1e-13 and 3.2e-13 on S^1, and 7.3e-13, 1.2e-12,
-    # 1.1e-9 and 9.4e-10 on S^2
-    body = corpus_bodies[label]
-    trace, _ = run(body, FlowConfig(mode="unnormalized", t_end=0.3, output_stride=1))
+    # V(t) = V_0 - |S^n| t exactly.  To s(tau) (0.455 on S^1, 0.303 on S^2)
+    # the gate corpus bodies hold it to 2.0e-13, 2.5e-13 and 5.7e-13 on S^1,
+    # and 7.5e-13, 1.2e-12, 1.1e-9 and 9.4e-10 on S^2
+    trace, _ = unnormalized_run(label)
     volume = trace.column("volume")
-    assert np.abs(volume - (volume[0] - body.grid.area * trace.t)).max() <= bound
+    area = corpus_bodies[label].grid.area
+    assert np.abs(volume - (volume[0] - area * trace.t)).max() <= bound
 
 
 @pytest.mark.parametrize("label, bound", [("ellipse-3:2", 1e-11), ("wavy-1", 1e-11),
                                           ("random-1-s11", 1e-11),
                                           ("ellipsoid-2", 1e-10), ("wavy-2", 1e-11),
                                           ("random-2-s21", 1e-8)])
-def test_normalized_flow_is_the_rescaled_unnormalized_flow(corpus_bodies, label, bound):
+def test_normalized_flow_is_the_rescaled_unnormalized_flow(unnormalized_run, normalized_final,
+                                                           label, bound):
     # from a body of the ball's volume, the projected normalized run is the
     # unnormalized run v rescaled: u(tau) = e^tau v((1 - e^{-(n+1) tau}) / (n+1)).
-    # At tau = 0.25 the gate corpus bodies hold it to 8.0e-14, 3.8e-14 and
-    # 9.4e-14 on S^1, and 1.1e-13, 5.2e-14 and 2.1e-10 on S^2 (at tau = 0.5:
-    # <= 1.8e-13 on S^1, 2.0e-13, 3.9e-13 and 4.2e-10)
-    body = corpus_bodies[label]
-    tau, n = 0.25, body.dim
-    s = -np.expm1(-(n + 1) * tau) / (n + 1)
-    _, normalized = run(body, FlowConfig(t_end=tau, output_stride=10**9, soliton_tol=0.0))
-    _, unnormalized = run(body, FlowConfig(mode="unnormalized", t_end=s, output_stride=10**9))
-    assert np.abs(normalized.support - exp(tau) * unnormalized.support).max() <= bound
+    # At tau = 1.2 on S^1 and 0.8 on S^2 the gate corpus bodies hold it to
+    # 4.0e-13, 5.0e-13 and 1.1e-12 on S^1, and 7.5e-13, 1.1e-12 and 1.0e-9
+    # on S^2
+    _, unnormalized = unnormalized_run(label)
+    normalized = normalized_final[label]
+    gap = np.abs(normalized.support - exp(flow_span(label)) * unnormalized.support).max()
+    assert gap <= bound
 
 
 @pytest.mark.parametrize("label, bound", [("ellipsoid-2", 1e-12), ("wavy-2", 1e-12),
-                                          ("random-2-s21", None)])
-def test_flow_commutes_with_rotations(corpus_bodies, label, bound):
+                                          ("random-2-s21", 1e-9)])
+def test_flow_commutes_with_rotations(corpus_bodies, normalized_final, label, bound):
     # a rotated body R K has support u(R^T x); the flow commutes with R, so
     # the run of the rotated start is the rotated run.  The 32x64 Gauss grid
-    # does not commute with R, so the gap measures its anisotropy: 5.3e-15
-    # and 2.2e-15 to t = 1, while random-2-s21 shows 2.3e-10, reported and
-    # not held to a bound
+    # does not commute with R, so the gap measures its anisotropy: to
+    # tau = 0.8, 6.4e-15 and 2.7e-15, and 1.9e-10 on random-2-s21
     body = corpus_bodies[label]
     grid = body.grid
     q, r = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
     rotation = q * np.sign(np.diag(r))
     rotation *= np.linalg.det(rotation)
     rotated = grid.nodes @ rotation  # R^T x, row by row
-    cfg = FlowConfig(t_end=1.0, output_stride=10**9, soliton_tol=0.0)
-    _, final = run(body, cfg)
+    cfg = FlowConfig(t_end=flow_span(label), output_stride=10**9, soliton_tol=0.0)
     _, final_rotated = run(ConvexBody(grid, grid.eval(body.support, rotated)), cfg)
-    gap = np.abs(final_rotated.support - grid.eval(final.support, rotated)).max()
-    print(f"{label}: rotated run against rotated final support {gap:.2e}")
-    if bound is not None:
-        assert gap <= bound
+    gap = np.abs(final_rotated.support - grid.eval(normalized_final[label].support, rotated)).max()
+    assert gap <= bound
 
 
 def test_ellipsoid_relaxes_to_the_ball():
@@ -589,7 +624,7 @@ def test_converged_start_returns_immediately(g1):
 
 def test_volume_projection_pins_the_volume():
     # the gate's wavy-1 corpus run: the body bumpy() builds, flowed to t = 1.2
-    trace = dict(corpus_runs())["wavy-1"]
+    trace = gate_traces()["wavy-1"]
     assert np.abs(trace.column("volume") - ball_volume(1)).max() <= 1e-12
 
 
@@ -602,7 +637,7 @@ def test_volume_nearly_conserved_without_projection(g1):
 
 def test_monitor_suite_on_generic_run():
     # the gate's wavy-1 corpus run (the body bumpy() builds, to t = 1.2)
-    trace = dict(corpus_runs())["wavy-1"]
+    trace = gate_traces()["wavy-1"]
     report = monitor_bounds(trace)
     assert report.all_ok(), [c for c in report.checks if not c.ok]
     by_name = {c.name: c for c in report.checks}
@@ -614,7 +649,7 @@ def test_monitor_suite_on_generic_run():
 
 def test_monitor_suite_on_dim2_run():
     # the gate's dim-2 corpus runs
-    runs = dict(corpus_runs())
+    runs = gate_traces()
     for label in ("ellipsoid-2", "random-2-s21"):
         report = monitor_bounds(runs[label])
         assert report.all_ok(), (label, [c for c in report.checks if not c.ok])

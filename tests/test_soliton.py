@@ -23,6 +23,8 @@ from gcflab.soliton import (
 from gcflab.sphere import average, build_grid
 from gcflab.verify import soliton_solves
 
+from conftest import with_origin
+
 
 # ---------------------------------------------------------------------------
 # residual and functional closed forms
@@ -79,8 +81,8 @@ def test_first_variation_matches_finite_difference(g1, g2):
     for g in (g1, g2):
         for _ in range(5):
             z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
-            body = make_shape(g, "random_valid", seed=int(rng.integers(10000)),
-                              amplitude=0.2).translate(z)
+            body = with_origin(make_shape(g, "random_valid", seed=int(rng.integers(10000)),
+                                          amplitude=0.2), z)
             if g.dim == 1:
                 modes = [(k, float(rng.normal()), float(rng.normal()))
                          for k in (2, 3, 5)]
