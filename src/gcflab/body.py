@@ -6,23 +6,15 @@ radii-of-curvature matrix
     A = Hess u + u g        (covariant Hessian, orthonormal frame)
 
 is positive definite at every node.  ``ConvexBody`` freezes the samples and
-checks both conditions up front.  Its curvature data, the invariants of A
-that the grid derives from u (A itself is never built), is computed once
-per body and holds eagerly only what validation and the flow read (det A,
-trace A, the least eigenvalue of A, sigma_{n-1}(A), Gauss curvature
-K = 1/det A and grad u); |grad u| and the boundary embedding
-X = u x + grad u are computed on first access and then kept.
-
-The curvature comes from one ``derivative_bundle`` of the support, or from a
-jet the caller already has (:meth:`ConvexBody.from_jet`, used by the flow
-for the body each step builds).  ``scale`` rescales the stored curvature
-instead of transforming again: A is linear in u, so det A, trace A, the
-least eigenvalue, sigma_{n-1}(A) and grad u scale by f^n, f, f, f^(n-1) and
-f.  Either way the body is validated at the same thresholds, by the tests
-the flow also applies to its stages (``_check_support``,
-``_check_convexity``).  The two routes agree up to round-off only (a few
-1e-12 relative on S^1, less on S^2): rebuilding a body from its support can
-move its curvature, and what is read from it, by that much.
+checks both conditions up front, by the tests the flow also applies to its
+stages (``_check_support``, ``_check_convexity``), on one
+``derivative_bundle`` of u or on a jet the caller already has
+(:meth:`ConvexBody.from_jet`, used by the flow for the body each step
+builds).  Its :class:`CurvatureData` holds invariants of A (A itself is
+never built): a body built from its support keeps det A, all that the
+entropy reports and the Monte Carlo oracles read, and one from a jet what
+the flow reads.  ``scale`` rescales what the body holds, since A is linear
+in u.
 
 Shape generators live in :func:`make_shape`.  Smooth non-polynomial shapes
 are screened for spectral aliasing on the requested grid: a non-negligible
@@ -67,13 +59,16 @@ class CurvatureData:
     Of the principal radii of curvature (eigenvalues of A = Hess u + u g),
     ``det_a`` is the product, ``trace_a`` the sum, ``min_eig_a`` the least
     and ``adj_trace_a`` sigma_{n-1}(A) = trace adj A (1 on S^1); ``gauss`` =
-    1/det A is the Gauss curvature as a function of the normal.  These and
-    ``grad`` are computed at construction: validation and the flow read them.
-    The rest are computed on first access and then kept: ``grad_norm`` is
-    |grad u| and ``position`` is the boundary embedding X = u x + grad u (the
-    point of the body whose outer normal is the node direction).
-    (``cached_property`` keeps them in the instance dict, which a frozen
-    dataclass permits.)
+    1/det A is the Gauss curvature as a function of the normal; ``grad`` is
+    grad u, ``grad_norm`` |grad u| and ``position`` the boundary point
+    X = u x + grad u whose outer normal is the node direction.
+
+    ``det_a`` is held; ``gauss`` is ``1.0 / det_a``, computed on each read.
+    ``trace_a``, ``min_eig_a``, ``adj_trace_a`` and ``grad`` are held by a
+    body from :meth:`ConvexBody.from_jet` or the ``scale`` of one; a body
+    built from its support derives all four on first read, from one
+    ``derivative_bundle`` of its support.  They, ``grad_norm`` and
+    ``position`` are kept once computed.
 
     The arrays depend, at round-off level, on how the body was built: a body
     from :meth:`ConvexBody.from_jet` (the bodies the flow's steps build) or
@@ -84,13 +79,38 @@ class CurvatureData:
     """
 
     det_a: np.ndarray
-    gauss: np.ndarray
-    trace_a: np.ndarray
-    min_eig_a: np.ndarray
-    adj_trace_a: np.ndarray
-    grad: np.ndarray
+    _least: np.float64 = field(repr=False)  # min over the nodes of the least eigenvalue of A
     _support: np.ndarray = field(repr=False)
     _grid: SphereGrid = field(repr=False)
+    # (trace A, least eigenvalue, sigma_{n-1}(A), grad u) when handed over at construction
+    _held: tuple | None = field(default=None, repr=False)
+
+    @property
+    def gauss(self) -> np.ndarray:
+        return 1.0 / self.det_a
+
+    @cached_property
+    def _radii_and_grad(self) -> tuple:
+        if self._held is not None:
+            return self._held
+        jet = self._grid.derivative_bundle(self._support)
+        return (*self._grid.radii_invariants(jet)[1:], jet.grad)
+
+    @property
+    def trace_a(self) -> np.ndarray:
+        return self._radii_and_grad[0]
+
+    @property
+    def min_eig_a(self) -> np.ndarray:
+        return self._radii_and_grad[1]
+
+    @property
+    def adj_trace_a(self) -> np.ndarray:
+        return self._radii_and_grad[2]
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._radii_and_grad[3]
 
     @cached_property
     def grad_norm(self) -> np.ndarray:
@@ -106,11 +126,10 @@ class ConvexBody:
     """A convex body given by support samples on a grid.
 
     ``_invariants`` is the package's own hook, not part of the interface:
-    :meth:`from_jet` and :meth:`scale` pass the radii invariants and gradient
-    they already have, (det A, trace A, least eigenvalue, sigma_{n-1}(A),
-    grad u), so the curvature is not computed again.  Such a body's
-    curvature agrees with a rebuild from its support up to round-off (see
-    :class:`CurvatureData`).
+    :meth:`from_jet` and :meth:`scale` pass the curvature they already have,
+    (det A, least eigenvalues or their minimum, None or the held invariants
+    of :class:`CurvatureData`).  It agrees with a rebuild from the support
+    up to round-off.
 
     Raises
     ------
@@ -123,38 +142,28 @@ class ConvexBody:
     grid: SphereGrid
     support: np.ndarray
     _invariants: InitVar[tuple] = None
+    curvature: CurvatureData = field(init=False, repr=False)
 
     def __post_init__(self, _invariants):
         u = self.grid.check_field(self.support).copy()
         u.setflags(write=False)
         object.__setattr__(self, "support", u)
         _check_support(u)
-        if _invariants is not None:
-            self.__dict__["curvature"] = self._curvature_data(*_invariants)
-        _check_convexity(self.curvature.min_eig_a)
+        if _invariants is None:
+            det, _, least, _ = self.grid.radii_invariants(self.grid.derivative_bundle(u))
+            _invariants = det, least, None
+        det, least, held = _invariants
+        least = least.min()  # a numpy scalar, which has .min() too, so scale can pass it
+        _check_convexity(least)
+        object.__setattr__(self, "curvature", CurvatureData(det, least, u, self.grid, held))
 
     @classmethod
     def from_jet(cls, jet: SupportJet) -> "ConvexBody":
         """The body whose support is ``jet.values``, its curvature read from
         the jet rows (a derivative bundle or a linear combination of them)."""
-        return cls(jet.grid, jet.values, _invariants=(*jet.grid.radii_invariants(jet), jet.grad))
-
-    @cached_property
-    def curvature(self) -> CurvatureData:
-        jet = self.grid.derivative_bundle(self.support)
-        return self._curvature_data(*self.grid.radii_invariants(jet), jet.grad)
-
-    def _curvature_data(self, det, trace, min_eig, adj_trace, grad) -> CurvatureData:
-        return CurvatureData(
-            det_a=det,
-            gauss=1.0 / det,
-            trace_a=trace,
-            min_eig_a=min_eig,
-            adj_trace_a=adj_trace,
-            grad=grad,
-            _support=self.support,
-            _grid=self.grid,
-        )
+        det, trace, least, adj_trace = jet.grid.radii_invariants(jet)
+        held = (trace, least, adj_trace, jet.grad)
+        return cls(jet.grid, jet.values, _invariants=(det, least, held))
 
     # --- basic geometry ---------------------------------------------------
 
@@ -186,14 +195,11 @@ class ConvexBody:
         return integrate(self.grid, self.support ** -(self.dim + 1)) / (self.dim + 1)
 
     def scale(self, factor: float) -> "ConvexBody":
-        """The body dilated by ``factor`` about the origin, its curvature
-        rescaled from this body's rather than recomputed.
-
-        Each distinct array is rescaled once, so the invariants that share
-        an array here (trace A and sigma_1(A) on S^2; det A, trace A and the
-        least eigenvalue on S^1, where sigma_0(A) is the grid's shared ones)
-        share it in the scaled body too.
-        """
+        """The body dilated by ``factor`` about the origin, with what this
+        body holds of its curvature rescaled, each distinct array once:
+        det A, the least eigenvalue's minimum (fl(f min lambda_i) = min
+        fl(f lambda_i) for f > 0, so validation decides as on the rescaled
+        array) and any held invariants."""
         if not 0.0 < factor < np.inf:
             raise ParameterError(f"scale factor must be positive and finite, got {factor!r}")
         c, n = self.curvature, self.dim
@@ -205,9 +211,11 @@ class ConvexBody:
                 scaled[key] = a if power == 0 else a * factor**power
             return scaled[key]
 
-        return ConvexBody(self.grid, self.support * factor, _invariants=(
-            rescale(c.det_a, n), rescale(c.trace_a, 1), rescale(c.min_eig_a, 1),
-            rescale(c.adj_trace_a, n - 1), rescale(c.grad, 1)))
+        held = None
+        if c._held is not None:
+            held = tuple(rescale(a, power) for a, power in zip(c._held, (1, 1, n - 1, 1)))
+        return ConvexBody(self.grid, self.support * factor,
+                          _invariants=(rescale(c.det_a, n), c._least * factor, held))
 
 
 def _check_support(u: np.ndarray) -> None:
@@ -219,8 +227,8 @@ def _check_support(u: np.ndarray) -> None:
 
 
 def _check_convexity(min_eig: np.ndarray) -> None:
-    """The definiteness test of a body's A, on the least eigenvalues of a
-    body or of a stack of flow stages."""
+    """The definiteness test of a body's A, on its least eigenvalues or their
+    minimum, or on those of a stack of flow stages."""
     eig = float(min_eig.min())
     if eig <= MIN_CURVATURE_EIG:
         raise BodyValidityError(
@@ -232,7 +240,7 @@ def normalize_volume(body: ConvexBody) -> ConvexBody:
 
     Volume is homogeneous of degree dim+1 in the support function, so the
     factor is (V_ball / V)^(1/(dim+1)).  It costs one quadrature: ``scale``
-    rescales the curvature.
+    rescales what the body holds of its curvature.
     """
     return body.scale(_volume_factor(body))
 

@@ -5,6 +5,7 @@ independent route (parametrized boundaries), not against the support-function
 formulas used by the implementation.
 """
 
+import tracemalloc
 import warnings
 from itertools import combinations
 from math import comb, pi
@@ -139,15 +140,38 @@ def test_curvature_invariants_hold(g1, g2):
 
 
 LAZY_CURVATURE = ("grad_norm", "position")
+DERIVED_CURVATURE = ("trace_a", "min_eig_a", "adj_trace_a", "grad")
+
+
+def _held_arrays(c):
+    """ids of the node arrays in a CurvatureData's instance dict, tuples
+    unpacked."""
+    values = [v for value in vars(c).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    return {id(v) for v in values if isinstance(v, np.ndarray)}
 
 
 def test_lazy_curvature_after_construction_and_step(g1, g2):
-    # only what validation and the flow read is computed eagerly; the rest
-    # is computed on first access and kept
+    # a body built from its support holds its support and det A, derives the
+    # other invariants and grad u on first read and keeps them; a body from a
+    # jet (every stepped body) holds them from construction; gauss is 1/det A
+    # on each read, never kept; grad_norm and position are computed on first
+    # access and kept
     for g in (g1, g2):
         z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
         body = with_origin(make_shape(g, "random_valid", seed=4), z)
+        c = body.curvature
+        assert _held_arrays(c) == {id(c.det_a), id(body.support)}
+        assert c.gauss is not c.gauss
+        assert c.gauss.tobytes() == (1.0 / c.det_a).tobytes()
+        assert _held_arrays(c) == {id(c.det_a), id(body.support)}
+        derived = [getattr(c, name) for name in DERIVED_CURVATURE]
+        assert {id(a) for a in derived} <= _held_arrays(c)
+        assert all(getattr(c, name) is a for name, a in zip(DERIVED_CURVATURE, derived))
         stepped = flow.step(body, 0.25 * flow.stable_dt(body))
+        s = stepped.curvature
+        held = _held_arrays(s)
+        assert {id(getattr(s, name)) for name in ("det_a", *DERIVED_CURVATURE)} <= held
         for b in (body, stepped):
             c = b.curvature
             assert not set(LAZY_CURVATURE) & set(vars(c))
@@ -155,6 +179,60 @@ def test_lazy_curvature_after_construction_and_step(g1, g2):
             assert set(LAZY_CURVATURE) <= set(vars(c))
             for name, value in zip(LAZY_CURVATURE, first):
                 assert getattr(c, name) is value
+
+
+def test_support_built_bodies_hold_support_and_det_a(g2):
+    # 50 normalized random bodies on S^2 32x64 hold their support, det A and
+    # at most 4 KiB more each; with every curvature array held they took
+    # 112 KiB each
+    assert g2.n_nodes == 32 * 64
+    make_shape(g2, "random_valid", seed=0, normalize=True)  # the grid's own tables
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bodies = [make_shape(g2, "random_valid", seed=s, normalize=True) for s in range(1, 51)]
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    per_body = 2 * g2.n_nodes * 8 + 4096
+    assert held <= len(bodies) * per_body, held / len(bodies)
+
+
+def test_support_built_curvature_is_the_grids_bit_for_bit():
+    # unscaled, the derived fields are the grid's invariants of the support's
+    # derivative bundle, and gauss is 1/det A, bit for bit
+    for label, body in verify.corpus():
+        grid, u = body.grid, body.support
+        c = ConvexBody(grid, u).curvature
+        jet = grid.derivative_bundle(u)
+        det, trace, least, adj_trace = grid.radii_invariants(jet)
+        fields = (c.det_a, c.gauss, c.trace_a, c.min_eig_a, c.adj_trace_a, c.grad)
+        refs = (det, 1.0 / det, trace, least, adj_trace, jet.grad)
+        for name, a, ref in zip(("det_a", "gauss", *DERIVED_CURVATURE), fields, refs):
+            assert a.shape == ref.shape and a.tobytes() == ref.tobytes(), (label, name)
+
+
+def test_scale_fails_validation_as_the_rescaled_arrays_do(g1, g2):
+    # a support-built body keeps min lambda, not the least-eigenvalue array;
+    # rounding is monotone, so for f > 0 fl(f min lambda) = min fl(f lambda_i)
+    # and the scaled body passes or fails, with the same invariant and
+    # message, as one validated on the rescaled array
+    for g in (g1, g2):
+        b = make_shape(g, "ellipsoid", semiaxes=(1.3,) + (0.8,) * g.dim)
+        least = g.radii_invariants(g.derivative_bundle(b.support))[2]
+        u_min, eig_min = float(b.support.min()), float(least.min())
+        assert eig_min < u_min
+        speck, thin = 1e-9, 2e-8 / (u_min + eig_min)  # u f <= 1e-8; only lambda f <= 1e-8
+        for factor, invariant in ((speck, "positivity"), (thin, "convexity")):
+            support, eig = float((b.support * factor).min()), float((least * factor).min())
+            message = {"positivity": f"min support {support:.3e} <= 1e-08",
+                       "convexity": f"min curvature-matrix eigenvalue {eig:.3e} <= 1e-08"}
+            with pytest.raises(BodyValidityError) as exc:
+                b.scale(factor)
+            assert exc.value.invariant == invariant
+            assert exc.value.detail == message[invariant]
+        assert float((least * 1e-7).min()) > 1e-8
+        b.scale(1e-7)  # passes, as the rescaled array does
 
 
 def test_translated_ball_embedding(g2):
@@ -231,26 +309,34 @@ def test_scale_rescales_curvature_as_a_rebuild(g1, g2, factor):
     # A is linear in u.  The bounds sit above the round-off of one spectral
     # second derivative, which the rebuild carries: derivative_bundle(0.7 u)
     # / 0.7 differs from derivative_bundle(u) by up to 5.0e-12 relative on
-    # S^1 n = 256 (modes up to k = 127) and 3.0e-13 on S^2 32x64
+    # S^1 n = 256 (modes up to k = 127) and 3.0e-13 on S^2 32x64.  A body
+    # from a jet rescales every invariant it holds; a body built from its
+    # support rescales det A and derives the rest from its scaled support
     for g, tol in ((g1, 1e-11), (g2, 1e-12)):
         z = np.full(g.dim + 1, 0.1 / np.sqrt(g.dim + 1))  # |z| = 0.1
         b = with_origin(make_shape(g, "random_valid", seed=11), z)
-        scaled = b.scale(factor).curvature
         rebuilt = ConvexBody(g, b.support * factor).curvature
-        for name in ("det_a", "trace_a", "min_eig_a", "adj_trace_a", "grad"):
-            a, ref = getattr(scaled, name), getattr(rebuilt, name)
-            assert np.max(np.abs(a - ref)) <= tol * np.max(np.abs(ref)), name
+        for start in (b, ConvexBody.from_jet(g.derivative_bundle(b.support))):
+            scaled = start.scale(factor).curvature
+            for name in ("det_a", *DERIVED_CURVATURE):
+                a, ref = getattr(scaled, name), getattr(rebuilt, name)
+                assert np.max(np.abs(a - ref)) <= tol * np.max(np.abs(ref)), name
 
 
 def test_scaled_curvature_keeps_shared_arrays(g1, g2):
-    # the scaled body holds no more node arrays than a rebuilt one
+    # the scaled body holds no more node arrays than a rebuilt one, on either
+    # route
     for g in (g1, g2):
-        c = make_shape(g, "random_valid", seed=11).scale(1.3).curvature
-        fields = (c.det_a, c.gauss, c.trace_a, c.min_eig_a, c.adj_trace_a, c.grad)
-        rebuilt = ConvexBody(g, c._support).curvature
-        ref = (rebuilt.det_a, rebuilt.gauss, rebuilt.trace_a, rebuilt.min_eig_a,
-               rebuilt.adj_trace_a, rebuilt.grad)
-        assert len({id(a) for a in fields}) == len({id(a) for a in ref})
+        u = make_shape(g, "random_valid", seed=11).support
+        routes = (lambda v: ConvexBody(g, v),
+                  lambda v: ConvexBody.from_jet(g.derivative_bundle(v)))
+        for build in routes:
+            c = build(u).scale(1.3).curvature
+            rebuilt = build(c._support).curvature
+            fields, ref = ([getattr(x, name) for name in ("det_a", *DERIVED_CURVATURE)]
+                           for x in (c, rebuilt))
+            assert len({id(a) for a in fields}) == len({id(a) for a in ref})
+            assert _held_arrays(c) == {id(a) for a in fields} | {id(c._support)}
 
 
 @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan"), float("inf")])
