@@ -246,7 +246,7 @@ def test_stacked_transforms_match_each_field(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_masked_synthesis_is_the_jet_of_the_lowpassed_field_less_its_degree_one_part(dim):
+def test_filtered_jet_is_the_jet_of_the_filtered_field(dim):
     # masking coefficients equals lowpass, then removing the degree-1 part
     # <s, x> by quadrature (s_j = sum w v x_j / sum w x_j^2), then
     # differentiating
