@@ -15,18 +15,20 @@ run their own copy of ``perfbench/run.py``.
 The runs are fixed: for every workload, ``PAIRS`` pairs, pair i running
 ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once on each
 side, with S the i-th entry of ``SEEDS`` taken cyclically.  The side that runs
-first alternates from one round of the seeds to the next (``schedule``), so
-every seed runs in both orders and an effect of running first is not taken
-for an effect of the seed: the speed of a shared machine drifts by up to
-0.73-1.30x over minute-long phases, so only matched, alternating pairs are
-compared.  Per workload the file holds every pair's end-to-end metrics, each
-side's median and quartiles, the ratio of medians (change / parent), how
-many pairs the change won on each metric, overall, per seed and per side
-that ran first, whether a gain on it would hold
-(``gain_rule``: the change wins at least 9 of 10 pairs, ties counting for
-neither side, and the parent's median exceeds the change's by more than the
-parent's interquartile range), and, per seed, both sides'
-fingerprints and headline numbers.  Each side of a pair also keeps its run's
+first alternates from one round of the seeds to the next (``schedule``).
+``PAIRS`` is a multiple of 2 len(SEEDS), so the schedule is balanced: each
+seed runs as many pairs with the parent first as with the change first (3
+and 3 at 12 pairs and two seeds), and neither an effect of running first
+nor one of the seed is taken for an effect of the change.  The speed of a
+shared machine drifts by up to 0.73-1.30x over minute-long phases, so only
+matched, alternating pairs are compared.  Per workload the file holds every
+pair's end-to-end metrics, each side's median and quartiles, the ratio of
+medians (change / parent), how many pairs the change won on each metric,
+overall, per seed and per side that ran first, whether a gain on it would
+hold (``gain_rule``: the change wins at least 9 of every 10 pairs, so 11 of
+12, ties counting for neither side, and the parent's median exceeds the
+change's by more than the parent's interquartile range), and, per seed,
+both sides' fingerprints and headline numbers.  Each side of a pair also keeps its run's
 workload metrics: oracle and report throughput, step counts and time per
 step.  ``--traced`` adds one ``--trace 1`` run per side and workload at the
 first seed, for the per-layer counts.  Each side also runs ``gcflab verify
@@ -53,7 +55,7 @@ END_TO_END = ("wall_s", "time_to_solution_s", "setup_s", "peak_rss_mb")  # all l
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUN_TIMEOUT_S = 1800
-PAIRS = 10
+PAIRS = 12  # a multiple of 2 * len(SEEDS): see schedule
 SEEDS = (0, 3)
 SECONDS = 30
 
@@ -132,7 +134,9 @@ def run_verify(tree, out_dir, side) -> dict:
 
 def schedule() -> list:
     """(seed, side that runs first) of each pair: the seeds in turn, the
-    first side switching after each round of them."""
+    first side switching after each round of them.  With ``PAIRS`` a
+    multiple of 2 len(SEEDS), every seed runs first on each side equally
+    often."""
     return [(SEEDS[i % len(SEEDS)], ("parent", "change")[(i // len(SEEDS)) % 2])
             for i in range(PAIRS)]
 

@@ -424,7 +424,7 @@ def make_shape(grid: SphereGrid, kind: str, normalize: bool = False, **params) -
             raise ParameterError(f"center must have shape ({dim + 1},)")
         if np.linalg.norm(center) >= radius:
             raise ParameterError("center must lie strictly inside the ball")
-        body = ConvexBody(grid, radius + grid.nodes @ center)
+        body = ConvexBody(grid, radius + grid._linear(center))
 
     elif kind == "ellipsoid":
         semiaxes = np.asarray(params.pop("semiaxes"), dtype=float)

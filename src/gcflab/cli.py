@@ -41,8 +41,6 @@ from .errors import (
     GcflabError,
     ParameterError,
     SnapshotError,
-    SolverError,
-    StiffnessError,
 )
 from .flow import FlowConfig, harnack_monitor, run
 from .soliton import solve_soliton
@@ -409,19 +407,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BodyValidityError as exc:
+    except (BodyValidityError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (StiffnessError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except GcflabError as exc:
+    except GcflabError as exc:  # StiffnessError, SolverError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

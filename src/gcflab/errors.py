@@ -57,13 +57,11 @@ class ConcavityError(SolverError):
     """The Newton model lost definiteness (should not happen for valid bodies)."""
 
 
-class StepRejected(GcflabError):
-    """Internal signal: an explicit step produced an invalid state."""
-
-
 class StiffnessError(GcflabError):
-    """Time stepping collapsed: the step size fell below its floor, or a
-    fixed step (which is never shrunk) left the valid-body cone.
+    """A run's time stepping collapsed: the step size fell below its floor,
+    or a fixed step (which is never shrunk) left the valid-body cone.  The
+    public one-step ``flow.step`` raises the stage's BodyValidityError
+    instead.
 
     Carries the last accepted state so it can be dumped for inspection.
     """

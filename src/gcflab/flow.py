@@ -39,12 +39,14 @@ dt * 0.8 (STEP_TOL / err)^(1/5), within [0.2, 5] times dt, and a step
 whose estimate exceeds the tolerance is retried at that smaller dt.
 ``STEP_TOL`` is set by the closed-form trajectories: it keeps the
 unprojected ball within 1e-12 of its exact radius.  The first step is
-``FIRST_STEP_SAFETY * stable_dt(body)``, a quarter of the explicit
-parabolic step limit, short enough that the gate's runs start without a
-rejection.  A step whose stage leaves the valid-body cone is retried at
-dt/2; collapse below ``DT_FLOOR`` raises :class:`StiffnessError` with the
-last state attached.  ``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps
-instead, with no doubling; the public :func:`step` is the same map once.
+``FIRST_STEP_SAFETY * stable_dt`` of the volume-projected start, a
+quarter of the explicit parabolic step limit, short enough that the gate's
+runs start without a rejection.  A step whose stage leaves the valid-body
+cone is retried at dt/2; collapse below ``DT_FLOOR`` raises
+:class:`StiffnessError` with the last state attached.
+``FlowConfig.fixed_dt`` takes fixed ETDRK4 steps instead, with no
+doubling; the public :func:`step` is the same map once, and a stage
+outside the cone raises its :class:`BodyValidityError` from it.
 
 The flow's state is its coefficients.  ``run`` projects its start onto
 them once, as ``ConvexBody.from_jet(synthesize(analyze(u), jet=True))``,
@@ -60,12 +62,13 @@ t = 10.  Without the cut the unnormalized flow holds its exact volume law
 V(t) = V_0 - |S^n| t to 1.1e-9 on random-2-s21 (1.2e-7 with it).
 
 In normalized mode the discrete volume drifts at the step's error;
-optional projection rescales the support after every accepted step so the
-volume stays at the unit-ball value exactly.  A and K do not change under
-u -> u - <z, x>, so the origin is a gauge choice; optional recentering zeroes
-the start's degree-1 coefficients, the translation <s, x> to its Steiner
-point s, and masks the degree-1 part of the velocity, which keeps the
-linearized translation mode (growing like e^t) out of long runs.  The
+optional projection rescales the support of the start and of every
+accepted step so the volume stays at the unit-ball value exactly.  A and
+K do not change under u -> u - <z, x>, so the origin is a gauge choice;
+optional recentering zeroes the start's degree-1 coefficients, the
+translation <s, x> to its Steiner point s, and masks the degree-1 part of
+the velocity, which keeps the linearized translation mode (growing like
+e^t) out of long runs.  The
 entropy point then agrees with the origin to O(sup|u - 1|^2) at a round
 endpoint.
 
@@ -108,7 +111,6 @@ from .errors import (
     BodyValidityError,
     ParameterError,
     SolverError,
-    StepRejected,
     StiffnessError,
     _check_integer,
 )
@@ -397,18 +399,16 @@ def _single_step(frozen: _Frozen, u_hat, n_u, dt: float):
 
 def step(body: ConvexBody, dt: float, mode: str = "normalized",
          recenter: bool = False) -> ConvexBody:
-    """One ETDRK4 step (Cox-Matthews) in coefficient space; raises
-    StepRejected if any stage leaves the valid-body cone (the caller
-    retries with a smaller dt)."""
+    """One ETDRK4 step (Cox-Matthews) in coefficient space.  A stage that
+    leaves the valid-body cone raises its BodyValidityError, whose
+    ``invariant`` names the failed test; the caller may retry with a
+    smaller dt."""
     if not 0.0 < dt < np.inf:
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     start = _start_stage(body, mode == "normalized", recenter, body.grid.analyze(body.support))
-    try:
-        return _single_step(*start, dt)[0]
-    except BodyValidityError as exc:
-        raise StepRejected(f"dt={dt:.3e}: {exc}") from exc
+    return _single_step(*start, dt)[0]
 
 
 def stable_dt(body: ConvexBody) -> float:
@@ -449,13 +449,15 @@ def run(body: ConvexBody, config: FlowConfig):
     """Integrate the flow; returns (FlowTrace, final body).
 
     The start is first projected onto its coefficients, whose degree-1
-    part recentering zeroes (see the module docstring), then
-    volume-normalized as configured.
-    Records a row at t = 0, every ``output_stride`` accepted steps, and at
-    the end.  In normalized mode the run also stops early once the soliton
-    residual max|u det A - 1| falls below ``soliton_tol``.  A run that
-    converges on its last permitted step returns; one that runs out of
-    ``MAX_STEPS`` before ``t_end`` raises SolverError.
+    part recentering zeroes (see the module docstring).  The top of the
+    loop treats the start and every accepted step alike: it
+    volume-normalizes the body as configured, takes the soliton residual
+    max|u det A - 1|, records a row at t = 0, every ``output_stride``
+    accepted steps and at the end, and returns at ``t_end`` or, in
+    normalized mode, once the residual falls below ``soliton_tol``.  A run
+    that converges on its last permitted step returns; one that has taken
+    ``MAX_STEPS`` steps short of both raises SolverError.  The first step
+    is ``FIRST_STEP_SAFETY * stable_dt`` of the projected start.
 
     The recorded curvature columns, the residual and the final body's
     curvature are those of the stepped bodies: read from the jet the step
@@ -472,9 +474,6 @@ def run(body: ConvexBody, config: FlowConfig):
     if cfg.recenter:
         coeffs[..., 1] = 0.0  # the translation to the Steiner point
     body = ConvexBody.from_jet(grid.synthesize(coeffs, jet=True))
-    if cfg.project_volume:
-        factor = _volume_factor(body)
-        body, coeffs = body.scale(factor), coeffs * factor
 
     trace = FlowTrace(config=cfg, dim=body.dim)
     z_e = np.zeros(body.dim + 1)
@@ -515,20 +514,30 @@ def run(body: ConvexBody, config: FlowConfig):
                 trace.harnack_slack = min(trace.harnack_slack, slack)
             prev_weighted = weighted
 
-    t = 0.0
-    record(t, 0.0, soliton_residual(body))
-    if normalized and trace.last("soliton_residual") < cfg.soliton_tol:
-        trace.converged = True
-        return trace, body
-
     # relative guard: after many steps the accumulated t carries round-off
     # ~ steps * eps * t_end, and an absolute epsilon would let a spurious
     # ~1e-14 leftover step through (duplicating the final record time)
     t_done = cfg.t_end * (1.0 - 1e-9)
-    dt_next = cfg.fixed_dt or FIRST_STEP_SAFETY * stable_dt(body)
-    while t < t_done and trace.steps < MAX_STEPS:
+    t, dt, dt_next = 0.0, 0.0, cfg.fixed_dt
+    while True:
+        # the start and every accepted step: project, record, stop
+        if cfg.project_volume:
+            factor = _volume_factor(body)
+            body, coeffs = body.scale(factor), coeffs * factor
+        residual = soliton_residual(body)
+        trace.converged = normalized and residual < cfg.soliton_tol
+        done = trace.converged or t >= t_done
+        if done or trace.steps % cfg.output_stride == 0:
+            record(t, dt, residual)
+        if done:
+            return trace, body
+        if trace.steps >= MAX_STEPS:
+            raise SolverError(f"step budget {MAX_STEPS} exhausted at t={t:.6g}")
+
         frozen, u_hat, n_u = _start_stage(body, normalized, cfg.recenter, coeffs)
-        dt = min(dt_next, cfg.t_end - t)
+        # stable_dt scales with the body: the first step is taken from the
+        # projected start
+        dt = min(dt_next or FIRST_STEP_SAFETY * stable_dt(body), cfg.t_end - t)
         while True:
             if dt < DT_FLOOR:
                 raise StiffnessError(t, dt, body)
@@ -550,24 +559,8 @@ def run(body: ConvexBody, config: FlowConfig):
                     raise StiffnessError(t, dt, body)
                 dt *= 0.5
         body = new_body
-        if cfg.project_volume:
-            factor = _volume_factor(body)
-            body, coeffs = body.scale(factor), coeffs * factor
         t += dt
         trace.steps += 1
-        residual = soliton_residual(body)
-        done = t >= t_done
-        if normalized and residual < cfg.soliton_tol:
-            trace.converged = True
-            done = True
-        if done or trace.steps % cfg.output_stride == 0:
-            record(t, dt, residual)
-        if done:
-            break
-
-    if t < t_done and not trace.converged:
-        raise SolverError(f"step budget {MAX_STEPS} exhausted at t={t:.6g}")
-    return trace, body
 
 
 def _doubled_step(frozen: _Frozen, u_hat, n_u, dt: float):

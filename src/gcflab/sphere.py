@@ -77,7 +77,7 @@ ask the kind for its sizes, mode tuples and ``--harmonic`` entries, so a new
 dimension is a new kind in ``_KINDS``.  The grid also owns its node
 geometry: code outside this module reaches the node coordinates only through
 the node operations of :class:`SphereGrid`, apart from the inradius LP and
-the ``translated_ball`` and ``ellipsoid`` generators.
+the ``ellipsoid`` generator.
 """
 
 from __future__ import annotations

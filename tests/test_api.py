@@ -53,7 +53,8 @@ def test_second_entries_are_gone():
 def test_retired_names_are_gone():
     # a forwarder to a kind hook, a helper only the package read, the nodal
     # degree-1 reader (the degree-1 part is index 1 of the degree axis), the
-    # circumradius solver, and fields and a method nothing in the package read
+    # circumradius solver, fields and a method nothing in the package read,
+    # and the step's own rejection error (a stage raises BodyValidityError)
     body, sphere = (importlib.import_module(f"gcflab.{m}") for m in ("body", "sphere"))
     for mod, name in ((body, "harmonic_field"), (body, "spectral_tail"), (sphere, "degree_one"),
                       (body, "circumradius")):
@@ -65,6 +66,7 @@ def test_retired_names_are_gone():
     fields = {f.name for f in dataclasses.fields(gcflab.GeometrySummary)}
     assert not {"rho_plus", "circumcenter"} & fields
     assert list(inspect.signature(gcflab.SphereGrid.degree_mask).parameters) == ["self", "frac"]
+    assert not hasattr(importlib.import_module("gcflab.errors"), "StepRejected")
 
 
 def test_traced_names_resolve():

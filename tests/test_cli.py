@@ -12,6 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from gcflab import flow as flow_module
 from gcflab.body import make_shape
 from gcflab.cli import main, read_snapshot, snapshot_dict, write_snapshot
 from gcflab.constants import ball_volume
@@ -285,6 +286,19 @@ def test_flow_stiff_fixed_dt_exits_4(tmp_path, capsys):
                  "--manifest", str(tmp_path / "m.json")])
     assert code == 4
     assert "collapsed" in capsys.readouterr().err
+
+
+def test_flow_step_budget_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
+    # a SolverError from run is a numerical failure, and nothing is written
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 3)
+    snap = shape(tmp_path, "w.json", "--dim", "1", "--harmonic", "2:0.1", "--normalize")
+    outputs = [tmp_path / name for name in ("t.csv", "f.json", "m.json")]
+    code = main(["flow", str(snap), "--t-end", "5", "--soliton-tol", "0",
+                 "--trace", str(outputs[0]), "--final", str(outputs[1]),
+                 "--manifest", str(outputs[2])])
+    assert code == 4
+    assert "step budget 3 exhausted" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
 
 
 def test_flow_unnormalized_reports_harnack(tmp_path, capsys):

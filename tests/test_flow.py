@@ -16,7 +16,7 @@ import pytest
 from gcflab import flow as flow_module
 from gcflab.body import ConvexBody, make_shape, normalize_volume
 from gcflab.constants import ball_volume
-from gcflab.errors import ParameterError, SolverError, StiffnessError
+from gcflab.errors import BodyValidityError, ParameterError, SolverError, StiffnessError
 from gcflab.flow import (
     TRACE_COLUMNS,
     FlowConfig,
@@ -784,6 +784,48 @@ def test_unstable_fixed_dt_fails_fast(g1):
     # a fixed step is never shrunk, so the run stops at its first step
     with pytest.raises(StiffnessError, match="at t=0 "):
         run(bumpy(g1), FlowConfig(mode="unnormalized", t_end=1.0, fixed_dt=0.6))
+
+
+def test_step_leaving_the_cone_raises_the_stages_error(g1):
+    # the public step lets a stage's BodyValidityError through: it names the
+    # failed invariant, and the caller knows the dt it passed
+    with pytest.raises(BodyValidityError) as info:
+        step(bumpy(g1), 0.6, "unnormalized")
+    assert info.value.invariant == "positivity"
+
+
+class _FirstAttempt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dim,semiaxes", [(1, (1.3, 0.9)), (2, (1.2, 1.0, 0.9))])
+def test_first_step_is_stable_dt_of_the_projected_start(g1, g2, dim, semiaxes, monkeypatch):
+    # stable_dt scales with the body, so it is taken after the start is
+    # projected onto its coefficients and volume-normalized, bit for bit
+    grid = {1: g1, 2: g2}[dim]
+    body = make_shape(grid, "ellipsoid", semiaxes=semiaxes)
+    attempts = []
+
+    def first_attempt(frozen, u_hat, n_u, dt):
+        attempts.append(dt)
+        raise _FirstAttempt
+
+    monkeypatch.setattr(flow_module, "_doubled_step", first_attempt)
+    with pytest.raises(_FirstAttempt):
+        run(body, FlowConfig(t_end=10.0, soliton_tol=0.0))
+    start = normalize_volume(ConvexBody.from_jet(
+        grid.synthesize(grid.analyze(body.support), jet=True)))
+    assert attempts == [flow_module.FIRST_STEP_SAFETY * stable_dt(start)]
+    assert attempts[0] != flow_module.FIRST_STEP_SAFETY * stable_dt(body)
+
+
+def test_fixed_dt_run_never_takes_stable_dt(g1, monkeypatch):
+    def unused(body):
+        raise AssertionError("stable_dt called")
+
+    monkeypatch.setattr(flow_module, "stable_dt", unused)
+    trace, _ = run(bumpy(g1), FlowConfig(t_end=3e-3, fixed_dt=1e-3, soliton_tol=0.0))
+    assert trace.steps == 3 and trace.rejections == 0
 
 
 def test_adaptive_run_collapses_at_extinction():

@@ -21,17 +21,17 @@ def _pairs(parent, change):
             for (seed, first), p, c in zip(pairs.schedule(), parent, change)]
 
 
-PARENT = [3.0, 3.1, 3.2, 3.0, 2.9, 3.1, 3.0, 3.2, 2.9, 3.0]
+PARENT = [3.0, 3.1, 3.2, 3.0, 2.9, 3.1, 3.0, 3.2, 2.9, 3.0, 3.1, 3.0]
 
 
 @pytest.mark.parametrize("change,wins,holds", [
-    ([p - 1.0 for p in PARENT], "10/10", True),
-    # a tie counts for neither side: 9 wins still hold
-    ([p - 1.0 for p in PARENT[:9]] + [PARENT[9]], "9/10", True),
-    # two ties leave 8 wins
-    ([p - 1.0 for p in PARENT[:8]] + PARENT[8:], "8/10", False),
-    # 10 wins by less than the parent's interquartile range (0.1 here)
-    ([p - 0.05 for p in PARENT], "10/10", False),
+    ([p - 1.0 for p in PARENT], "12/12", True),
+    # a tie counts for neither side: 11 wins still hold
+    ([p - 1.0 for p in PARENT[:11]] + [PARENT[11]], "11/12", True),
+    # two ties leave 10 wins, fewer than 9 of every 10 pairs
+    ([p - 1.0 for p in PARENT[:10]] + PARENT[10:], "10/12", False),
+    # 12 wins by less than the parent's interquartile range (0.1 here)
+    ([p - 0.05 for p in PARENT], "12/12", False),
 ])
 def test_gain_rule(change, wins, holds):
     summary = pairs.summarize(_pairs(PARENT, change))
@@ -44,16 +44,18 @@ def test_gain_rule(change, wins, holds):
 
 
 def test_every_seed_runs_in_both_orders():
-    # the side that runs first switches after each round of the seeds, so no
-    # seed's pairs all run one side first (with the first side switching
-    # every pair and two seeds, each seed's pairs always ran the same side
-    # first, and an effect of running first looked like an effect of seed)
+    # the side that runs first switches after each round of the seeds, and
+    # every seed runs first on each side equally often (with the first side
+    # switching every pair and two seeds, each seed's pairs always ran the
+    # same side first; at 10 pairs the parent ran first in 6)
     plan = pairs.schedule()
-    assert len(plan) == pairs.PAIRS
+    assert len(plan) == pairs.PAIRS == 12
+    per_order = pairs.PAIRS // (2 * len(pairs.SEEDS))
     for seed in pairs.SEEDS:
         firsts = [first for s, first in plan if s == seed]
-        assert len(firsts) == pairs.PAIRS // len(pairs.SEEDS)
-        assert abs(firsts.count("parent") - firsts.count("change")) <= 1
+        assert firsts.count("parent") == firsts.count("change") == per_order
+    firsts = [first for _, first in plan]
+    assert firsts.count("parent") == firsts.count("change") == pairs.PAIRS // 2
 
 
 def test_wins_are_reported_per_seed_and_per_first_side():
